@@ -60,6 +60,7 @@ from .spectral import (
     AMP_EPS,
     AmpPhase,
     Spectrum,
+    amp_map,
     band_energy,
     compose,
     decompose,

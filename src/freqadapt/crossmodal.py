@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, ShapeMismatchError, SymmetryViolationError
+from .errors import DegenerateSpectrumError, ShapeMismatchError
 from .rng import SplitMix64
-from .spectral import AmpPhase, band_energy, compose, decompose, fft2, ifft2
+from .spectral import AmpPhase, amp_map, band_energy, decompose, fft2
 from .tensor import FeatureMap, Matrix, _frozen, softmax_rows
 
 NORM_SCOPES = ("channel", "tensor")
@@ -196,14 +196,7 @@ def spectral_normalize(x: FeatureMap, scope: str = "channel") -> FeatureMap:
     so this redistributes energy across frequencies without moving
     structure.
     """
-    normalized = amp_normalize(decompose(fft2(x)), scope=scope)
-    out, residue = ifft2(compose(normalized))
-    scale = float(np.abs(out.data).max())
-    if residue > 1e-8 * scale and scale > 0.0:
-        raise SymmetryViolationError(
-            f"spectral normalization residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"
-        )
-    return out
+    return amp_map(x, lambda ap: amp_normalize(ap, scope=scope))
 
 
 def crossmodal_forward(

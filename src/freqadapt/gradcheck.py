@@ -31,7 +31,7 @@ from .crossmodal import (
     unflatten_tokens,
 )
 from .rng import SplitMix64, mix_seed
-from .spectral import AMP_EPS, AmpPhase, decompose, fft2, _map_channels
+from .spectral import AMP_EPS, AmpPhase, Spectrum, decompose, fft2, ifft2
 from .style import channel_stats, sample_dirichlet, style_transform, _as_channel_vec
 from .synth import gen_text_tokens
 from .tensor import FeatureMap, _sigmoid, silu
@@ -77,12 +77,6 @@ def jvp_silu(x: FeatureMap, direction: FeatureMap) -> FeatureMap:
     return FeatureMap((s + x.data * s * (1.0 - s)) * direction.data)
 
 
-def _fft_pair(x: FeatureMap, direction: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
-    z = _map_channels(np.fft.fft2, x.data.astype(np.complex128))
-    dz = _map_channels(np.fft.fft2, direction.data.astype(np.complex128))
-    return z, dz
-
-
 def _polar_jvp(z: np.ndarray, dz: np.ndarray):
     """Amplitude/phase of z plus their derivatives along dz."""
     re, im = z.real, z.imag
@@ -103,10 +97,6 @@ def _compose_jvp(a_new, da_new, p, dp) -> np.ndarray:
     return dre + 1j * dim
 
 
-def _ifft_real(dz: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(_map_channels(np.fft.ifft2, dz).real)
-
-
 def jvp_style_transform(x: FeatureMap, direction: FeatureMap, mu, sigma) -> FeatureMap:
     """Derivative of the fixed-affine style pipeline along ``direction``.
 
@@ -115,11 +105,10 @@ def jvp_style_transform(x: FeatureMap, direction: FeatureMap, mu, sigma) -> Feat
     """
     mu_vec = _as_channel_vec(mu, x.channels, "mu")[:, None, None]
     sigma_vec = _as_channel_vec(sigma, x.channels, "sigma")[:, None, None]
-    z, dz = _fft_pair(x, direction)
-    a, da, p, dp = _polar_jvp(z, dz)
+    a, da, p, dp = _polar_jvp(fft2(x).data, fft2(direction).data)
     a_new = sigma_vec * a + mu_vec
     da_new = sigma_vec * da
-    return FeatureMap(_ifft_real(_compose_jvp(a_new, da_new, p, dp)))
+    return ifft2(Spectrum(_compose_jvp(a_new, da_new, p, dp)))[0]
 
 
 def _normalize_jvp(a, da, scope: str):
@@ -180,10 +169,9 @@ def jvp_crossmodal(
     dxv = flatten_tokens(direction)
     u = unflatten_tokens(cross_attention(xv, xt, p), x.height, x.width)
     du = unflatten_tokens(jvp_cross_attention(xv, dxv, xt, p), x.height, x.width)
-    z, dz = _fft_pair(u, du)
-    a, da, phase, dp = _polar_jvp(z, dz)
+    a, da, phase, dp = _polar_jvp(fft2(u).data, fft2(du).data)
     a_norm, da_norm = _normalize_jvp(a, da, scope)
-    return FeatureMap(_ifft_real(_compose_jvp(a_norm, da_norm, phase, dp)))
+    return ifft2(Spectrum(_compose_jvp(a_norm, da_norm, phase, dp)))[0]
 
 
 def _uniform(rng: SplitMix64, shape, low, high) -> np.ndarray:
@@ -268,10 +256,11 @@ def _probe_style(rng: SplitMix64):
 
 def _probe_crossmodal(rng: SplitMix64):
     shape = (3, 8, 8)
-    xt = gen_text_tokens(5, 4, rng.next_u64())
-    params = AttentionParams.seeded(shape[0], 4, 8, rng.next_u64())
     x = None
     for _ in range(_PROBE_ATTEMPTS):
+        # attention weights are redrawn too: some weights leave a small bin in every output
+        xt = gen_text_tokens(5, 4, rng.next_u64())
+        params = AttentionParams.seeded(shape[0], 4, 8, rng.next_u64())
         cand = FeatureMap(_uniform(rng, shape, -1.0, 1.0))
         enhanced = unflatten_tokens(
             cross_attention(flatten_tokens(cand), xt, params), shape[1], shape[2]

@@ -152,6 +152,14 @@ class TestRunGradcheck:
         joint = run_gradcheck(("silu", "crossmodal"), seed=1, probes=5)[1]
         assert solo.max_rel_err == joint.max_rel_err
 
+    def test_crossmodal_probe_redraws_attention_weights(self):
+        # with this seed one probe's first attention weights leave a bin below the
+        # spectral guard for every map; the probe must redraw the weights, not give up
+        (report,) = run_gradcheck(("crossmodal",), seed=8972547277105952781, probes=50)
+        assert report.op_name == "crossmodal"
+        assert report.num_probes == 50
+        assert report.max_rel_err < 1e-5
+
     def test_rejects_unknown_op(self):
         with pytest.raises(ValueError):
             run_gradcheck(("nope",), seed=0, probes=1)

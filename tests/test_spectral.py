@@ -5,6 +5,7 @@ from freqadapt import (
     AmpPhase,
     FeatureMap,
     SymmetryViolationError,
+    amp_map,
     band_energy,
     compose,
     decompose,
@@ -234,31 +235,21 @@ class TestBandEnergy:
             band_energy(ap, 1.0)
 
 
-class TestThreading:
-    def test_threaded_fft_bitwise_equals_sequential(self, monkeypatch):
-        rng = np.random.default_rng(24)
-        x = rand_map(rng, 6, 8, 8)
-        monkeypatch.delenv("FREQADAPT_THREADS", raising=False)
-        seq = fft2(x)
-        seq_back, _ = ifft2(seq)
-        monkeypatch.setenv("FREQADAPT_THREADS", "4")
-        par = fft2(x)
-        par_back, _ = ifft2(par)
-        assert np.array_equal(seq.data, par.data)
-        assert np.array_equal(seq_back.data, par_back.data)
-
-    def test_auto_thread_count(self, monkeypatch):
+class TestAmpMap:
+    def test_asymmetric_amplitude_rejected(self):
         rng = np.random.default_rng(25)
-        x = rand_map(rng, 4, 6, 6)
-        monkeypatch.setenv("FREQADAPT_THREADS", "0")
-        auto = fft2(x)
-        monkeypatch.setenv("FREQADAPT_THREADS", "1")
-        assert np.array_equal(auto.data, fft2(x).data)
+        x = rand_map(rng, 2, 6, 6)
+        # bin (1, 2) without its mirror (5, 4) breaks conjugate symmetry; the bump is
+        # small enough to pass ifft2's 1e-6 guard and must trip the 1e-8 one
+        bump = np.zeros((2, 6, 6))
+        bump[:, 1, 2] = 1e-5
 
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("FREQADAPT_THREADS", "many")
-        with pytest.raises(ValueError):
-            fft2(FeatureMap(np.ones((1, 2, 2))))
+        def lopsided(ap):
+            return AmpPhase(ap.amplitude + bump, ap.phase)
+
+        ifft2(compose(lopsided(decompose(fft2(x)))))
+        with pytest.raises(SymmetryViolationError, match="amplitude map residue"):
+            amp_map(x, lopsided)
 
 
 class TestHeatmap:
