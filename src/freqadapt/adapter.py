@@ -3,9 +3,11 @@
 The block runs three parallel convolutions (3x3, 5x5, 7x7) over the same
 input, averages them, aggregates with a 1x1 convolution, applies SiLU,
 passes the result through an augmentation slot, adds the skip connection
-and projects with a final 1x1 convolution. Augmentation choices per
-backbone stage are described by :class:`PlacementConfig`; stage seeds are
-derived independently so evaluation order never matters.
+and projects with a final 1x1 convolution. The branches and the
+aggregation are linear, so they run as one fused 7x7 convolution.
+Augmentation choices per backbone stage are described by
+:class:`PlacementConfig`; stage seeds are derived independently so
+evaluation order never matters.
 """
 
 from __future__ import annotations
@@ -90,6 +92,21 @@ class AdapterWeights:
         return cls(k3=draw(3), k5=draw(5), k7=draw(7), agg=draw(1), proj=eye + 0.1 * draw(1))
 
 
+def _fused_kernel(w: AdapterWeights) -> np.ndarray:
+    """agg o mean(conv3, conv5, conv7) as one 7x7 kernel.
+
+    The pre-activation is linear, so the branches re-parameterize into a
+    single convolution (RepVGG, Ding et al. 2021): zero-pad k3 and k5 to
+    7x7, average them with k7, then contract with the 1x1 aggregation.
+    """
+    c = w.channels
+    branches = w.k7.copy()
+    branches[:, :, 1:6, 1:6] += w.k5
+    branches[:, :, 2:5, 2:5] += w.k3
+    branches /= 3.0
+    return (w.agg[:, :, 0, 0] @ branches.reshape(c, c * 49)).reshape(c, c, 7, 7)
+
+
 def adapter_forward(
     x: FeatureMap,
     w: AdapterWeights,
@@ -100,15 +117,12 @@ def adapter_forward(
 
     Default wiring is proj(x + augment(silu(agg(avg(conv3, conv5, conv7))))).
     ``post_residual=True`` moves the skip after the projection instead
-    (proj(augment(...)) + x), kept selectable for ablation.
+    (proj(augment(...)) + x), kept selectable for ablation. Both run the
+    three branches and the aggregation as one fused 7x7 convolution.
     """
     if w.channels != x.channels:
         raise ShapeMismatchError(f"weights expect {w.channels} channels, map has {x.channels}")
-    branches = (
-        conv2d(x, w.k3, 1).data + conv2d(x, w.k5, 2).data + conv2d(x, w.k7, 3).data
-    ) / 3.0
-    mixed = conv2d(FeatureMap(branches), w.agg, 0)
-    activated = silu(mixed)
+    activated = silu(conv2d(x, _fused_kernel(w), 3))
     augmented = augment(activated) if augment is not None else activated
     if augmented.shape != x.shape:
         raise ShapeMismatchError(

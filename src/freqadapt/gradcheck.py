@@ -170,6 +170,7 @@ def jvp_crossmodal(
     u = unflatten_tokens(cross_attention(xv, xt, p), x.height, x.width)
     du = unflatten_tokens(jvp_cross_attention(xv, dxv, xt, p), x.height, x.width)
     a, da, phase, dp = _polar_jvp(fft2(u).data, fft2(du).data)
+    amp_normalize(AmpPhase(a, phase), scope=scope)  # reuse the forward's degenerate-group guard
     a_norm, da_norm = _normalize_jvp(a, da, scope)
     return ifft2(Spectrum(_compose_jvp(a_norm, da_norm, phase, dp)))[0]
 

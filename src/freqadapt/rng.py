@@ -13,6 +13,9 @@ streams:
   second variate of the pair is discarded.
 * gammas -- Marsaglia-Tsang squeeze method for shape >= 1, with the
   u**(1/shape) boost below 1.
+
+The array samplers are numpy-vectorized and bitwise equal to the scalar
+streams: the same values, and the same state afterwards.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_PAIR_CHUNK = 8192  # polar pairs per vectorized draw; bounds normal_array's working memory
 
 
-def _finalize(z: int) -> int:
+def _finalize(z: int | np.ndarray) -> int | np.ndarray:
+    """splitmix64 output mix of one word, or elementwise of a uint64 array."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -85,15 +90,46 @@ class SplitMix64:
             if u == 0.0 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
                 return d * v
 
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next n ``uniform()`` values as one array, state advanced past them.
+
+        splitmix64 is counter-based: word i is the finalizer of
+        ``state + i * golden``, so the whole run is one uint64 computation
+        (numpy wraps mod 2**64 as the scalar path masks).
+        """
+        if n < 0:
+            raise ValueError(f"sample count must be >= 0, got {n}")
+        counters = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        words = _finalize(counters + np.uint64(self._state))
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return (words >> 11).astype(np.float64) * 2.0 ** -53
+
     def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        vals = np.empty(n, dtype=np.float64)
-        span = high - low
-        for i in range(n):
-            vals[i] = low + span * self.uniform()
-        return vals
+        """Bitwise equal to n calls of ``low + (high - low) * uniform()``."""
+        return low + (high - low) * self._uniforms(n)
 
     def normal_array(self, n: int, scale: float = 1.0) -> np.ndarray:
+        """Bitwise equal to n calls of ``scale * normal()``, state included.
+
+        Polar pairs are drawn in bounded chunks; the accepted pairs are kept
+        in order and the state is rewound to just after the pair that gave
+        the n-th variate. The log is ``math.log``, because ``np.log`` may
+        differ from it in the last ulp.
+        """
         vals = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            vals[i] = scale * self.normal()
+        done = 0
+        while done < n:
+            need = n - done
+            start = self._state
+            # acceptance is pi/4, so this usually finishes in one chunk
+            uv = 2.0 * self._uniforms(2 * min(_PAIR_CHUNK, need + need // 3 + 8)) - 1.0
+            u, v = uv[0::2], uv[1::2]
+            s = u * u + v * v
+            kept = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
+            if kept.size == need:
+                self._state = (start + 2 * (int(kept[-1]) + 1) * _GOLDEN) & _MASK64
+            s = s[kept]
+            logs = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=kept.size)
+            vals[done:done + kept.size] = scale * (u[kept] * np.sqrt(-2.0 * logs / s))
+            done += kept.size
         return vals

@@ -8,7 +8,6 @@ share across threads.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError
 
@@ -86,7 +85,9 @@ def conv2d(x: FeatureMap, kernel, padding: int) -> FeatureMap:
     """Same-size 2D convolution with zero padding.
 
     ``kernel`` has axes [c_out, c_in, k, k] with k odd; ``padding`` must be
-    (k - 1) / 2 so the spatial extent is preserved.
+    (k - 1) / 2 so the spatial extent is preserved. The sum runs by kernel
+    offset: one [c_out, c_in] x [c_in, H*W] product per (dy, dx), so working
+    memory stays O(C*H*W) whatever k is.
     """
     kern = np.asarray(kernel, dtype=np.float64)
     if kern.ndim != 4 or kern.shape[2] != kern.shape[3]:
@@ -102,10 +103,13 @@ def conv2d(x: FeatureMap, kernel, padding: int) -> FeatureMap:
         raise ValueError(f"padding must be {(k - 1) // 2} for k={k}, got {padding}")
     if not np.all(np.isfinite(kern)):
         raise ValueError("kernel values must be finite")
+    c, h, w = x.shape
     padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    windows = sliding_window_view(padded, (k, k), axis=(1, 2))
-    out = np.einsum("ihwyx,oiyx->ohw", windows, kern)
-    return FeatureMap(out)
+    out = np.zeros((kern.shape[0], h * w))
+    for dy in range(k):
+        for dx in range(k):
+            out += kern[:, :, dy, dx] @ padded[:, dy:dy + h, dx:dx + w].reshape(c, h * w)
+    return FeatureMap(out.reshape(-1, h, w))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

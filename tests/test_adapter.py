@@ -17,16 +17,27 @@ from freqadapt import (
 from freqadapt.rng import mix_seed
 
 
+# the default shape, then planes smaller than the 7x7 kernel
+SHAPES = [(3, 6, 6), (1, 1, 1), (2, 1, 7), (3, 5, 4)]
+
+
 def rand_map(rng, c=3, h=6, w=6):
     return FeatureMap(rng.uniform(-1, 1, size=(c, h, w)))
+
+
+def stepwise_activation(x, w):
+    """silu(agg(mean(conv3, conv5, conv7))), one convolution per branch."""
+    avg = (conv2d(x, w.k3, 1).data + conv2d(x, w.k5, 2).data + conv2d(x, w.k7, 3).data) / 3.0
+    return silu(conv2d(FeatureMap(avg), w.agg, 0))
 
 
 class TestAdapterForward:
     def test_zero_weights_identity(self):
         rng = np.random.default_rng(70)
-        x = rand_map(rng)
-        out = adapter_forward(x, AdapterWeights.zero_identity(3))
-        assert np.array_equal(out.data, x.data)
+        for shape in SHAPES:
+            x = rand_map(rng, *shape)
+            out = adapter_forward(x, AdapterWeights.zero_identity(shape[0]))
+            assert np.array_equal(out.data, x.data), shape
 
     def test_identity_augment_equals_style_identity_hook(self):
         rng = np.random.default_rng(71)
@@ -39,24 +50,23 @@ class TestAdapterForward:
         assert np.abs(plain.data - hooked.data).max() < 1e-9
 
     def test_matches_stepwise_composition(self):
+        # the three-branch block, run branch by branch, is the oracle for the fused kernel
         rng = np.random.default_rng(72)
-        x = rand_map(rng)
-        w = AdapterWeights.seeded(3, 6)
-        avg = (conv2d(x, w.k3, 1).data + conv2d(x, w.k5, 2).data + conv2d(x, w.k7, 3).data) / 3.0
-        act = silu(conv2d(FeatureMap(avg), w.agg, 0))
-        want = conv2d(FeatureMap(x.data + act.data), w.proj, 0)
-        got = adapter_forward(x, w)
-        assert np.abs(got.data - want.data).max() < 1e-10
+        for shape in SHAPES:
+            x = rand_map(rng, *shape)
+            w = AdapterWeights.seeded(shape[0], 6)
+            want = conv2d(FeatureMap(x.data + stepwise_activation(x, w).data), w.proj, 0)
+            got = adapter_forward(x, w)
+            assert np.abs(got.data - want.data).max() < 1e-10, shape
 
     def test_post_residual_variant(self):
         rng = np.random.default_rng(73)
-        x = rand_map(rng)
-        w = AdapterWeights.seeded(3, 7)
-        avg = (conv2d(x, w.k3, 1).data + conv2d(x, w.k5, 2).data + conv2d(x, w.k7, 3).data) / 3.0
-        act = silu(conv2d(FeatureMap(avg), w.agg, 0))
-        want = conv2d(act, w.proj, 0).data + x.data
-        got = adapter_forward(x, w, post_residual=True)
-        assert np.abs(got.data - want).max() < 1e-10
+        for shape in SHAPES:
+            x = rand_map(rng, *shape)
+            w = AdapterWeights.seeded(shape[0], 7)
+            want = conv2d(stepwise_activation(x, w), w.proj, 0).data + x.data
+            got = adapter_forward(x, w, post_residual=True)
+            assert np.abs(got.data - want).max() < 1e-10, shape
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):

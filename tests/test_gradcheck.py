@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from freqadapt import (
     AttentionParams,
+    DegenerateSpectrumError,
     FeatureMap,
     TokenMatrix,
     decompose,
@@ -127,6 +130,23 @@ class TestJvps:
             lambda m: float((cot * crossmodal_forward(m, text, p).data).sum()), x, d, 1e-5
         )
         assert abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8) < 1e-6
+
+    def test_crossmodal_jvp_degenerate_group_typed_error(self):
+        # a one-bin amplitude group has zero spread: the JVP must fail the way
+        # the forward does, before any numpy warning
+        x = FeatureMap(np.full((1, 1, 1), 0.3))
+        d = FeatureMap(np.ones((1, 1, 1)))
+        text = gen_text_tokens(4, 3, 5)
+        p = AttentionParams.seeded(1, 3, 4, 6)
+        from freqadapt import crossmodal_forward
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSpectrumError):
+                crossmodal_forward(x, text, p)
+            for scope in ("channel", "tensor"):
+                with pytest.raises(DegenerateSpectrumError):
+                    jvp_crossmodal(x, d, text, p, scope=scope)
 
 
 class TestRunGradcheck:

@@ -1,0 +1,65 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freqadapt.rng import SplitMix64
+
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+counts = st.integers(min_value=0, max_value=5000)
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def scalar_uniforms(rng, n, low, high):
+    span = high - low
+    return np.array([low + span * rng.uniform() for _ in range(n)], dtype=np.float64)
+
+
+def scalar_normals(rng, n, scale):
+    return np.array([scale * rng.normal() for _ in range(n)], dtype=np.float64)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestArraySamplersMatchScalarStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1]), seeds), n=counts,
+           low=finite, high=finite)
+    def test_uniform_array(self, seed, n, low, high):
+        vec, twin = SplitMix64(seed), SplitMix64(seed)
+        assert same_bits(vec.uniform_array(n, low, high), scalar_uniforms(twin, n, low, high))
+        assert vec._state == twin._state
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1]), seeds), n=counts,
+           scale=st.floats(min_value=1e-6, max_value=1e6))
+    def test_normal_array(self, seed, n, scale):
+        vec, twin = SplitMix64(seed), SplitMix64(seed)
+        assert same_bits(vec.normal_array(n, scale), scalar_normals(twin, n, scale))
+        assert vec._state == twin._state
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, calls=st.lists(
+        st.tuples(st.sampled_from(["uniform", "normal", "uniform_array", "normal_array"]),
+                  st.integers(min_value=0, max_value=300)),
+        max_size=12))
+    def test_interleaved_calls_continue_one_stream(self, seed, calls):
+        mixed, twin = SplitMix64(seed), SplitMix64(seed)
+        for kind, n in calls:
+            if kind == "uniform":
+                assert mixed.uniform() == twin.uniform()
+            elif kind == "normal":
+                assert mixed.normal() == twin.normal()
+            elif kind == "uniform_array":
+                assert same_bits(mixed.uniform_array(n, -1.0, 1.0),
+                                 scalar_uniforms(twin, n, -1.0, 1.0))
+            else:
+                assert same_bits(mixed.normal_array(n, 0.5), scalar_normals(twin, n, 0.5))
+            assert mixed._state == twin._state
+
+    def test_long_normal_stream_spans_chunks(self):
+        # 30000 variates need more polar pairs than one vectorized chunk holds
+        vec, twin = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
+        assert same_bits(vec.normal_array(30000), scalar_normals(twin, 30000, 1.0))
+        assert vec._state == twin._state

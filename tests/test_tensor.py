@@ -69,11 +69,15 @@ class TestConv2d:
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(1)
-        x = rng.uniform(-1, 1, size=(3, 4, 4))
-        kernel = rng.uniform(-1, 1, size=(2, 3, 3, 3))
-        got = conv2d(FeatureMap(x), kernel, 1).data
-        want = conv2d_naive(x, kernel, 1)
-        assert np.abs(got - want).max() < 1e-12
+        # then planes smaller than the kernel, where most taps fall in the zero padding
+        cases = [((3, 4, 4), 3)] + [(shape, k) for shape in [(1, 1, 1), (2, 1, 7), (3, 5, 4)]
+                                    for k in (1, 3, 5, 7)]
+        for shape, k in cases:
+            x = rng.uniform(-1, 1, size=shape)
+            kernel = rng.uniform(-1, 1, size=(2, shape[0], k, k))
+            got = conv2d(FeatureMap(x), kernel, (k - 1) // 2).data
+            want = conv2d_naive(x, kernel, (k - 1) // 2)
+            assert np.abs(got - want).max() < 1e-12, (shape, k)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
