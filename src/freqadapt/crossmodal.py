@@ -162,6 +162,24 @@ def cross_attention(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams) -> Tok
     return TokenMatrix(out)
 
 
+def _standardize(a: np.ndarray, scope: str) -> np.ndarray:
+    """Amplitudes at mean 0, population std 1 per normalization group."""
+    if scope not in NORM_SCOPES:
+        raise ValueError(f"scope must be one of {NORM_SCOPES}, got {scope!r}")
+    axes = (1, 2) if scope == "channel" else (0, 1, 2)
+    mu = a.mean(axis=axes, keepdims=True)
+    sd = a.std(axis=axes, keepdims=True)
+    if np.any(sd <= _SIGMA_FLOOR):
+        bad = int(np.argmax(sd.ravel() <= _SIGMA_FLOOR))
+        raise DegenerateSpectrumError(
+            f"amplitude std {sd.ravel()[bad]:.3e} in group {bad} is below {_SIGMA_FLOOR:.0e}; "
+            "normalization is undefined"
+        )
+    out = a - mu
+    out /= sd
+    return out
+
+
 def amp_normalize(ap: AmpPhase, scope: str = "channel") -> AmpPhase:
     """Standardize the amplitude to mean 0, population std 1.
 
@@ -171,32 +189,16 @@ def amp_normalize(ap: AmpPhase, scope: str = "channel") -> AmpPhase:
     bit-identical. Groups with std <= 1e-12 raise
     :class:`DegenerateSpectrumError`.
     """
-    if scope not in NORM_SCOPES:
-        raise ValueError(f"scope must be one of {NORM_SCOPES}, got {scope!r}")
-    a = ap.amplitude
-    if scope == "channel":
-        mu = a.mean(axis=(1, 2), keepdims=True)
-        sd = a.std(axis=(1, 2), keepdims=True)
-    else:
-        mu = a.mean(keepdims=True).reshape(1, 1, 1)
-        sd = a.std(keepdims=True).reshape(1, 1, 1)
-    if np.any(sd <= _SIGMA_FLOOR):
-        bad = int(np.argmax(sd.ravel() <= _SIGMA_FLOOR))
-        raise DegenerateSpectrumError(
-            f"amplitude std {sd.ravel()[bad]:.3e} in group {bad} is below {_SIGMA_FLOOR:.0e}; "
-            "normalization is undefined"
-        )
-    return AmpPhase((a - mu) / sd, ap.phase)
+    return AmpPhase(_standardize(ap.amplitude, scope), ap.phase)
 
 
 def spectral_normalize(x: FeatureMap, scope: str = "channel") -> FeatureMap:
     """Standardize a map's amplitude spectrum and reconstruct it.
 
-    ifft2(compose(amp_normalize(decompose(fft2(x))))); phase is preserved,
-    so this redistributes energy across frequencies without moving
-    structure.
+    Every bin keeps its phase (see :func:`amp_map`), so this redistributes
+    energy across frequencies without moving structure.
     """
-    return amp_map(x, lambda ap: amp_normalize(ap, scope=scope))
+    return amp_map(x, lambda a: _standardize(a, scope))
 
 
 def crossmodal_forward(

@@ -24,6 +24,7 @@ import numpy as np
 from .crossmodal import (
     AttentionParams,
     TokenMatrix,
+    _standardize,
     amp_normalize,
     cross_attention,
     crossmodal_forward,
@@ -31,7 +32,7 @@ from .crossmodal import (
     unflatten_tokens,
 )
 from .rng import SplitMix64, mix_seed
-from .spectral import AMP_EPS, AmpPhase, Spectrum, decompose, fft2, ifft2
+from .spectral import AmpPhase, Spectrum, _unit_phasors, decompose, fft2, ifft2
 from .style import channel_stats, sample_dirichlet, style_transform, _as_channel_vec
 from .synth import gen_text_tokens
 from .tensor import FeatureMap, _sigmoid, silu
@@ -78,23 +79,20 @@ def jvp_silu(x: FeatureMap, direction: FeatureMap) -> FeatureMap:
 
 
 def _polar_jvp(z: np.ndarray, dz: np.ndarray):
-    """Amplitude/phase of z plus their derivatives along dz."""
+    """Amplitude and unit phasor z/|z| of z, plus amplitude and phase derivatives along dz."""
     re, im = z.real, z.imag
     r2 = re * re + im * im
     if np.any(r2 == 0.0):
         raise ValueError("phase derivative undefined at zero-magnitude bins")
-    a = np.sqrt(r2 + AMP_EPS)
+    unit = np.array(z)
+    a = _unit_phasors(unit)
     da = (re * dz.real + im * dz.imag) / a
     dp = (re * dz.imag - im * dz.real) / r2
-    p = np.arctan2(im, re)
-    return a, da, p, dp
+    return a, da, unit, dp
 
 
-def _compose_jvp(a_new, da_new, p, dp) -> np.ndarray:
-    cosp, sinp = np.cos(p), np.sin(p)
-    dre = da_new * cosp - a_new * sinp * dp
-    dim = da_new * sinp + a_new * cosp * dp
-    return dre + 1j * dim
+def _compose_jvp(a_new, da_new, unit, dp) -> np.ndarray:
+    return unit * (da_new + 1j * a_new * dp)
 
 
 def jvp_style_transform(x: FeatureMap, direction: FeatureMap, mu, sigma) -> FeatureMap:
@@ -105,10 +103,10 @@ def jvp_style_transform(x: FeatureMap, direction: FeatureMap, mu, sigma) -> Feat
     """
     mu_vec = _as_channel_vec(mu, x.channels, "mu")[:, None, None]
     sigma_vec = _as_channel_vec(sigma, x.channels, "sigma")[:, None, None]
-    a, da, p, dp = _polar_jvp(fft2(x).data, fft2(direction).data)
+    a, da, unit, dp = _polar_jvp(fft2(x).data, fft2(direction).data)
     a_new = sigma_vec * a + mu_vec
     da_new = sigma_vec * da
-    return ifft2(Spectrum(_compose_jvp(a_new, da_new, p, dp)))[0]
+    return ifft2(Spectrum(_compose_jvp(a_new, da_new, unit, dp)))[0]
 
 
 def _normalize_jvp(a, da, scope: str):
@@ -117,9 +115,7 @@ def _normalize_jvp(a, da, scope: str):
     sd = a.std(axis=axes, keepdims=True)
     dmu = da.mean(axis=axes, keepdims=True)
     dsd = ((a - mu) * da).mean(axis=axes, keepdims=True) / sd
-    a_norm = (a - mu) / sd
-    da_norm = (da - dmu) / sd - (a - mu) * dsd / (sd * sd)
-    return a_norm, da_norm
+    return (da - dmu) / sd - (a - mu) * dsd / (sd * sd)
 
 
 def jvp_amp_normalize(ap: AmpPhase, amp_direction, scope: str = "channel") -> AmpPhase:
@@ -128,11 +124,11 @@ def jvp_amp_normalize(ap: AmpPhase, amp_direction, scope: str = "channel") -> Am
     The direction perturbs the amplitude only, so the phase slot of the
     returned derivative is zero.
     """
-    amp_normalize(ap, scope=scope)  # reuse the forward's validation (degenerate groups)
+    _standardize(ap.amplitude, scope)  # reuse the forward's validation (degenerate groups)
     da = np.asarray(amp_direction, dtype=np.float64)
     if da.shape != ap.amplitude.shape:
         raise ValueError(f"direction shape {da.shape} != amplitude shape {ap.amplitude.shape}")
-    _, da_norm = _normalize_jvp(ap.amplitude, da, scope)
+    da_norm = _normalize_jvp(ap.amplitude, da, scope)
     return AmpPhase(da_norm, np.zeros_like(da_norm))
 
 
@@ -169,10 +165,10 @@ def jvp_crossmodal(
     dxv = flatten_tokens(direction)
     u = unflatten_tokens(cross_attention(xv, xt, p), x.height, x.width)
     du = unflatten_tokens(jvp_cross_attention(xv, dxv, xt, p), x.height, x.width)
-    a, da, phase, dp = _polar_jvp(fft2(u).data, fft2(du).data)
-    amp_normalize(AmpPhase(a, phase), scope=scope)  # reuse the forward's degenerate-group guard
-    a_norm, da_norm = _normalize_jvp(a, da, scope)
-    return ifft2(Spectrum(_compose_jvp(a_norm, da_norm, phase, dp)))[0]
+    a, da, unit, dp = _polar_jvp(fft2(u).data, fft2(du).data)
+    a_norm = _standardize(a, scope)  # the forward's standardization, degenerate-group guard included
+    da_norm = _normalize_jvp(a, da, scope)
+    return ifft2(Spectrum(_compose_jvp(a_norm, da_norm, unit, dp)))[0]
 
 
 def _uniform(rng: SplitMix64, shape, low, high) -> np.ndarray:

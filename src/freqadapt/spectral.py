@@ -11,7 +11,9 @@ unambiguous:
 * amplitude is sqrt(re^2 + im^2 + 1e-24); the epsilon keeps the gradient
   of amplitude defined at zero bins and perturbs any bin with magnitude
   above 1e-6 by less than 1e-12;
-* phase is atan2(im, re), normalized to (-pi, pi].
+* phase is atan2(im, re), normalized to (-pi, pi]; :func:`amp_map` keeps
+  it as the unit phasor z/|z| instead, which is the same phase without
+  the atan2/cos/sin round trip.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class AmpPhase:
 
 def fft2(x: FeatureMap) -> Spectrum:
     """Unnormalized forward transform of each channel's H x W plane."""
-    return Spectrum(np.fft.fft2(x.data.astype(np.complex128), axes=(1, 2)))
+    return Spectrum(np.fft.fft2(x.data, axes=(1, 2)))
 
 
 def ifft2(s: Spectrum) -> tuple[FeatureMap, float]:
@@ -168,14 +170,48 @@ def compose(ap: AmpPhase) -> Spectrum:
     return Spectrum(re + 1j * im)
 
 
-def amp_map(x: FeatureMap, fn: Callable[[AmpPhase], AmpPhase]) -> FeatureMap:
+def _unit_phasors(z: np.ndarray) -> np.ndarray:
+    """Replace each bin of ``z`` by its phase as a unit phasor, in place.
+
+    Returns the amplitude :func:`decompose` gives the bins. A bin becomes
+    z / |z|; one with |z| == 0 becomes copysign(1, re), the phase 0 or pi
+    that :func:`decompose` gives it. Dividing by |z| before any rescale
+    keeps bins of subnormal magnitude finite.
+    """
+    re, im = z.real, z.imag
+    amp = re**2
+    amp += im**2
+    amp += AMP_EPS
+    np.sqrt(amp, out=amp)
+    mag = np.abs(z)
+    zero = mag == 0.0
+    if zero.any():
+        mag[zero] = 1.0
+        re[zero] = np.copysign(1.0, re[zero])
+    re /= mag
+    im /= mag
+    return amp
+
+
+def _rescale(z: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Give each bin of ``z`` the amplitude fn(amp) and keep its phase, in place."""
+    new = fn(_unit_phasors(z))
+    re, im = z.real, z.imag
+    re *= new
+    im *= new
+    return z
+
+
+def amp_map(x: FeatureMap, fn: Callable[[np.ndarray], np.ndarray]) -> FeatureMap:
     """Rewrite a map's amplitude spectrum with ``fn`` and reconstruct it.
 
-    Computes ifft2(compose(fn(decompose(fft2(x))))). ``fn`` is meant to
-    touch the amplitude only; a result whose imaginary residue exceeds
-    1e-8 of the output magnitude raises :class:`SymmetryViolationError`.
+    ``fn`` maps the amplitude array (as :func:`decompose` computes it) to
+    the new amplitude; each bin keeps its phase as z/|z|, so the result
+    equals ifft2(compose(AmpPhase(fn(amp), phase))) of the input's
+    spectrum. A result whose imaginary residue exceeds 1e-8 of the output
+    magnitude raises :class:`SymmetryViolationError`.
     """
-    out, residue = ifft2(compose(fn(decompose(fft2(x)))))
+    out, residue = ifft2(Spectrum(_rescale(np.fft.fft2(x.data, axes=(1, 2)), fn)))
     scale = float(np.abs(out.data).max())
     if residue > 1e-8 * scale and scale > 0.0:
         raise SymmetryViolationError(

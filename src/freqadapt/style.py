@@ -108,9 +108,10 @@ def sample_dirichlet(alpha, seed: int, scale_mode: str = "times_C") -> StyleWeig
     return StyleWeights(avec, draws / total, scale_mode)
 
 
-def _amp_affine(ap: AmpPhase, mu: np.ndarray, sigma: np.ndarray) -> AmpPhase:
-    fused = sigma[:, None, None] * ap.amplitude + mu[:, None, None]
-    return AmpPhase(fused, ap.phase)  # phase is carried through, bit-identical
+def _amp_affine(a: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    fused = sigma[:, None, None] * a
+    fused += mu[:, None, None]
+    return fused
 
 
 def style_fuse(ap: AmpPhase, stats: StyleStats, w: StyleWeights) -> AmpPhase:
@@ -125,7 +126,8 @@ def style_fuse(ap: AmpPhase, stats: StyleStats, w: StyleWeights) -> AmpPhase:
             f"channel counts disagree: amp {ap.shape[0]}, stats {stats.channels}, weights {w.channels}"
         )
     eff = w.effective()
-    return _amp_affine(ap, eff * stats.mu_base, eff * stats.sigma_base)
+    fused = _amp_affine(ap.amplitude, eff * stats.mu_base, eff * stats.sigma_base)
+    return AmpPhase(fused, ap.phase)  # phase is carried through, bit-identical
 
 
 def _as_channel_vec(value, channels: int, name: str) -> np.ndarray:
@@ -140,14 +142,15 @@ def _as_channel_vec(value, channels: int, name: str) -> np.ndarray:
 def style_transform(x: FeatureMap, mu, sigma) -> FeatureMap:
     """Spectral pipeline with a fixed per-channel amplitude affine map.
 
-    Computes ifft2(compose(sigma * amp + mu, phase)) of the input's
-    spectrum. ``mu``/``sigma`` may be scalars or length-C vectors. This is
-    the deterministic core of :func:`style_diversify`; it is also what the
-    gradient checks differentiate.
+    Gives every bin of channel c the amplitude sigma[c] * amp + mu[c] and
+    keeps its phase (see :func:`amp_map`). ``mu``/``sigma`` may be scalars
+    or length-C vectors. This is the deterministic core of
+    :func:`style_diversify`; it is also what the gradient checks
+    differentiate.
     """
     mu_vec = _as_channel_vec(mu, x.channels, "mu")
     sigma_vec = _as_channel_vec(sigma, x.channels, "sigma")
-    return amp_map(x, lambda ap: _amp_affine(ap, mu_vec, sigma_vec))
+    return amp_map(x, lambda a: _amp_affine(a, mu_vec, sigma_vec))
 
 
 def style_diversify(

@@ -10,6 +10,7 @@ from freqadapt import (
     ShapeMismatchError,
     TokenMatrix,
     amp_normalize,
+    compose,
     cross_attention,
     crossmodal_forward,
     decompose,
@@ -17,6 +18,7 @@ from freqadapt import (
     fft2,
     flatten_tokens,
     high_freq_shift,
+    ifft2,
     spectral_normalize,
     unflatten_tokens,
 )
@@ -205,6 +207,16 @@ class TestCrossmodalForward:
         want = idft2_reference(z).real
         got = spectral_normalize(x)
         assert np.abs(got.data - want).max() < 1e-9
+
+    def test_spectral_normalize_exact_zero_bins(self):
+        # constant columns: every row u != 0 of the spectrum is exactly 0, and
+        # standardizing gives those bins a negative amplitude at phase 0
+        x = FeatureMap(np.tile(np.arange(8.0), (2, 8, 1)))
+        assert np.count_nonzero(fft2(x).data == 0) == 2 * 7 * 8
+        for scope in ("channel", "tensor"):
+            want = ifft2(compose(amp_normalize(decompose(fft2(x)), scope=scope)))[0]
+            got = spectral_normalize(x, scope=scope)
+            assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
 
     def test_matches_oracle_path(self):
         rng = np.random.default_rng(62)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqadapt import (
     AmpPhase,
+    DegenerateSpectrumError,
     FeatureMap,
     SymmetryViolationError,
     amp_map,
@@ -14,7 +17,8 @@ from freqadapt import (
     heatmap,
     ifft2,
 )
-from freqadapt.spectral import Spectrum, _radius_grid
+from freqadapt.crossmodal import NORM_SCOPES, _standardize
+from freqadapt.spectral import Spectrum, _radius_grid, _rescale
 
 
 def idft2_reference(z):
@@ -64,6 +68,16 @@ class TestFft2:
         combo = fft2(FeatureMap(2.0 * x.data - 0.5 * y.data)).data
         split = 2.0 * fft2(x).data - 0.5 * fft2(y).data
         assert np.abs(combo - split).max() < 1e-10
+
+    def test_real_input_needs_no_complex_cast(self):
+        rng = np.random.default_rng(27)
+        shapes = ((1, 1, 1), (2, 1, 7), (3, 5, 4), (2, 8, 8), (2, 97, 101))
+        for shape in shapes:
+            for scale in (1e-20, 1.0, 1e20):
+                data = scale * rng.uniform(-1.0, 1.0, size=shape)
+                data[0, 0, 0] = -0.0
+                cast = np.fft.fft2(data.astype(np.complex128), axes=(1, 2))
+                assert fft2(FeatureMap(data)).data.tobytes() == cast.tobytes()
 
     def test_real_input_conjugate_symmetric(self):
         rng = np.random.default_rng(13)
@@ -244,12 +258,75 @@ class TestAmpMap:
         bump = np.zeros((2, 6, 6))
         bump[:, 1, 2] = 1e-5
 
-        def lopsided(ap):
-            return AmpPhase(ap.amplitude + bump, ap.phase)
+        def lopsided(a):
+            return a + bump
 
-        ifft2(compose(lopsided(decompose(fft2(x)))))
+        ap = decompose(fft2(x))
+        ifft2(compose(AmpPhase(lopsided(ap.amplitude), ap.phase)))
         with pytest.raises(SymmetryViolationError, match="amplitude map residue"):
             amp_map(x, lopsided)
+
+    def test_signed_zero_bins_keep_decompose_phase(self):
+        # all four signed zeros: decompose gives +-0 + 0j phase 0 and -0 +- 0j phase pi
+        z = np.zeros((1, 2, 3), dtype=np.complex128)
+        z.real[0, 0] = (0.0, 0.0, -0.0)
+        z.imag[0, 0] = (0.0, -0.0, 0.0)
+        z[0, 1] = (complex(-0.0, -0.0), 3.0 - 4.0j, -2.0 + 0.5j)
+        for fn in (lambda a: a - 2.0, lambda a: 3.0 * a + 0.25, lambda a: a):
+            ap = decompose(Spectrum(z))
+            want = compose(AmpPhase(fn(ap.amplitude), ap.phase)).data
+            got = _rescale(z.copy(), fn)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_subnormal_bins_stay_finite(self):
+        # DC bin 2e-320: fn(amp) / |z| overflows, z / |z| first does not
+        x = FeatureMap(np.full((1, 1, 2), 1e-320))
+        fn = lambda a: a + 1.0
+        want = amp_map_oracle(x, fn)
+        assert np.abs(amp_map(x, fn).data - want.data).max() <= 1e-15
+
+
+def amp_map_oracle(x, fn):
+    ap = decompose(fft2(x))
+    return ifft2(compose(AmpPhase(fn(ap.amplitude), ap.phase)))[0]
+
+
+def affine_fn(rng, channels):
+    mu = rng.uniform(-1.0, 1.0, size=(channels, 1, 1))
+    sigma = rng.uniform(0.1, 2.0, size=(channels, 1, 1))
+    return lambda a: sigma * a + mu
+
+
+planes = st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9))
+map_seeds = st.integers(0, 2**32 - 1)
+
+
+class TestAmpMapProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=planes, seed=map_seeds, snap=st.booleans(),
+           scope=st.sampled_from(NORM_SCOPES))
+    def test_matches_decompose_compose_oracle(self, shape, seed, snap, scope):
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(-1.0, 1.0, size=shape)
+        if snap:  # coarse values cancel exactly and leave exact-zero bins
+            data = np.round(2.0 * data) / 2.0
+        x = FeatureMap(data)
+        for fn in (affine_fn(rng, shape[0]), lambda a: _standardize(a, scope)):
+            try:
+                want = amp_map_oracle(x, fn)
+            except DegenerateSpectrumError:
+                with pytest.raises(DegenerateSpectrumError):
+                    amp_map(x, fn)
+                continue
+            got = amp_map(x, fn)
+            assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=planes, seed=map_seeds)
+    def test_identity_returns_input(self, shape, seed):
+        x = FeatureMap(np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape))
+        out = amp_map(x, lambda a: a)
+        assert np.abs(out.data - x.data).max() <= 1e-12 * np.abs(x.data).max()
 
 
 class TestHeatmap:

@@ -7,13 +7,16 @@ import pytest
 
 from conftest import idft2_reference, phase_gap_mod_pi
 from freqadapt import (
+    AmpPhase,
     FeatureMap,
     StyleStats,
     StyleWeights,
     channel_stats,
+    compose,
     decompose,
     dft2_oracle,
     fft2,
+    ifft2,
     sample_dirichlet,
     style_diversify,
     style_fuse,
@@ -194,6 +197,16 @@ class TestStyleDiversify:
         x = FeatureMap(np.zeros((3, 4, 4)))
         with pytest.raises(Exception):
             style_diversify(x, np.ones(2), 0)
+
+    def test_style_transform_exact_zero_bins(self):
+        # constant columns leave exact-zero bins; mu < 0 gives them negative amplitudes
+        x = FeatureMap(np.tile(np.arange(8.0), (2, 8, 1)))
+        mu, sigma = np.array([-0.5, 0.25]), np.array([1.5, 0.75])
+        ap = decompose(fft2(x))
+        fused = sigma[:, None, None] * ap.amplitude + mu[:, None, None]
+        want = ifft2(compose(AmpPhase(fused, ap.phase)))[0]
+        got = style_transform(x, mu, sigma)
+        assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
 
     def test_style_transform_scalar_broadcast(self):
         rng = np.random.default_rng(40)
