@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, ShapeMismatchError
 from .rng import SplitMix64
-from .spectral import AmpPhase, amp_map, band_energy, decompose, fft2
+from .spectral import AMP_EPS, AmpPhase, _band_split, amp_map, fft2, mirror_weights
 from .tensor import FeatureMap, Matrix, _frozen, softmax_rows
 
 NORM_SCOPES = ("channel", "tensor")
@@ -162,20 +162,30 @@ def cross_attention(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams) -> Tok
     return TokenMatrix(out)
 
 
-def _standardize(a: np.ndarray, scope: str) -> np.ndarray:
-    """Amplitudes at mean 0, population std 1 per normalization group."""
+def _group_mean(v: np.ndarray, scope: str, weight) -> np.ndarray:
+    """Mean of each normalization group, bin (c, u, v) counted ``weight[v]`` times."""
+    axes = (1, 2) if scope == "channel" else (0, 1, 2)
+    w = np.broadcast_to(weight, v.shape)
+    return (w * v).sum(axis=axes, keepdims=True) / w.sum(axis=axes, keepdims=True)
+
+
+def _standardize(a: np.ndarray, scope: str, weight=1.0) -> np.ndarray:
+    """Amplitudes at mean 0, population std 1 per normalization group.
+
+    ``weight`` broadcasts against the last axis: 1 on a full grid, and
+    :func:`~freqadapt.spectral.mirror_weights` on a half spectrum, whose
+    weighted statistics are then those of the full grid.
+    """
     if scope not in NORM_SCOPES:
         raise ValueError(f"scope must be one of {NORM_SCOPES}, got {scope!r}")
-    axes = (1, 2) if scope == "channel" else (0, 1, 2)
-    mu = a.mean(axis=axes, keepdims=True)
-    sd = a.std(axis=axes, keepdims=True)
+    out = a - _group_mean(a, scope, weight)
+    sd = np.sqrt(_group_mean(out * out, scope, weight))
     if np.any(sd <= _SIGMA_FLOOR):
         bad = int(np.argmax(sd.ravel() <= _SIGMA_FLOOR))
         raise DegenerateSpectrumError(
             f"amplitude std {sd.ravel()[bad]:.3e} in group {bad} is below {_SIGMA_FLOOR:.0e}; "
             "normalization is undefined"
         )
-    out = a - mu
     out /= sd
     return out
 
@@ -198,7 +208,8 @@ def spectral_normalize(x: FeatureMap, scope: str = "channel") -> FeatureMap:
     Every bin keeps its phase (see :func:`amp_map`), so this redistributes
     energy across frequencies without moving structure.
     """
-    return amp_map(x, lambda a: _standardize(a, scope))
+    weight = mirror_weights(x.width)
+    return amp_map(x, lambda a: _standardize(a, scope, weight))
 
 
 def crossmodal_forward(
@@ -213,7 +224,8 @@ def crossmodal_forward(
 
 
 def _high_fraction(x: FeatureMap, radial_cut: float) -> float:
-    low, high = band_energy(decompose(fft2(x)), radial_cut)
+    z = fft2(x).data
+    low, high = _band_split(z.real**2 + z.imag**2 + AMP_EPS, radial_cut)
     total = low + high
     if total == 0.0:
         return 0.0

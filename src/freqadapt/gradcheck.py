@@ -24,6 +24,7 @@ import numpy as np
 from .crossmodal import (
     AttentionParams,
     TokenMatrix,
+    _group_mean,
     _standardize,
     amp_normalize,
     cross_attention,
@@ -32,7 +33,7 @@ from .crossmodal import (
     unflatten_tokens,
 )
 from .rng import SplitMix64, mix_seed
-from .spectral import AmpPhase, Spectrum, _unit_phasors, decompose, fft2, ifft2
+from .spectral import AmpPhase, _irfft2, _rfft2, _unit_phasors, decompose, fft2, mirror_weights
 from .style import channel_stats, sample_dirichlet, style_transform, _as_channel_vec
 from .synth import gen_text_tokens
 from .tensor import FeatureMap, _sigmoid, silu
@@ -103,19 +104,18 @@ def jvp_style_transform(x: FeatureMap, direction: FeatureMap, mu, sigma) -> Feat
     """
     mu_vec = _as_channel_vec(mu, x.channels, "mu")[:, None, None]
     sigma_vec = _as_channel_vec(sigma, x.channels, "sigma")[:, None, None]
-    a, da, unit, dp = _polar_jvp(fft2(x).data, fft2(direction).data)
+    a, da, unit, dp = _polar_jvp(_rfft2(x), _rfft2(direction))
     a_new = sigma_vec * a + mu_vec
     da_new = sigma_vec * da
-    return ifft2(Spectrum(_compose_jvp(a_new, da_new, unit, dp)))[0]
+    return _irfft2(_compose_jvp(a_new, da_new, unit, dp), x.shape)
 
 
-def _normalize_jvp(a, da, scope: str):
-    axes = (1, 2) if scope == "channel" else (0, 1, 2)
-    mu = a.mean(axis=axes, keepdims=True)
-    sd = a.std(axis=axes, keepdims=True)
-    dmu = da.mean(axis=axes, keepdims=True)
-    dsd = ((a - mu) * da).mean(axis=axes, keepdims=True) / sd
-    return (da - dmu) / sd - (a - mu) * dsd / (sd * sd)
+def _normalize_jvp(a, da, scope: str, weight=1.0):
+    dev = a - _group_mean(a, scope, weight)
+    sd = np.sqrt(_group_mean(dev * dev, scope, weight))
+    dmu = _group_mean(da, scope, weight)
+    dsd = _group_mean(dev * da, scope, weight) / sd
+    return (da - dmu) / sd - dev * dsd / (sd * sd)
 
 
 def jvp_amp_normalize(ap: AmpPhase, amp_direction, scope: str = "channel") -> AmpPhase:
@@ -165,10 +165,11 @@ def jvp_crossmodal(
     dxv = flatten_tokens(direction)
     u = unflatten_tokens(cross_attention(xv, xt, p), x.height, x.width)
     du = unflatten_tokens(jvp_cross_attention(xv, dxv, xt, p), x.height, x.width)
-    a, da, unit, dp = _polar_jvp(fft2(u).data, fft2(du).data)
-    a_norm = _standardize(a, scope)  # the forward's standardization, degenerate-group guard included
-    da_norm = _normalize_jvp(a, da, scope)
-    return ifft2(Spectrum(_compose_jvp(a_norm, da_norm, unit, dp)))[0]
+    a, da, unit, dp = _polar_jvp(_rfft2(u), _rfft2(du))
+    weight = mirror_weights(x.width)
+    a_norm = _standardize(a, scope, weight)  # the forward's standardization, degenerate-group guard included
+    da_norm = _normalize_jvp(a, da, scope, weight)
+    return _irfft2(_compose_jvp(a_norm, da_norm, unit, dp), x.shape)
 
 
 def _uniform(rng: SplitMix64, shape, low, high) -> np.ndarray:

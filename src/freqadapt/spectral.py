@@ -13,7 +13,10 @@ unambiguous:
   above 1e-6 by less than 1e-12;
 * phase is atan2(im, re), normalized to (-pi, pi]; :func:`amp_map` keeps
   it as the unit phasor z/|z| instead, which is the same phase without
-  the atan2/cos/sin round trip.
+  the atan2/cos/sin round trip;
+* :func:`amp_map` works on the half spectrum, the bins (u, v) with
+  v <= W/2 that a real map's spectrum mirrors into the rest; statistics
+  over it weight each column by :func:`mirror_weights`.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def ifft2(s: Spectrum) -> tuple[FeatureMap, float]:
     :class:`SymmetryViolationError`.
     """
     full = np.fft.ifft2(s.data, axes=(1, 2))
-    real = np.ascontiguousarray(full.real)
+    real = full.real
     residue = float(np.abs(full.imag).max())
     limit = 1e-6 * float(np.abs(real).max())
     if residue > limit:
@@ -202,18 +205,80 @@ def _rescale(z: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarra
     return z
 
 
+def _self_mirrored(n: int) -> list[int]:
+    """Indices k of a length-n FFT axis with -k = k mod n: 0, and n/2 when n is even."""
+    return [0, n // 2] if n % 2 == 0 else [0]
+
+
+def _rfft2(x: FeatureMap) -> np.ndarray:
+    """Half spectrum (C, H, W//2+1) of the unnormalized forward transform.
+
+    The spectrum of a real map is conjugate-symmetric, but the FFT gives
+    the self-mirrored columns only up to rounding, and a bin at rounding
+    level (or an exact zero with a signed zero its mirror lacks) has a
+    phase unrelated to its mirror's. So on those columns rows u > H/2
+    are set to the conjugate of rows H - u, and the bins that are their
+    own mirror (rows 0 and H/2) to their real part: exactly symmetric.
+    """
+    z = np.fft.rfft2(x.data, axes=(1, 2))
+    h = z.shape[1]
+    cols = _self_mirrored(x.width)
+    rows = np.arange(h // 2 + 1, h)[:, None]
+    z[:, rows, cols] = np.conj(z[:, h - rows, cols])
+    z.imag[:, np.array(_self_mirrored(h))[:, None], cols] = 0.0
+    return z
+
+
+def _irfft2(z: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap:
+    """Real C x H x W map of a half spectrum, with the 1/(H*W) factor."""
+    return FeatureMap(np.fft.irfft2(z, s=shape[1:], axes=(1, 2)))
+
+
+def mirror_weights(width: int) -> np.ndarray:
+    """How many full-grid columns each half-spectrum column stands for.
+
+    Column v > 0 of the half spectrum also stands for its mirror W - v,
+    so it weighs 2; the self-mirrored columns weigh 1. The weights sum
+    to W, and a weighted sum over a real map's half-spectrum amplitude
+    equals the plain sum over the full grid.
+    """
+    weights = np.full(width // 2 + 1, 2.0)
+    weights[_self_mirrored(width)] = 1.0
+    return weights
+
+
+def _mirror_residue(z: np.ndarray, width: int) -> float:
+    """Max |Z(u, v) - conj(Z(-u, v))| / (H*W) over the self-mirrored columns.
+
+    Only there can a half spectrum break conjugate symmetry; the inverse
+    keeps the symmetric part, and a pair broken by d would have put up to
+    d / (H*W) into the imaginary part of a full-grid inverse.
+    """
+    h = z.shape[1]
+    cols = z[:, :, _self_mirrored(width)]
+    mirror = cols[:, -np.arange(h) % h]
+    return float(np.abs(cols - np.conj(mirror)).max()) / (h * width)
+
+
 def amp_map(x: FeatureMap, fn: Callable[[np.ndarray], np.ndarray]) -> FeatureMap:
     """Rewrite a map's amplitude spectrum with ``fn`` and reconstruct it.
 
-    ``fn`` maps the amplitude array (as :func:`decompose` computes it) to
-    the new amplitude; each bin keeps its phase as z/|z|, so the result
-    equals ifft2(compose(AmpPhase(fn(amp), phase))) of the input's
-    spectrum. A result whose imaginary residue exceeds 1e-8 of the output
-    magnitude raises :class:`SymmetryViolationError`.
+    ``fn`` maps the half-spectrum amplitude, shape (C, H, W//2+1) and
+    computed as :func:`decompose` computes it, to the new amplitude; the
+    mirrored bins follow by conjugate symmetry, so the result is real by
+    construction. Each bin keeps its phase as z/|z|, and for an ``fn``
+    that treats mirrored bins alike the result equals
+    ifft2(compose(AmpPhase(fn(amp), phase))) of the input's spectrum. An
+    ``fn`` that breaks the symmetry of a self-mirrored column (v = 0, and
+    v = W/2 when W is even) by more than 1e-8 of the output magnitude,
+    measured as :func:`_mirror_residue`, raises
+    :class:`SymmetryViolationError`.
     """
-    out, residue = ifft2(Spectrum(_rescale(np.fft.fft2(x.data, axes=(1, 2)), fn)))
+    z = _rescale(_rfft2(x), fn)
+    residue = _mirror_residue(z, x.width)
+    out = _irfft2(z, x.shape)
     scale = float(np.abs(out.data).max())
-    if residue > 1e-8 * scale and scale > 0.0:
+    if residue > 1e-8 * scale:
         raise SymmetryViolationError(
             f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"
         )
@@ -227,6 +292,18 @@ def _radius_grid(h: int, w: int) -> np.ndarray:
     return np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2) / math.sqrt(2.0)
 
 
+def _band_split(power: np.ndarray, radial_cut: float) -> tuple[float, float]:
+    """(low, high) sums of a full-grid power array, averaged over channels."""
+    if not 0.0 < radial_cut < 1.0:
+        raise ValueError(f"radial_cut must be in (0, 1), got {radial_cut}")
+    _, h, w = power.shape
+    shifted = np.fft.fftshift(power, axes=(1, 2))
+    low_mask = _radius_grid(h, w) <= radial_cut
+    low = float(shifted[:, low_mask].sum(axis=1).mean())
+    high = float(shifted[:, ~low_mask].sum(axis=1).mean())
+    return low, high
+
+
 def band_energy(ap: AmpPhase, radial_cut: float) -> tuple[float, float]:
     """Squared-amplitude energy below/above a normalized radial cut.
 
@@ -234,14 +311,7 @@ def band_energy(ap: AmpPhase, radial_cut: float) -> tuple[float, float]:
     radius in [0, 1] (corner bins at 1). Returns (low, high) sums averaged
     over channels.
     """
-    if not 0.0 < radial_cut < 1.0:
-        raise ValueError(f"radial_cut must be in (0, 1), got {radial_cut}")
-    _, h, w = ap.shape
-    power = np.fft.fftshift(ap.amplitude**2, axes=(1, 2))
-    low_mask = _radius_grid(h, w) <= radial_cut
-    low = float(power[:, low_mask].sum(axis=1).mean())
-    high = float(power[:, ~low_mask].sum(axis=1).mean())
-    return low, high
+    return _band_split(ap.amplitude**2, radial_cut)
 
 
 def heatmap(ap: AmpPhase) -> Matrix:

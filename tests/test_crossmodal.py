@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import attention_oracle_mp, idft2_reference
 from freqadapt import (
@@ -22,6 +24,8 @@ from freqadapt import (
     spectral_normalize,
     unflatten_tokens,
 )
+from freqadapt.crossmodal import NORM_SCOPES
+from freqadapt.spectral import band_energy
 from freqadapt.synth import gen_features, gen_text_tokens
 
 
@@ -171,6 +175,22 @@ class TestAmpNormalize:
         with pytest.raises(DegenerateSpectrumError):
             amp_normalize(ap)
 
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-30, 30),
+           scope=st.sampled_from(NORM_SCOPES))
+    def test_bitwise_equals_plain_mean_std(self, shape, seed, log_scale, scope):
+        a = 10.0**log_scale * np.random.default_rng(seed).uniform(0.0, 1.0, size=shape)
+        axes = (1, 2) if scope == "channel" else (0, 1, 2)
+        sd = a.std(axis=axes, keepdims=True)
+        ap = AmpPhase(a, np.zeros(shape))
+        if np.any(sd <= 1e-12):
+            with pytest.raises(DegenerateSpectrumError):
+                amp_normalize(ap, scope)
+            return
+        want = (a - a.mean(axis=axes, keepdims=True)) / sd
+        assert amp_normalize(ap, scope).amplitude.tobytes() == want.tobytes()
+
 
 class TestCrossmodalForward:
     def test_zero_map_zero_text_raises(self):
@@ -263,6 +283,19 @@ class TestHighFreqShift:
         p = AttentionParams.seeded(4, 16, 64, 79)
         out = crossmodal_forward(x, text, p)
         assert high_freq_shift(x, out, 0.25) > 0.0
+
+    def test_matches_band_energy_of_decompose(self):
+        rng = np.random.default_rng(65)
+        for shape in ((2, 6, 6), (3, 5, 7), (1, 1, 4), (16, 32, 32)):
+            before = FeatureMap(rng.uniform(-1, 1, size=shape))
+            after = gen_features("noise", *shape, 66)
+
+            def fraction(x):
+                low, high = band_energy(decompose(fft2(x)), 0.25)
+                return high / (low + high)
+
+            want = fraction(after) - fraction(before)
+            assert abs(high_freq_shift(before, after, 0.25) - want) <= 1e-12
 
     def test_shape_mismatch_rejected(self):
         a = FeatureMap(np.zeros((1, 4, 4)))

@@ -17,8 +17,15 @@ from freqadapt import (
     heatmap,
     ifft2,
 )
-from freqadapt.crossmodal import NORM_SCOPES, _standardize
-from freqadapt.spectral import Spectrum, _radius_grid, _rescale
+from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
+from freqadapt.spectral import (
+    Spectrum,
+    _radius_grid,
+    _rescale,
+    _rfft2,
+    _unit_phasors,
+    mirror_weights,
+)
 
 
 def idft2_reference(z):
@@ -253,13 +260,13 @@ class TestAmpMap:
     def test_asymmetric_amplitude_rejected(self):
         rng = np.random.default_rng(25)
         x = rand_map(rng, 2, 6, 6)
-        # bin (1, 2) without its mirror (5, 4) breaks conjugate symmetry; the bump is
-        # small enough to pass ifft2's 1e-6 guard and must trip the 1e-8 one
-        bump = np.zeros((2, 6, 6))
-        bump[:, 1, 2] = 1e-5
-
+        # column v = 0 is its own mirror: bin (1, 0) without (5, 0) breaks conjugate
+        # symmetry; the bump is small enough to pass ifft2's 1e-6 guard and must trip
+        # the 1e-8 one
         def lopsided(a):
-            return a + bump
+            bumped = a.copy()
+            bumped[:, 1, 0] += 1e-5
+            return bumped
 
         ap = decompose(fft2(x))
         ifft2(compose(AmpPhase(lopsided(ap.amplitude), ap.phase)))
@@ -285,9 +292,29 @@ class TestAmpMap:
         want = amp_map_oracle(x, fn)
         assert np.abs(amp_map(x, fn).data - want.data).max() <= 1e-15
 
+    def test_rounding_level_bins_keep_the_output_real(self):
+        # bins (3, 0) and (3, 1) of this map cancel only up to rounding, so their phases
+        # are noise; an fn with fn(0) != 0 used to turn that noise into an imaginary residue
+        data = np.array([0, 1, -0.5, 1, -0.5, -0.0, 0.5, -0.0, 0, -1, 0.5, 0.0])
+        x = FeatureMap(data.reshape(1, 6, 2))
+        for fn in (lambda a: a + 0.5, lambda a: _standardize(a, "channel", mirror_weights(2))):
+            want = amp_map_oracle(x, fn)
+            assert np.abs(amp_map(x, fn).data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+
+
+def full_spectrum(half, width):
+    """The (C, H, W) spectrum a half spectrum stands for: bin (u, v > W/2) is conj(bin (-u, W - v))."""
+    c, h, n = half.shape
+    full = np.empty((c, h, width), dtype=np.complex128)
+    full[:, :, :n] = half
+    for v in range(n, width):
+        full[:, :, v] = np.conj(half[:, -np.arange(h) % h, width - v])
+    return full
+
 
 def amp_map_oracle(x, fn):
-    ap = decompose(fft2(x))
+    """The full-grid decompose/compose path on the spectrum amp_map's half spectrum stands for."""
+    ap = decompose(Spectrum(full_spectrum(_rfft2(x), x.width)))
     return ifft2(compose(AmpPhase(fn(ap.amplitude), ap.phase)))[0]
 
 
@@ -311,14 +338,20 @@ class TestAmpMapProperty:
         if snap:  # coarse values cancel exactly and leave exact-zero bins
             data = np.round(2.0 * data) / 2.0
         x = FeatureMap(data)
-        for fn in (affine_fn(rng, shape[0]), lambda a: _standardize(a, scope)):
+        affine = affine_fn(rng, shape[0])
+        weight = mirror_weights(shape[2])
+        fns = (
+            (affine, affine),
+            (lambda a: _standardize(a, scope), lambda a: _standardize(a, scope, weight)),
+        )
+        for full_fn, half_fn in fns:
             try:
-                want = amp_map_oracle(x, fn)
+                want = amp_map_oracle(x, full_fn)
             except DegenerateSpectrumError:
                 with pytest.raises(DegenerateSpectrumError):
-                    amp_map(x, fn)
+                    amp_map(x, half_fn)
                 continue
-            got = amp_map(x, fn)
+            got = amp_map(x, half_fn)
             assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
 
     @settings(max_examples=100, deadline=None)
@@ -327,6 +360,66 @@ class TestAmpMapProperty:
         x = FeatureMap(np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape))
         out = amp_map(x, lambda a: a)
         assert np.abs(out.data - x.data).max() <= 1e-12 * np.abs(x.data).max()
+
+
+class TestHalfSpectrum:
+    def test_amp_map_runs_one_real_fft_pair(self, monkeypatch):
+        calls = {name: 0 for name in ("rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn")}
+
+        def counted(name):
+            original = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        rng = np.random.default_rng(28)
+        for c, h, w in ((2, 6, 6), (3, 5, 7), (1, 4, 1), (2, 1, 2), (1, 1, 1)):
+            seen = []
+
+            def fn(a):
+                seen.append(a.shape)
+                return 2.0 * a
+
+            for name in calls:
+                calls[name] = 0
+            amp_map(rand_map(rng, c, h, w), fn)
+            assert seen == [(c, h, w // 2 + 1)]
+            assert calls == {"rfft2": 1, "irfft2": 1, "fft2": 0, "ifft2": 0, "fftn": 0, "ifftn": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=planes, seed=map_seeds, snap=st.booleans())
+    def test_rfft2_is_the_exactly_symmetric_fft_half(self, shape, seed, snap):
+        data = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+        if snap:
+            data = np.round(2.0 * data) / 2.0
+        x = FeatureMap(data)
+        half = _rfft2(x)
+        full = fft2(x).data
+        assert half.shape == shape[:2] + (shape[2] // 2 + 1,)
+        gap = np.abs(half - full[:, :, : shape[2] // 2 + 1]).max()
+        assert gap <= 1e-12 * np.abs(full).max()
+        assert Spectrum(full_spectrum(half, shape[2])).conjugate_asymmetry() == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=planes, seed=map_seeds, scope=st.sampled_from(NORM_SCOPES))
+    def test_mirror_weighted_stats_match_full_grid(self, shape, seed, scope):
+        x = FeatureMap(np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape))
+        full = decompose(fft2(x)).amplitude
+        half = _unit_phasors(_rfft2(x))
+        assert half.shape == shape[:2] + (shape[2] // 2 + 1,)
+        weight = mirror_weights(shape[2])
+        axes = (1, 2) if scope == "channel" else (0, 1, 2)
+        mu = _group_mean(half, scope, weight)
+        sd = np.sqrt(_group_mean((half - mu) ** 2, scope, weight))
+        want_mu = full.mean(axis=axes, keepdims=True)
+        want_sd = full.std(axis=axes, keepdims=True)
+        assert np.all(np.abs(mu - want_mu) <= 1e-12 * np.abs(want_mu))
+        assert np.all(np.abs(sd - want_sd) <= 1e-12 * np.abs(want_sd))
 
 
 class TestHeatmap:
