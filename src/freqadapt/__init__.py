@@ -30,7 +30,6 @@ from .crossmodal import (
     NORM_SCOPES,
     AttentionParams,
     TokenMatrix,
-    amp_normalize,
     cross_attention,
     crossmodal_forward,
     flatten_tokens,
@@ -48,7 +47,6 @@ from .gradcheck import (
     GRADCHECK_OPS,
     GradReport,
     fd_directional,
-    jvp_amp_normalize,
     jvp_cross_attention,
     jvp_crossmodal,
     jvp_silu,
@@ -61,7 +59,6 @@ from .spectral import (
     AmpPhase,
     Spectrum,
     amp_map,
-    band_energy,
     compose,
     decompose,
     dft2_oracle,
@@ -76,11 +73,10 @@ from .style import (
     channel_stats,
     sample_dirichlet,
     style_diversify,
-    style_fuse,
     style_transform,
 )
 from .synth import FEATURE_KINDS, gen_features, gen_text_tokens
-from .tensor import FeatureMap, Matrix, conv2d, matmul, silu, softmax_rows
+from .tensor import FeatureMap, Matrix, conv2d, silu, softmax_rows
 from .tensorfile import read_tensor, write_tensor
 from .verify import SUITE_NAMES, CheckResult, run_suite
 

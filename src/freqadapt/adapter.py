@@ -111,14 +111,12 @@ def adapter_forward(
     x: FeatureMap,
     w: AdapterWeights,
     augment: Callable[[FeatureMap], FeatureMap] | None = None,
-    post_residual: bool = False,
 ) -> FeatureMap:
     """One adapter block pass; ``augment`` fills the augmentation slot.
 
-    Default wiring is proj(x + augment(silu(agg(avg(conv3, conv5, conv7))))).
-    ``post_residual=True`` moves the skip after the projection instead
-    (proj(augment(...)) + x), kept selectable for ablation. Both run the
-    three branches and the aggregation as one fused 7x7 convolution.
+    Computes proj(x + augment(silu(agg(avg(conv3, conv5, conv7))))), with
+    the three branches and the aggregation run as one fused 7x7
+    convolution.
     """
     if w.channels != x.channels:
         raise ShapeMismatchError(f"weights expect {w.channels} channels, map has {x.channels}")
@@ -128,8 +126,6 @@ def adapter_forward(
         raise ShapeMismatchError(
             f"augmentation changed the shape: {augmented.shape} vs {x.shape}"
         )
-    if post_residual:
-        return FeatureMap(conv2d(augmented, w.proj, 0).data + x.data)
     return conv2d(FeatureMap(x.data + augmented.data), w.proj, 0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, ShapeMismatchError
 from .rng import SplitMix64
-from .spectral import AMP_EPS, AmpPhase, _band_split, amp_map, fft2, mirror_weights
+from .spectral import AMP_EPS, _band_split, amp_map, fft2, mirror_weights
 from .tensor import FeatureMap, Matrix, _frozen, softmax_rows
 
 NORM_SCOPES = ("channel", "tensor")
@@ -57,7 +57,6 @@ class AttentionParams:
     """Projection weights for single-head cross-attention.
 
     wq: visual_dim x d_k, wk/wv: text_dim x d_k, wo: d_k x visual_dim.
-    ``wo_bias`` is optional (length visual_dim); the default is no bias.
     """
 
     wq: np.ndarray
@@ -65,7 +64,6 @@ class AttentionParams:
     wv: np.ndarray
     wo: np.ndarray
     d_k: int
-    wo_bias: np.ndarray | None = None
 
     def __post_init__(self):
         wq = np.asarray(self.wq, dtype=np.float64)
@@ -85,14 +83,6 @@ class AttentionParams:
             raise ShapeMismatchError("wk and wv must share the text dimension")
         if wo.shape[0] != self.d_k:
             raise ShapeMismatchError("wo must consume d_k rows")
-        bias = self.wo_bias
-        if bias is not None:
-            bias = np.asarray(bias, dtype=np.float64)
-            if bias.shape != (wo.shape[1],):
-                raise ShapeMismatchError(f"wo_bias must have length {wo.shape[1]}")
-            if not np.all(np.isfinite(bias)):
-                raise ValueError("wo_bias values must be finite")
-            object.__setattr__(self, "wo_bias", _frozen(bias))
         object.__setattr__(self, "wq", _frozen(wq))
         object.__setattr__(self, "wk", _frozen(wk))
         object.__setattr__(self, "wv", _frozen(wv))
@@ -156,10 +146,7 @@ def cross_attention(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams) -> Tok
     v = xt.data @ p.wv
     scores = q @ k.T / math.sqrt(p.d_k)
     attn = softmax_rows(Matrix(scores))
-    out = (attn.data @ v) @ p.wo
-    if p.wo_bias is not None:
-        out = out + p.wo_bias
-    return TokenMatrix(out)
+    return TokenMatrix((attn.data @ v) @ p.wo)
 
 
 def _group_mean(v: np.ndarray, scope: str, weight) -> np.ndarray:
@@ -190,18 +177,6 @@ def _standardize(a: np.ndarray, scope: str, weight=1.0) -> np.ndarray:
     return out
 
 
-def amp_normalize(ap: AmpPhase, scope: str = "channel") -> AmpPhase:
-    """Standardize the amplitude to mean 0, population std 1.
-
-    With scope="channel" (the default) each channel's H*W bins form one
-    normalization group; scope="tensor" standardizes over all bins at
-    once. The result carries signed amplitudes; phase passes through
-    bit-identical. Groups with std <= 1e-12 raise
-    :class:`DegenerateSpectrumError`.
-    """
-    return AmpPhase(_standardize(ap.amplitude, scope), ap.phase)
-
-
 def spectral_normalize(x: FeatureMap, scope: str = "channel") -> FeatureMap:
     """Standardize a map's amplitude spectrum and reconstruct it.
 
@@ -224,12 +199,19 @@ def crossmodal_forward(
 
 
 def _high_fraction(x: FeatureMap, radial_cut: float) -> float:
-    z = fft2(x).data
-    low, high = _band_split(z.real**2 + z.imag**2 + AMP_EPS, radial_cut)
-    total = low + high
-    if total == 0.0:
-        return 0.0
-    return high / total
+    """High-band share of the power spectrum, on amplitudes scaled to peak 1.
+
+    Scaling by the peak keeps the squares finite for huge maps and keeps
+    AMP_EPS from swamping tiny ones, so the share is scale-invariant.
+    """
+    m = np.abs(fft2(x).data)
+    peak = m.max()
+    if peak > 0.0:
+        m /= peak
+    m *= m
+    m += AMP_EPS
+    low, high = _band_split(m, radial_cut)
+    return high / (low + high)
 
 
 def high_freq_shift(x_before: FeatureMap, x_after: FeatureMap, radial_cut: float) -> float:

@@ -26,14 +26,13 @@ from .crossmodal import (
     TokenMatrix,
     _group_mean,
     _standardize,
-    amp_normalize,
     cross_attention,
     crossmodal_forward,
     flatten_tokens,
     unflatten_tokens,
 )
 from .rng import SplitMix64, mix_seed
-from .spectral import AmpPhase, _irfft2, _rfft2, _unit_phasors, decompose, fft2, mirror_weights
+from .spectral import _irfft2, _rfft2, _unit_phasors, fft2, mirror_weights
 from .style import channel_stats, sample_dirichlet, style_transform, _as_channel_vec
 from .synth import gen_text_tokens
 from .tensor import FeatureMap, _sigmoid, silu
@@ -118,20 +117,6 @@ def _normalize_jvp(a, da, scope: str, weight=1.0):
     return (da - dmu) / sd - dev * dsd / (sd * sd)
 
 
-def jvp_amp_normalize(ap: AmpPhase, amp_direction, scope: str = "channel") -> AmpPhase:
-    """Derivative of amplitude standardization; statistics are differentiated through.
-
-    The direction perturbs the amplitude only, so the phase slot of the
-    returned derivative is zero.
-    """
-    _standardize(ap.amplitude, scope)  # reuse the forward's validation (degenerate groups)
-    da = np.asarray(amp_direction, dtype=np.float64)
-    if da.shape != ap.amplitude.shape:
-        raise ValueError(f"direction shape {da.shape} != amplitude shape {ap.amplitude.shape}")
-    da_norm = _normalize_jvp(ap.amplitude, da, scope)
-    return AmpPhase(da_norm, np.zeros_like(da_norm))
-
-
 def jvp_cross_attention(
     xv: TokenMatrix, direction: TokenMatrix, xt: TokenMatrix, p: AttentionParams
 ) -> TokenMatrix:
@@ -202,15 +187,17 @@ def _probe_silu(rng: SplitMix64):
 
 
 def _probe_amp_normalize(rng: SplitMix64):
+    """Mirror-weighted standardization of a half-spectrum amplitude, as spectral_normalize runs it."""
     shape = (3, 6, 6)
-    ap = decompose(fft2(FeatureMap(_uniform(rng, shape, -1.0, 1.0))))
-    d = _uniform(rng, shape, -3.0, 3.0)
-    cot = _uniform(rng, shape, -1.0, 1.0)
-    analytic = float(np.sum(cot * jvp_amp_normalize(ap, d).amplitude))
+    a = _unit_phasors(_rfft2(FeatureMap(_uniform(rng, shape, -1.0, 1.0))))
+    weight = mirror_weights(shape[2])
+    d = _uniform(rng, a.shape, -3.0, 3.0)
+    cot = _uniform(rng, a.shape, -1.0, 1.0)
+    analytic = float(np.sum(cot * _normalize_jvp(a, d, "channel", weight)))
 
     def fd_at(step: float) -> float:
-        fp = float(np.sum(cot * amp_normalize(AmpPhase(ap.amplitude + step * d, ap.phase)).amplitude))
-        fm = float(np.sum(cot * amp_normalize(AmpPhase(ap.amplitude - step * d, ap.phase)).amplitude))
+        fp = float(np.sum(cot * _standardize(a + step * d, "channel", weight)))
+        fm = float(np.sum(cot * _standardize(a - step * d, "channel", weight)))
         return (fp - fm) / (2.0 * step)
 
     return analytic, fd_at

@@ -34,10 +34,6 @@ AMP_EPS = 1e-24
 ORACLE_MAX_PLANE = 4096  # H*W guard for the quadratic-time oracle
 
 
-def _locked(arr: np.ndarray) -> bool:
-    return arr.dtype == np.float64 and not arr.flags.writeable and arr.base is None
-
-
 class Spectrum:
     """Complex frequency bins (c, u, v) for a C x H x W map."""
 
@@ -64,14 +60,6 @@ class Spectrum:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    @property
-    def real_part(self) -> np.ndarray:
-        return self.data.real
-
-    @property
-    def imag_part(self) -> np.ndarray:
-        return self.data.imag
 
     def conjugate_asymmetry(self) -> float:
         """Max |Z(u, v) - conj(Z(-u, -v))| over all bins; ~0 for spectra of real maps."""
@@ -100,9 +88,8 @@ class AmpPhase:
             raise ShapeMismatchError(
                 f"amplitude/phase shapes disagree: {amp.shape} vs {ph.shape}"
             )
-        # already-locked owning arrays pass through so phase stays bit-identical
-        self.amplitude = amp if _locked(amp) else _frozen(amp)
-        self.phase = ph if _locked(ph) else _frozen(ph)
+        self.amplitude = _frozen(amp)
+        self.phase = _frozen(ph)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -302,16 +289,6 @@ def _band_split(power: np.ndarray, radial_cut: float) -> tuple[float, float]:
     low = float(shifted[:, low_mask].sum(axis=1).mean())
     high = float(shifted[:, ~low_mask].sum(axis=1).mean())
     return low, high
-
-
-def band_energy(ap: AmpPhase, radial_cut: float) -> tuple[float, float]:
-    """Squared-amplitude energy below/above a normalized radial cut.
-
-    The spectrum is centered (DC at the array center) and every bin gets a
-    radius in [0, 1] (corner bins at 1). Returns (low, high) sums averaged
-    over channels.
-    """
-    return _band_split(ap.amplitude**2, radial_cut)
 
 
 def heatmap(ap: AmpPhase) -> Matrix:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .rng import SplitMix64
-from .spectral import AmpPhase, amp_map
+from .spectral import amp_map
 from .tensor import FeatureMap, _frozen
 
 SCALE_MODES = ("times_C", "raw")
@@ -112,22 +112,6 @@ def _amp_affine(a: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     fused = sigma[:, None, None] * a
     fused += mu[:, None, None]
     return fused
-
-
-def style_fuse(ap: AmpPhase, stats: StyleStats, w: StyleWeights) -> AmpPhase:
-    """Apply the reweighted per-channel affine map to the amplitude.
-
-    Every bin of channel c maps to sigma[c] * a + mu[c], where sigma and
-    mu are the elementwise products of the base statistics with the
-    (optionally rescaled) weights. Phase is returned unchanged.
-    """
-    if not (ap.shape[0] == stats.channels == w.channels):
-        raise ShapeMismatchError(
-            f"channel counts disagree: amp {ap.shape[0]}, stats {stats.channels}, weights {w.channels}"
-        )
-    eff = w.effective()
-    fused = _amp_affine(ap.amplitude, eff * stats.mu_base, eff * stats.sigma_base)
-    return AmpPhase(fused, ap.phase)  # phase is carried through, bit-identical
 
 
 def _as_channel_vec(value, channels: int, name: str) -> np.ndarray:

@@ -126,12 +126,6 @@ def silu(x: FeatureMap) -> FeatureMap:
     return FeatureMap(x.data * _sigmoid(x.data))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ShapeMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return Matrix(a.data @ b.data)
-
-
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise softmax with per-row max subtraction for stability."""
     shifted = m.data - m.data.max(axis=1, keepdims=True)

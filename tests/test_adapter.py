@@ -59,15 +59,6 @@ class TestAdapterForward:
             got = adapter_forward(x, w)
             assert np.abs(got.data - want.data).max() < 1e-10, shape
 
-    def test_post_residual_variant(self):
-        rng = np.random.default_rng(73)
-        for shape in SHAPES:
-            x = rand_map(rng, *shape)
-            w = AdapterWeights.seeded(shape[0], 7)
-            want = conv2d(stepwise_activation(x, w), w.proj, 0).data + x.data
-            got = adapter_forward(x, w, post_residual=True)
-            assert np.abs(got.data - want).max() < 1e-10, shape
-
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             adapter_forward(FeatureMap(np.zeros((2, 6, 6))), AdapterWeights.zero_identity(3))

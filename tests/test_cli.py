@@ -26,7 +26,8 @@ class TestGen:
         assert read_tensor(out).tobytes() == want.tobytes()
 
     def test_smooth_is_low_passed(self, tmp_path):
-        from freqadapt import FeatureMap, decompose, fft2, band_energy
+        from freqadapt import FeatureMap, decompose, fft2
+        from freqadapt.spectral import _band_split
 
         noise = tmp_path / "noise.ftns"
         smooth = tmp_path / "smooth.ftns"
@@ -34,8 +35,8 @@ class TestGen:
         run("gen", "--kind", "smooth", "--shape", "2,12,12", "--seed", "4", "--out", str(smooth))
 
         def high_fraction(path):
-            ap = decompose(fft2(FeatureMap(read_tensor(path))))
-            low, high = band_energy(ap, 0.25)
+            amp = decompose(fft2(FeatureMap(read_tensor(path)))).amplitude
+            low, high = _band_split(amp**2, 0.25)
             return high / (low + high)
 
         assert high_fraction(smooth) < high_fraction(noise)
@@ -91,6 +92,13 @@ class TestApply:
         dst = tmp_path / "out.ftns"
         assert run("apply", "plain", "--in", str(src), "--out", str(dst)) == 0
         assert not np.array_equal(read_tensor(dst), read_tensor(src))
+
+    def test_plain_huge_map_finite_hf_shift(self, tmp_path, capsys):
+        src = tmp_path / "big.ftns"
+        write_tensor(src, 1e160 * np.random.default_rng(12).uniform(-1, 1, size=(3, 8, 8)))
+        assert run("apply", "plain", "--in", str(src), "--out", str(tmp_path / "o.ftns")) == 0
+        shift = capsys.readouterr().out.split("hf_shift@0.25=")[1].split()[0]
+        assert np.isfinite(float(shift))
 
     def test_parse_failure_exit_3(self, tmp_path):
         bad = tmp_path / "bad.ftns"

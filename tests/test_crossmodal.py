@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attention_oracle_mp, idft2_reference
+from conftest import attention_oracle_mp, idft2_reference, phase_gap_mod_pi
 from freqadapt import (
     AmpPhase,
     AttentionParams,
@@ -11,7 +11,6 @@ from freqadapt import (
     FeatureMap,
     ShapeMismatchError,
     TokenMatrix,
-    amp_normalize,
     compose,
     cross_attention,
     crossmodal_forward,
@@ -24,8 +23,8 @@ from freqadapt import (
     spectral_normalize,
     unflatten_tokens,
 )
-from freqadapt.crossmodal import NORM_SCOPES
-from freqadapt.spectral import band_energy
+from freqadapt.crossmodal import NORM_SCOPES, _standardize
+from freqadapt.spectral import _band_split, _rfft2, _unit_phasors, mirror_weights
 from freqadapt.synth import gen_features, gen_text_tokens
 
 
@@ -112,68 +111,79 @@ class TestCrossAttention:
         with pytest.raises(ShapeMismatchError):
             cross_attention(xv, xt, p)
 
-    def test_optional_bias(self):
-        rng = np.random.default_rng(55)
-        xv = TokenMatrix(rng.uniform(-1, 1, size=(4, 3)))
-        xt = TokenMatrix(rng.uniform(-1, 1, size=(2, 2)))
-        base = AttentionParams.seeded(3, 2, 2, 3)
-        bias = np.array([0.5, -1.0, 2.0])
-        with_bias = AttentionParams(wq=base.wq, wk=base.wk, wv=base.wv, wo=base.wo,
-                                    d_k=2, wo_bias=bias)
-        diff = cross_attention(xv, xt, with_bias).data - cross_attention(xv, xt, base).data
-        assert np.abs(diff - bias).max() < 1e-15
+def half_amplitude(x):
+    """The half-spectrum amplitude that spectral_normalize standardizes."""
+    return _unit_phasors(_rfft2(x))
+
+
+def weighted_mean_std(a, weight, axes):
+    """Mirror-weighted mean and population std, independent of _group_mean."""
+    w = np.broadcast_to(weight, a.shape)
+    mean = np.average(a, axis=axes, weights=w, keepdims=True)
+    var = np.average((a - mean) ** 2, axis=axes, weights=w, keepdims=True)
+    return mean, np.sqrt(var)
 
 
 class TestAmpNormalize:
+    """Amplitude standardization as spectral_normalize runs it."""
+
     def test_hand_values(self):
         amp = np.array([2.0, 4.0, 6.0, 8.0]).reshape(1, 2, 2)
-        ap = AmpPhase(amp, np.zeros((1, 2, 2)))
-        out = amp_normalize(ap)
+        out = _standardize(amp, "channel")
         # mu=5, sigma=sqrt(5); mpmath 50 digits for 3/sqrt5 and 1/sqrt5
         want = np.array([-1.3416407864998738178, -0.44721359549995793928,
                          0.44721359549995793928, 1.3416407864998738178]).reshape(1, 2, 2)
-        assert np.abs(out.amplitude - want).max() < 1e-12
+        assert np.abs(out - want).max() < 1e-12
 
     def test_idempotent_on_normalized(self):
         rng = np.random.default_rng(56)
         a = rng.normal(size=(1, 4, 4))
         a = (a - a.mean()) / a.std()
-        ap = AmpPhase(a, np.zeros_like(a))
-        out = amp_normalize(ap)
-        assert np.abs(out.amplitude - a).max() < 1e-12
+        assert np.abs(_standardize(a, "channel") - a).max() < 1e-12
 
     def test_matches_scalar_loop(self):
+        # the mirror-weighted half spectrum standardizes like the full grid
         rng = np.random.default_rng(57)
         x = FeatureMap(rng.uniform(-1, 1, size=(3, 4, 5)))
-        ap = decompose(fft2(x))
-        out = amp_normalize(ap)
+        full = decompose(fft2(x)).amplitude
+        out = _standardize(half_amplitude(x), "channel", mirror_weights(5))
         for c in range(3):
-            vals = ap.amplitude[c].ravel()
+            vals = full[c].ravel()
             mu = vals.mean()
             sd = np.sqrt(((vals - mu) ** 2).mean())
-            for idx, v in enumerate(vals):
-                assert abs(out.amplitude[c].ravel()[idx] - (v - mu) / sd) < 1e-12
+            for u in range(4):
+                for v in range(3):
+                    assert abs(out[c, u, v] - (full[c, u, v] - mu) / sd) < 1e-12
 
     def test_contract_mean_zero_std_one(self):
         rng = np.random.default_rng(58)
+        weight = mirror_weights(6)
         for _ in range(50):
-            ap = decompose(fft2(FeatureMap(rng.uniform(-1, 1, size=(2, 6, 6)))))
-            out = amp_normalize(ap)
-            assert np.abs(out.amplitude.mean(axis=(1, 2))).max() <= 1e-10
-            assert np.abs(out.amplitude.std(axis=(1, 2)) - 1.0).max() <= 1e-10
-            assert out.phase is ap.phase
+            x = FeatureMap(rng.uniform(-1, 1, size=(2, 6, 6)))
+            out = _standardize(half_amplitude(x), "channel", weight)
+            mean, std = weighted_mean_std(out, weight, (1, 2))
+            assert np.abs(mean).max() <= 1e-10
+            assert np.abs(std - 1.0).max() <= 1e-10
+            before = decompose(fft2(x))
+            after = decompose(fft2(spectral_normalize(x)))
+            mask = before.amplitude > 1e-6
+            assert phase_gap_mod_pi(after.phase[mask], before.phase[mask]).max() <= 1e-6
 
     def test_whole_tensor_scope(self):
         rng = np.random.default_rng(59)
-        ap = decompose(fft2(FeatureMap(rng.uniform(-1, 1, size=(3, 4, 4)))))
-        out = amp_normalize(ap, scope="tensor")
-        assert abs(out.amplitude.mean()) <= 1e-10
-        assert abs(out.amplitude.std() - 1.0) <= 1e-10
+        x = FeatureMap(rng.uniform(-1, 1, size=(3, 4, 4)))
+        weight = mirror_weights(4)
+        out = _standardize(half_amplitude(x), "tensor", weight)
+        mean, std = weighted_mean_std(out, weight, (0, 1, 2))
+        assert abs(mean.item()) <= 1e-10
+        assert abs(std.item() - 1.0) <= 1e-10
 
     def test_degenerate_raises(self):
-        ap = decompose(fft2(FeatureMap(np.zeros((1, 4, 4)))))
+        zero = FeatureMap(np.zeros((1, 4, 4)))
         with pytest.raises(DegenerateSpectrumError):
-            amp_normalize(ap)
+            _standardize(half_amplitude(zero), "channel", mirror_weights(4))
+        with pytest.raises(DegenerateSpectrumError):
+            spectral_normalize(zero)
 
     @settings(max_examples=150, deadline=None)
     @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
@@ -183,13 +193,12 @@ class TestAmpNormalize:
         a = 10.0**log_scale * np.random.default_rng(seed).uniform(0.0, 1.0, size=shape)
         axes = (1, 2) if scope == "channel" else (0, 1, 2)
         sd = a.std(axis=axes, keepdims=True)
-        ap = AmpPhase(a, np.zeros(shape))
         if np.any(sd <= 1e-12):
             with pytest.raises(DegenerateSpectrumError):
-                amp_normalize(ap, scope)
+                _standardize(a, scope)
             return
         want = (a - a.mean(axis=axes, keepdims=True)) / sd
-        assert amp_normalize(ap, scope).amplitude.tobytes() == want.tobytes()
+        assert _standardize(a, scope).tobytes() == want.tobytes()
 
 
 class TestCrossmodalForward:
@@ -222,8 +231,7 @@ class TestCrossmodalForward:
         rng = np.random.default_rng(61)
         x = FeatureMap(rng.uniform(-1, 1, size=(2, 5, 5)))
         ap = decompose(fft2(x))
-        normalized = amp_normalize(ap)
-        z = normalized.amplitude * np.exp(1j * normalized.phase)
+        z = _standardize(ap.amplitude, "channel") * np.exp(1j * ap.phase)
         want = idft2_reference(z).real
         got = spectral_normalize(x)
         assert np.abs(got.data - want).max() < 1e-9
@@ -233,8 +241,9 @@ class TestCrossmodalForward:
         # standardizing gives those bins a negative amplitude at phase 0
         x = FeatureMap(np.tile(np.arange(8.0), (2, 8, 1)))
         assert np.count_nonzero(fft2(x).data == 0) == 2 * 7 * 8
+        ap = decompose(fft2(x))
         for scope in ("channel", "tensor"):
-            want = ifft2(compose(amp_normalize(decompose(fft2(x)), scope=scope)))[0]
+            want = ifft2(compose(AmpPhase(_standardize(ap.amplitude, scope), ap.phase)))[0]
             got = spectral_normalize(x, scope=scope)
             assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
 
@@ -291,11 +300,23 @@ class TestHighFreqShift:
             after = gen_features("noise", *shape, 66)
 
             def fraction(x):
-                low, high = band_energy(decompose(fft2(x)), 0.25)
+                low, high = _band_split(decompose(fft2(x)).amplitude ** 2, 0.25)
                 return high / (low + high)
 
             want = fraction(after) - fraction(before)
             assert abs(high_freq_shift(before, after, 0.25) - want) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-150, 150))
+    def test_scale_invariant(self, shape, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, size=shape)
+        b = rng.uniform(-1, 1, size=shape)
+        k = 10.0**log_scale
+        want = high_freq_shift(FeatureMap(a), FeatureMap(b), 0.25)
+        got = high_freq_shift(FeatureMap(k * a), FeatureMap(k * b), 0.25)
+        assert abs(got - want) <= 1e-12
 
     def test_shape_mismatch_rejected(self):
         a = FeatureMap(np.zeros((1, 4, 4)))

@@ -8,18 +8,31 @@ from freqadapt import (
     DegenerateSpectrumError,
     FeatureMap,
     TokenMatrix,
-    decompose,
     fd_directional,
-    fft2,
-    jvp_amp_normalize,
     jvp_cross_attention,
     jvp_crossmodal,
     jvp_silu,
     jvp_style_transform,
     run_gradcheck,
 )
-from freqadapt.gradcheck import GRADCHECK_OPS
+from freqadapt.crossmodal import _group_mean, _standardize
+from freqadapt.gradcheck import GRADCHECK_OPS, _normalize_jvp
+from freqadapt.spectral import _rfft2, _unit_phasors, mirror_weights
 from freqadapt.synth import gen_text_tokens
+
+
+def normalize_jvp_without(drop):
+    """The standardization JVP with one piece removed: "dmu", "dsd", "weight" or None."""
+
+    def jvp(a, da, scope, weight=1.0):
+        w = 1.0 if drop == "weight" else weight
+        dev = a - _group_mean(a, scope, w)
+        sd = np.sqrt(_group_mean(dev * dev, scope, w))
+        dmu = 0.0 if drop == "dmu" else _group_mean(da, scope, w)
+        dsd = 0.0 if drop == "dsd" else _group_mean(dev * da, scope, w) / sd
+        return (da - dmu) / sd - dev * dsd / (sd * sd)
+
+    return jvp
 
 
 class TestFdDirectional:
@@ -61,24 +74,19 @@ class TestJvps:
         rng = np.random.default_rng(92)
         a = rng.normal(size=(1, 4, 4))
         a = (a - a.mean()) / a.std()
-        from freqadapt import AmpPhase
-
-        ap = AmpPhase(a, np.zeros_like(a))
-        out = jvp_amp_normalize(ap, a)
-        assert np.abs(out.amplitude).max() < 1e-12
+        assert np.abs(_normalize_jvp(a, a, "channel")).max() < 1e-12
 
     def test_amp_normalize_jvp_vs_fd(self):
+        # the mirror-weighted half-spectrum standardization spectral_normalize runs
         rng = np.random.default_rng(93)
-        x = FeatureMap(rng.uniform(-1, 1, size=(2, 5, 5)))
-        ap = decompose(fft2(x))
-        d = rng.uniform(-1, 1, size=(2, 5, 5))
-        analytic = jvp_amp_normalize(ap, d).amplitude
-        from freqadapt import AmpPhase, amp_normalize
-
+        a = _unit_phasors(_rfft2(FeatureMap(rng.uniform(-1, 1, size=(2, 5, 5)))))
+        weight = mirror_weights(5)
+        d = rng.uniform(-1, 1, size=a.shape)
+        analytic = _normalize_jvp(a, d, "channel", weight)
         step = 1e-5
         fd = (
-            amp_normalize(AmpPhase(ap.amplitude + step * d, ap.phase)).amplitude
-            - amp_normalize(AmpPhase(ap.amplitude - step * d, ap.phase)).amplitude
+            _standardize(a + step * d, "channel", weight)
+            - _standardize(a - step * d, "channel", weight)
         ) / (2 * step)
         assert np.abs(analytic - fd).max() < 1e-6
 
@@ -178,6 +186,17 @@ class TestRunGradcheck:
         (report,) = run_gradcheck(("crossmodal",), seed=8972547277105952781, probes=50)
         assert report.op_name == "crossmodal"
         assert report.num_probes == 50
+        assert report.max_rel_err < 1e-5
+
+    @pytest.mark.parametrize("drop", ["dmu", "dsd", "weight"])
+    def test_amp_normalize_op_catches_wrong_jvp(self, monkeypatch, drop):
+        monkeypatch.setattr("freqadapt.gradcheck._normalize_jvp", normalize_jvp_without(drop))
+        (report,) = run_gradcheck(("amp_normalize",), seed=0, probes=10)
+        assert report.max_rel_err > 1e-3
+
+    def test_amp_normalize_op_mutation_harness_is_faithful(self, monkeypatch):
+        monkeypatch.setattr("freqadapt.gradcheck._normalize_jvp", normalize_jvp_without(None))
+        (report,) = run_gradcheck(("amp_normalize",), seed=0, probes=10)
         assert report.max_rel_err < 1e-5
 
     def test_rejects_unknown_op(self):

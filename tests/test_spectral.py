@@ -9,7 +9,6 @@ from freqadapt import (
     FeatureMap,
     SymmetryViolationError,
     amp_map,
-    band_energy,
     compose,
     decompose,
     dft2_oracle,
@@ -20,6 +19,7 @@ from freqadapt import (
 from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
 from freqadapt.spectral import (
     Spectrum,
+    _band_split,
     _radius_grid,
     _rescale,
     _rfft2,
@@ -224,26 +224,26 @@ class TestDecomposeCompose:
 
 class TestBandEnergy:
     def test_constant_map_all_low(self):
-        ap = decompose(fft2(FeatureMap(np.full((1, 6, 6), 3.0))))
-        low, high = band_energy(ap, 0.25)
+        amp = decompose(fft2(FeatureMap(np.full((1, 6, 6), 3.0)))).amplitude
+        low, high = _band_split(amp**2, 0.25)
         assert low > 0
         assert high < 1e-12
 
     def test_checkerboard_all_high(self):
         h = w = 6
         plane = np.fromfunction(lambda i, j: (-1.0) ** (i + j), (h, w))
-        ap = decompose(fft2(FeatureMap(plane[None])))
-        low, high = band_energy(ap, 0.25)
+        amp = decompose(fft2(FeatureMap(plane[None]))).amplitude
+        low, high = _band_split(amp**2, 0.25)
         assert high > 1.0
         assert low < 1e-12
 
     def test_matches_per_bin_summation(self):
         rng = np.random.default_rng(22)
         x = rand_map(rng, 2, 8, 8)
-        ap = decompose(fft2(x))
+        power = decompose(fft2(x)).amplitude ** 2
         cut = 0.25
-        low, high = band_energy(ap, cut)
-        shifted = np.fft.fftshift(ap.amplitude**2, axes=(1, 2))
+        low, high = _band_split(power, cut)
+        shifted = np.fft.fftshift(power, axes=(1, 2))
         r = _radius_grid(8, 8)
         low_ref = np.mean([shifted[c][r <= cut].sum() for c in range(2)])
         high_ref = np.mean([shifted[c][r > cut].sum() for c in range(2)])
@@ -251,9 +251,8 @@ class TestBandEnergy:
         assert high == pytest.approx(high_ref, rel=1e-12)
 
     def test_rejects_bad_cut(self):
-        ap = decompose(fft2(FeatureMap(np.ones((1, 4, 4)))))
         with pytest.raises(ValueError):
-            band_energy(ap, 1.0)
+            _band_split(np.ones((1, 4, 4)), 1.0)
 
 
 class TestAmpMap:

@@ -9,7 +9,6 @@ from conftest import idft2_reference, phase_gap_mod_pi
 from freqadapt import (
     AmpPhase,
     FeatureMap,
-    StyleStats,
     StyleWeights,
     channel_stats,
     compose,
@@ -19,7 +18,6 @@ from freqadapt import (
     ifft2,
     sample_dirichlet,
     style_diversify,
-    style_fuse,
     style_transform,
 )
 from freqadapt.rng import mix_seed
@@ -107,39 +105,7 @@ class TestSampleDirichlet:
         assert np.array_equal(a.weights, b.weights)
 
 
-class TestStyleFuse:
-    def test_identity_affine_exact(self):
-        rng = np.random.default_rng(32)
-        ap = decompose(fft2(FeatureMap(rng.uniform(-1, 1, size=(2, 4, 4)))))
-        stats = StyleStats([0.0, 0.0], [2.0, 2.0])
-        w = StyleWeights([1.0, 1.0], [0.5, 0.5], scale_mode="raw")
-        out = style_fuse(ap, stats, w)
-        assert np.array_equal(out.amplitude, ap.amplitude)
-        assert out.phase is ap.phase
-
-    def test_zero_weights_collapse(self):
-        rng = np.random.default_rng(33)
-        ap = decompose(fft2(FeatureMap(rng.uniform(-1, 1, size=(2, 4, 4)))))
-        stats = channel_stats(FeatureMap(rng.uniform(-1, 1, size=(2, 4, 4))))
-        w = StyleWeights([1.0, 1.0], [0.0, 0.0])  # degenerate injection
-        out = style_fuse(ap, stats, w)
-        assert np.all(out.amplitude == 0.0)
-        assert out.phase is ap.phase
-
-    def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(34)
-        ap = decompose(fft2(FeatureMap(rng.uniform(-1, 1, size=(3, 5, 4)))))
-        stats = StyleStats(rng.uniform(-1, 1, 3), rng.uniform(0, 2, 3))
-        w = sample_dirichlet([1.0, 1.0, 1.0], 9)
-        out = style_fuse(ap, stats, w)
-        eff = w.effective()
-        for c in range(3):
-            for u in range(5):
-                for v in range(4):
-                    want = eff[c] * stats.sigma_base[c] * ap.amplitude[c, u, v] \
-                        + eff[c] * stats.mu_base[c]
-                    assert abs(out.amplitude[c, u, v] - want) < 1e-12
-
+class TestStyleWeights:
     def test_raw_vs_times_c(self):
         w_raw = StyleWeights([1.0, 1.0], [0.25, 0.75], scale_mode="raw")
         w_scaled = StyleWeights([1.0, 1.0], [0.25, 0.75], scale_mode="times_C")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqadapt import FeatureMap, Matrix, ShapeMismatchError, conv2d, matmul, silu, softmax_rows
+from freqadapt import FeatureMap, Matrix, ShapeMismatchError, conv2d, silu, softmax_rows
 
 
 def conv2d_naive(x, kernel, padding):
@@ -21,17 +21,6 @@ def conv2d_naive(x, kernel, padding):
                             if 0 <= iy < h and 0 <= ix < w:
                                 acc += x[ci, iy, ix] * kernel[co, ci, ky, kx]
                 out[co, oh, ow] = acc
-    return out
-
-
-def matmul_naive(a, b):
-    n, m = a.shape
-    _, p = b.shape
-    out = np.zeros((n, p))
-    for i in range(n):
-        for j in range(p):
-            for l in range(m):
-                out[i, j] += a[i, l] * b[l, j]
     return out
 
 
@@ -123,38 +112,6 @@ class TestSilu:
     def test_large_negative_is_finite(self):
         out = silu(FeatureMap(np.full((1, 1, 1), -745.0)))
         assert abs(out.data[0, 0, 0]) < 1e-300
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(3)
-        m = Matrix(rng.uniform(-1, 1, size=(3, 4)))
-        out = matmul(Matrix(np.eye(3)), m)
-        assert np.array_equal(out.data, m.data)
-
-    def test_zero(self):
-        m = Matrix(np.arange(6, dtype=float).reshape(2, 3))
-        out = matmul(m, Matrix(np.zeros((3, 2))))
-        assert np.array_equal(out.data, np.zeros((2, 2)))
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(4)
-        a = rng.uniform(-1, 1, size=(3, 4))
-        b = rng.uniform(-1, 1, size=(4, 2))
-        got = matmul(Matrix(a), Matrix(b)).data
-        assert np.abs(got - matmul_naive(a, b)).max() < 1e-13
-
-    def test_associativity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a, b, c = (Matrix(rng.uniform(-1, 1, size=(4, 4))) for _ in range(3))
-            lhs = matmul(matmul(a, b), c).data
-            rhs = matmul(a, matmul(b, c)).data
-            assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-9
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3))))
 
 
 class TestSoftmaxRows:
