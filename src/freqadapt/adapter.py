@@ -120,13 +120,13 @@ def adapter_forward(
     """
     if w.channels != x.channels:
         raise ShapeMismatchError(f"weights expect {w.channels} channels, map has {x.channels}")
-    activated = silu(conv2d(x, _fused_kernel(w), 3))
+    activated = silu(conv2d(x, _fused_kernel(w)))
     augmented = augment(activated) if augment is not None else activated
     if augmented.shape != x.shape:
         raise ShapeMismatchError(
             f"augmentation changed the shape: {augmented.shape} vs {x.shape}"
         )
-    return conv2d(FeatureMap(x.data + augmented.data), w.proj, 0)
+    return conv2d(FeatureMap(x.data + augmented.data), w.proj)
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,13 @@ class PlacementConfig:
 
     Stage indices are 1-based. The default places the style adapter at
     stage 1 and the cross-modal adapter at stage 3, the strongest
-    placement; stage 2 stays untouched. ``attention``/``text_tokens`` may
-    be supplied by the caller; otherwise both are synthesized from the
-    per-stage seed.
+    placement; stage 2 stays untouched. ``text_tokens`` may be supplied
+    by the caller; otherwise eight 16-dim tokens are synthesized from the
+    per-stage seed. The attention weights are always drawn from it.
     """
 
     stage_assignments: dict = field(default_factory=lambda: {1: "style", 3: "crossmodal"})
     alpha: tuple | None = None
-    attention: AttentionParams | None = None
     text_tokens: TokenMatrix | None = None
     d_k: int = 64
     seed: int = 0
@@ -171,19 +170,6 @@ def stage_seed(cfg: PlacementConfig, index: int) -> int:
     return mix_seed(cfg.seed, index)
 
 
-def _stage_alpha(cfg: PlacementConfig, channels: int) -> np.ndarray:
-    if cfg.alpha is None:
-        return np.ones(channels)
-    avec = np.asarray(cfg.alpha, dtype=np.float64)
-    if avec.size == 1:
-        return np.full(channels, avec[0])
-    if avec.shape != (channels,):
-        raise ShapeMismatchError(
-            f"alpha has length {avec.size}, stage map has {channels} channels"
-        )
-    return avec
-
-
 def apply_stage(x: FeatureMap, cfg: PlacementConfig, index: int) -> FeatureMap:
     """Run stage ``index``'s configured adapter on one feature map.
 
@@ -200,19 +186,16 @@ def apply_stage(x: FeatureMap, cfg: PlacementConfig, index: int) -> FeatureMap:
     if kind == "plain":
         augment = None
     elif kind == "style":
-        alpha = _stage_alpha(cfg, x.channels)
+        alpha = cfg.alpha if cfg.alpha is not None else 1.0
         style_seed = mix_seed(sseed, _TAG_STYLE)
         augment = lambda fm: style_diversify(fm, alpha, style_seed)
     else:  # crossmodal
-        params = cfg.attention
         text = cfg.text_tokens
         if text is None:
-            text_dim = params.text_dim if params is not None else 16
-            text = gen_text_tokens(8, text_dim, mix_seed(sseed, _TAG_TEXT))
-        if params is None:
-            params = AttentionParams.seeded(
-                x.channels, text.dim, cfg.d_k, mix_seed(sseed, _TAG_ATTENTION)
-            )
+            text = gen_text_tokens(8, 16, mix_seed(sseed, _TAG_TEXT))
+        params = AttentionParams.seeded(
+            x.channels, text.dim, cfg.d_k, mix_seed(sseed, _TAG_ATTENTION)
+        )
         augment = lambda fm: crossmodal_forward(fm, text, params)
     return adapter_forward(x, weights, augment)
 

@@ -25,31 +25,12 @@ NORM_SCOPES = ("channel", "tensor")
 _SIGMA_FLOOR = 1e-12
 
 
-class TokenMatrix:
+class TokenMatrix(Matrix):
     """Row-major token embeddings: one row per token."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeMismatchError(f"TokenMatrix needs 2 axes, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"TokenMatrix axes must be >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("TokenMatrix values must be finite")
-        self.data = _frozen(arr)
-
-    @property
-    def tokens(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-    def __repr__(self):
-        return f"TokenMatrix({self.tokens}x{self.dim})"
+    __slots__ = ()
+    tokens = Matrix.rows
+    dim = Matrix.cols
 
 
 @dataclass(frozen=True)
@@ -128,6 +109,20 @@ def unflatten_tokens(t: TokenMatrix, height: int, width: int) -> FeatureMap:
     return FeatureMap(t.data.T.reshape(t.dim, height, width))
 
 
+def _attention_terms(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams):
+    """Keys, values and softmax weights of :func:`cross_attention`, dimensions checked."""
+    if xv.dim != p.visual_dim:
+        raise ShapeMismatchError(f"visual tokens have dim {xv.dim}, wq expects {p.visual_dim}")
+    if xt.dim != p.text_dim:
+        raise ShapeMismatchError(f"text tokens have dim {xt.dim}, wk/wv expect {p.text_dim}")
+    if p.wo.shape[1] != xv.dim:
+        raise ShapeMismatchError(f"wo outputs dim {p.wo.shape[1]}, visual tokens have {xv.dim}")
+    k = xt.data @ p.wk
+    v = xt.data @ p.wv
+    scores = (xv.data @ p.wq) @ k.T / math.sqrt(p.d_k)
+    return k, v, softmax_rows(Matrix(scores)).data
+
+
 def cross_attention(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams) -> TokenMatrix:
     """softmax(Q K^T / sqrt(d_k)) V, projected back to the visual dim.
 
@@ -135,18 +130,13 @@ def cross_attention(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams) -> Tok
     output has the visual token count and dim; any residual connection is
     the caller's concern.
     """
-    if xv.dim != p.visual_dim:
-        raise ShapeMismatchError(f"visual tokens have dim {xv.dim}, wq expects {p.visual_dim}")
-    if xt.dim != p.text_dim:
-        raise ShapeMismatchError(f"text tokens have dim {xt.dim}, wk/wv expect {p.text_dim}")
-    if p.wo.shape[1] != xv.dim:
-        raise ShapeMismatchError(f"wo outputs dim {p.wo.shape[1]}, visual tokens have {xv.dim}")
-    q = xv.data @ p.wq
-    k = xt.data @ p.wk
-    v = xt.data @ p.wv
-    scores = q @ k.T / math.sqrt(p.d_k)
-    attn = softmax_rows(Matrix(scores))
-    return TokenMatrix((attn.data @ v) @ p.wo)
+    _, v, attn = _attention_terms(xv, xt, p)
+    return TokenMatrix((attn @ v) @ p.wo)
+
+
+def _attend(x: FeatureMap, xt: TokenMatrix, p: AttentionParams) -> FeatureMap:
+    """:func:`cross_attention` over a map's tokens, as a map of the same shape."""
+    return unflatten_tokens(cross_attention(flatten_tokens(x), xt, p), x.height, x.width)
 
 
 def _group_mean(v: np.ndarray, scope: str, weight) -> np.ndarray:
@@ -194,8 +184,7 @@ def crossmodal_forward(
     scope: str = "channel",
 ) -> FeatureMap:
     """Full pipeline: cross-attend to text tokens, then normalize the spectrum."""
-    enhanced = cross_attention(flatten_tokens(x), xt, p)
-    return spectral_normalize(unflatten_tokens(enhanced, x.height, x.width), scope=scope)
+    return spectral_normalize(_attend(x, xt, p), scope=scope)
 
 
 def _high_fraction(x: FeatureMap, radial_cut: float) -> float:

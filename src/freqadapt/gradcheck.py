@@ -1,9 +1,11 @@
 """Analytic directional derivatives checked against central differences.
 
-Each transform gets a hand-derived Jacobian-vector product (JVP); the
-verifier contracts it with a random cotangent and compares against the
-central finite difference of the same scalar at steps 1e-4/1e-5/1e-6,
-reporting the best step per probe. Probes whose spectra contain bins with
+Each transform gets a hand-derived Jacobian-vector product (JVP); the two
+amplitude-spectrum JVPs run on :func:`~freqadapt.spectral.amp_map_jvp`
+with the forwards' own amplitude maps. The verifier contracts each JVP
+with a random cotangent and compares against the central finite
+difference of the same scalar at steps 1e-4/1e-5/1e-6, reporting the best
+step per probe. Probes whose spectra contain bins with
 magnitude below 1e-2 are resampled: near the regularized zero of the
 amplitude map the forward is effectively non-smooth and finite
 differences stop being trustworthy.
@@ -16,6 +18,7 @@ statistics of the cross-modal transform are differentiated through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +27,8 @@ import numpy as np
 from .crossmodal import (
     AttentionParams,
     TokenMatrix,
+    _attend,
+    _attention_terms,
     _group_mean,
     _standardize,
     cross_attention,
@@ -32,8 +37,8 @@ from .crossmodal import (
     unflatten_tokens,
 )
 from .rng import SplitMix64, mix_seed
-from .spectral import _irfft2, _rfft2, _unit_phasors, fft2, mirror_weights
-from .style import channel_stats, sample_dirichlet, style_transform, _as_channel_vec
+from .spectral import _rfft2, _unit_phasors, amp_map_jvp, fft2, mirror_weights
+from .style import _amp_affine, _as_channel_vec, _style_coefficients, style_transform
 from .synth import gen_text_tokens
 from .tensor import FeatureMap, _sigmoid, silu
 
@@ -62,37 +67,20 @@ class GradReport:
             raise ValueError("num_probes must be >= 1")
 
 
-def fd_directional(f: Callable[[FeatureMap], float], x: FeatureMap, direction: FeatureMap, step: float) -> float:
+def fd_directional(
+    f: Callable[[np.ndarray], float], x: np.ndarray, direction: np.ndarray, step: float
+) -> float:
     """Central difference (f(x + step*d) - f(x - step*d)) / (2*step)."""
     if not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
-    if not np.any(direction.data):
+    if not np.any(direction):
         raise ValueError("direction must be nonzero")
-    fp = f(FeatureMap(x.data + step * direction.data))
-    fm = f(FeatureMap(x.data - step * direction.data))
-    return (fp - fm) / (2.0 * step)
+    return (f(x + step * direction) - f(x - step * direction)) / (2.0 * step)
 
 
 def jvp_silu(x: FeatureMap, direction: FeatureMap) -> FeatureMap:
     s = _sigmoid(x.data)
     return FeatureMap((s + x.data * s * (1.0 - s)) * direction.data)
-
-
-def _polar_jvp(z: np.ndarray, dz: np.ndarray):
-    """Amplitude and unit phasor z/|z| of z, plus amplitude and phase derivatives along dz."""
-    re, im = z.real, z.imag
-    r2 = re * re + im * im
-    if np.any(r2 == 0.0):
-        raise ValueError("phase derivative undefined at zero-magnitude bins")
-    unit = np.array(z)
-    a = _unit_phasors(unit)
-    da = (re * dz.real + im * dz.imag) / a
-    dp = (re * dz.imag - im * dz.real) / r2
-    return a, da, unit, dp
-
-
-def _compose_jvp(a_new, da_new, unit, dp) -> np.ndarray:
-    return unit * (da_new + 1j * a_new * dp)
 
 
 def jvp_style_transform(x: FeatureMap, direction: FeatureMap, mu, sigma) -> FeatureMap:
@@ -101,12 +89,10 @@ def jvp_style_transform(x: FeatureMap, direction: FeatureMap, mu, sigma) -> Feat
     ``mu``/``sigma`` are the frozen per-channel affine coefficients, i.e.
     the already-fused statistics and weights.
     """
-    mu_vec = _as_channel_vec(mu, x.channels, "mu")[:, None, None]
-    sigma_vec = _as_channel_vec(sigma, x.channels, "sigma")[:, None, None]
-    a, da, unit, dp = _polar_jvp(_rfft2(x), _rfft2(direction))
-    a_new = sigma_vec * a + mu_vec
-    da_new = sigma_vec * da
-    return _irfft2(_compose_jvp(a_new, da_new, unit, dp), x.shape)
+    mu_vec = _as_channel_vec(mu, x.channels, "mu")
+    sigma_vec = _as_channel_vec(sigma, x.channels, "sigma")
+    return amp_map_jvp(x, direction, lambda a: _amp_affine(a, mu_vec, sigma_vec),
+                       lambda a, da: sigma_vec[:, None, None] * da)
 
 
 def _normalize_jvp(a, da, scope: str, weight=1.0):
@@ -123,17 +109,8 @@ def jvp_cross_attention(
     """Derivative of cross-attention with respect to the visual tokens only."""
     if direction.data.shape != xv.data.shape:
         raise ValueError("direction must match the visual token matrix shape")
-    cross_attention(xv, xt, p)  # reuse the forward's dimension validation
-    q = xv.data @ p.wq
-    dq = direction.data @ p.wq
-    k = xt.data @ p.wk
-    v = xt.data @ p.wv
-    scale = np.sqrt(float(p.d_k))
-    s = q @ k.T / scale
-    ds = dq @ k.T / scale
-    shifted = s - s.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    attn = e / e.sum(axis=1, keepdims=True)
+    k, v, attn = _attention_terms(xv, xt, p)
+    ds = (direction.data @ p.wq) @ k.T / math.sqrt(p.d_k)
     d_attn = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
     return TokenMatrix((d_attn @ v) @ p.wo)
 
@@ -146,15 +123,11 @@ def jvp_crossmodal(
     scope: str = "channel",
 ) -> FeatureMap:
     """Derivative of the full cross-modal pipeline along ``direction``."""
-    xv = flatten_tokens(x)
-    dxv = flatten_tokens(direction)
-    u = unflatten_tokens(cross_attention(xv, xt, p), x.height, x.width)
-    du = unflatten_tokens(jvp_cross_attention(xv, dxv, xt, p), x.height, x.width)
-    a, da, unit, dp = _polar_jvp(_rfft2(u), _rfft2(du))
+    du = jvp_cross_attention(flatten_tokens(x), flatten_tokens(direction), xt, p)
     weight = mirror_weights(x.width)
-    a_norm = _standardize(a, scope, weight)  # the forward's standardization, degenerate-group guard included
-    da_norm = _normalize_jvp(a, da, scope, weight)
-    return _irfft2(_compose_jvp(a_norm, da_norm, unit, dp), x.shape)
+    return amp_map_jvp(_attend(x, xt, p), unflatten_tokens(du, x.height, x.width),
+                       lambda a: _standardize(a, scope, weight),
+                       lambda a, da: _normalize_jvp(a, da, scope, weight))
 
 
 def _uniform(rng: SplitMix64, shape, low, high) -> np.ndarray:
@@ -165,106 +138,77 @@ def _min_bin(x: FeatureMap) -> float:
     return float(np.abs(fft2(x).data).min())
 
 
-def _guarded_map(rng: SplitMix64, shape) -> FeatureMap:
+def _guarded(draw):
+    """The probe of the first ``draw()`` = (probe, map) whose map clears PROBE_MIN_BIN."""
     for _ in range(_PROBE_ATTEMPTS):
-        x = FeatureMap(_uniform(rng, shape, -1.0, 1.0))
-        if _min_bin(x) >= PROBE_MIN_BIN:
-            return x
+        probe, checked = draw()
+        if _min_bin(checked) >= PROBE_MIN_BIN:
+            return probe
     raise RuntimeError("could not draw a probe clearing the spectral magnitude guard")
 
 
+def _on_arrays(kind, fn, *args):
+    """fn(kind(a), kind(b), ..., *args).data as a function of the arrays a, b, ..."""
+    return lambda *arrays: fn(*map(kind, arrays), *args).data
+
+
+# A probe builder draws from its stream and returns (f, jvp, x, d): the
+# forward f(x) and the derivative jvp(x, d) on arrays, at the point x along
+# the direction d.
+
+
 def _probe_silu(rng: SplitMix64):
-    shape = (3, 6, 6)
-    x = FeatureMap(_uniform(rng, shape, -2.0, 2.0))
-    d = FeatureMap(_uniform(rng, shape, -3.0, 3.0))
-    cot = _uniform(rng, shape, -1.0, 1.0)
-    analytic = float(np.sum(cot * jvp_silu(x, d).data))
-
-    def fd_at(step: float) -> float:
-        return fd_directional(lambda m: float(np.sum(cot * silu(m).data)), x, d, step)
-
-    return analytic, fd_at
+    x = _uniform(rng, (3, 6, 6), -2.0, 2.0)
+    d = _uniform(rng, (3, 6, 6), -3.0, 3.0)
+    return _on_arrays(FeatureMap, silu), _on_arrays(FeatureMap, jvp_silu), x, d
 
 
 def _probe_amp_normalize(rng: SplitMix64):
     """Mirror-weighted standardization of a half-spectrum amplitude, as spectral_normalize runs it."""
-    shape = (3, 6, 6)
-    a = _unit_phasors(_rfft2(FeatureMap(_uniform(rng, shape, -1.0, 1.0))))
-    weight = mirror_weights(shape[2])
+    a = _unit_phasors(_rfft2(FeatureMap(_uniform(rng, (3, 6, 6), -1.0, 1.0))))
+    weight = mirror_weights(6)
     d = _uniform(rng, a.shape, -3.0, 3.0)
-    cot = _uniform(rng, a.shape, -1.0, 1.0)
-    analytic = float(np.sum(cot * _normalize_jvp(a, d, "channel", weight)))
-
-    def fd_at(step: float) -> float:
-        fp = float(np.sum(cot * _standardize(a + step * d, "channel", weight)))
-        fm = float(np.sum(cot * _standardize(a - step * d, "channel", weight)))
-        return (fp - fm) / (2.0 * step)
-
-    return analytic, fd_at
+    return (lambda m: _standardize(m, "channel", weight),
+            lambda m, dm: _normalize_jvp(m, dm, "channel", weight), a, d)
 
 
 def _probe_cross_attention(rng: SplitMix64):
-    xv = TokenMatrix(_uniform(rng, (8, 4), -1.0, 1.0))
+    xv = _uniform(rng, (8, 4), -1.0, 1.0)
     xt = TokenMatrix(_uniform(rng, (5, 3), -1.0, 1.0))
     params = AttentionParams.seeded(4, 3, 4, rng.next_u64())
     d = _uniform(rng, (8, 4), -3.0, 3.0)
-    cot = _uniform(rng, (8, 4), -1.0, 1.0)
-    analytic = float(np.sum(cot * jvp_cross_attention(xv, TokenMatrix(d), xt, params).data))
-
-    def fd_at(step: float) -> float:
-        fp = float(np.sum(cot * cross_attention(TokenMatrix(xv.data + step * d), xt, params).data))
-        fm = float(np.sum(cot * cross_attention(TokenMatrix(xv.data - step * d), xt, params).data))
-        return (fp - fm) / (2.0 * step)
-
-    return analytic, fd_at
+    return (_on_arrays(TokenMatrix, cross_attention, xt, params),
+            _on_arrays(TokenMatrix, jvp_cross_attention, xt, params), xv, d)
 
 
 def _probe_style(rng: SplitMix64):
     shape = (3, 8, 8)
-    x = _guarded_map(rng, shape)
-    stats = channel_stats(x)
-    weights = sample_dirichlet(np.ones(shape[0]), rng.next_u64())
-    eff = weights.effective()
-    mu = eff * stats.mu_base
-    sigma = eff * stats.sigma_base
-    d = FeatureMap(_uniform(rng, shape, -3.0, 3.0))
-    cot = _uniform(rng, shape, -1.0, 1.0)
-    analytic = float(np.sum(cot * jvp_style_transform(x, d, mu, sigma).data))
 
-    def fd_at(step: float) -> float:
-        return fd_directional(
-            lambda m: float(np.sum(cot * style_transform(m, mu, sigma).data)), x, d, step
-        )
+    def draw():
+        x = FeatureMap(_uniform(rng, shape, -1.0, 1.0))
+        return x, x
 
-    return analytic, fd_at
+    x = _guarded(draw)
+    mu, sigma = _style_coefficients(x, 1.0, rng.next_u64())
+    d = _uniform(rng, shape, -3.0, 3.0)
+    return (_on_arrays(FeatureMap, style_transform, mu, sigma),
+            _on_arrays(FeatureMap, jvp_style_transform, mu, sigma), x.data, d)
 
 
 def _probe_crossmodal(rng: SplitMix64):
     shape = (3, 8, 8)
-    x = None
-    for _ in range(_PROBE_ATTEMPTS):
+
+    def draw():
         # attention weights are redrawn too: some weights leave a small bin in every output
         xt = gen_text_tokens(5, 4, rng.next_u64())
         params = AttentionParams.seeded(shape[0], 4, 8, rng.next_u64())
-        cand = FeatureMap(_uniform(rng, shape, -1.0, 1.0))
-        enhanced = unflatten_tokens(
-            cross_attention(flatten_tokens(cand), xt, params), shape[1], shape[2]
-        )
-        if _min_bin(enhanced) >= PROBE_MIN_BIN:
-            x = cand
-            break
-    if x is None:
-        raise RuntimeError("could not draw a probe clearing the spectral magnitude guard")
-    d = FeatureMap(_uniform(rng, shape, -3.0, 3.0))
-    cot = _uniform(rng, shape, -1.0, 1.0)
-    analytic = float(np.sum(cot * jvp_crossmodal(x, d, xt, params).data))
+        x = FeatureMap(_uniform(rng, shape, -1.0, 1.0))
+        return (x, xt, params), _attend(x, xt, params)
 
-    def fd_at(step: float) -> float:
-        return fd_directional(
-            lambda m: float(np.sum(cot * crossmodal_forward(m, xt, params).data)), x, d, step
-        )
-
-    return analytic, fd_at
+    x, xt, params = _guarded(draw)
+    d = _uniform(rng, shape, -3.0, 3.0)
+    return (_on_arrays(FeatureMap, crossmodal_forward, xt, params),
+            _on_arrays(FeatureMap, jvp_crossmodal, xt, params), x.data, d)
 
 
 _PROBES = {
@@ -283,10 +227,11 @@ def _rel_err(a: float, b: float) -> float:
 def run_gradcheck(ops=GRADCHECK_OPS, seed: int = 0, probes: int = 50) -> list[GradReport]:
     """Gradient-check the selected ops; failures are reported, never raised.
 
-    Per probe, the relative error is taken at the best of the three steps;
-    the report carries the worst probe. ``converged_fraction`` is the
-    share of probes whose discrepancy shrank when the step dropped from
-    1e-4 to 1e-5, the second-order signature of central differences.
+    Per probe, the JVP and the forward are contracted with a random
+    cotangent, and the relative error is taken at the best of the three
+    steps; the report carries the worst probe. ``converged_fraction`` is
+    the share of probes whose discrepancy shrank when the step dropped
+    from 1e-4 to 1e-5, the second-order signature of central differences.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -302,8 +247,15 @@ def run_gradcheck(ops=GRADCHECK_OPS, seed: int = 0, probes: int = 50) -> list[Gr
         converged = 0
         for probe_index in range(probes):
             rng = SplitMix64(mix_seed(mix_seed(seed, 7000 + op_tag), probe_index))
-            analytic, fd_at = build(rng)
-            errs = [_rel_err(analytic, fd_at(step)) for step in STEPS]
+            f, jvp, x, d = build(rng)
+            tangent = jvp(x, d)
+            cot = _uniform(rng, tangent.shape, -1.0, 1.0)
+            analytic = float(np.sum(cot * tangent))
+
+            def scalar(m):
+                return float(np.sum(cot * f(m)))
+
+            errs = [_rel_err(analytic, fd_directional(scalar, x, d, step)) for step in STEPS]
             best = min(range(len(STEPS)), key=errs.__getitem__)
             if errs[best] > worst:
                 worst = errs[best]

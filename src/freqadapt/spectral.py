@@ -272,6 +272,31 @@ def amp_map(x: FeatureMap, fn: Callable[[np.ndarray], np.ndarray]) -> FeatureMap
     return out
 
 
+def amp_map_jvp(
+    x: FeatureMap, direction: FeatureMap, fn: Callable[[np.ndarray], np.ndarray], dfn: Callable
+) -> FeatureMap:
+    """Derivative of amp_map(x, fn) along ``direction``.
+
+    ``dfn(a, da)`` is the derivative of ``fn`` at ``a`` along ``da``. A bin
+    u * a with unit phasor u becomes u * fn(a), so along a bin derivative
+    with amplitude part da and phase part dp it moves by
+    u * (dfn(a, da) + i * fn(a) * dp). ``fn`` runs before ``dfn``, so the
+    forward's guards fire first.
+    """
+    z = _rfft2(x)
+    dz = _rfft2(direction)
+    re, im = z.real, z.imag
+    r2 = re * re + im * im
+    if np.any(r2 == 0.0):
+        raise ValueError("phase derivative undefined at zero-magnitude bins")
+    da = re * dz.real + im * dz.imag
+    dp = (re * dz.imag - im * dz.real) / r2
+    a = _unit_phasors(z)
+    da /= a
+    new = fn(a)
+    return _irfft2(z * (dfn(a, da) + 1j * new * dp), x.shape)
+
+
 def _radius_grid(h: int, w: int) -> np.ndarray:
     cy, cx = h // 2, w // 2
     dy = (np.arange(h) - cy) / max(cy, 1)

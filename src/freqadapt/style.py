@@ -137,6 +137,14 @@ def style_transform(x: FeatureMap, mu, sigma) -> FeatureMap:
     return amp_map(x, lambda a: _amp_affine(a, mu_vec, sigma_vec))
 
 
+def _style_coefficients(x: FeatureMap, alpha, seed: int, scale_mode: str = "times_C"):
+    """The sampled affine map (mu, sigma): Dirichlet weights times the channel statistics."""
+    avec = _as_channel_vec(alpha, x.channels, "alpha")
+    stats = channel_stats(x)
+    eff = sample_dirichlet(avec, seed, scale_mode).effective()
+    return eff * stats.mu_base, eff * stats.sigma_base
+
+
 def style_diversify(
     x: FeatureMap,
     alpha,
@@ -154,9 +162,6 @@ def style_diversify(
     """
     if style_override is not None:
         mu, sigma = style_override
-        return style_transform(x, mu, sigma)
-    avec = _as_channel_vec(alpha, x.channels, "alpha")
-    stats = channel_stats(x)
-    w = sample_dirichlet(avec, seed, scale_mode)
-    eff = w.effective()
-    return style_transform(x, eff * stats.mu_base, eff * stats.sigma_base)
+    else:
+        mu, sigma = _style_coefficients(x, alpha, seed, scale_mode)
+    return style_transform(x, mu, sigma)

@@ -42,7 +42,7 @@ def gen_features(kind: str, channels: int, height: int, width: int, seed: int) -
         kernel = _gaussian_kernel_5x5()[None, None]
         out = np.empty((channels, height, width))
         for c in range(channels):
-            out[c] = conv2d(FeatureMap(base.data[c : c + 1]), kernel, 2).data[0]
+            out[c] = conv2d(FeatureMap(base.data[c : c + 1]), kernel).data[0]
         return FeatureMap(out)
     if kind == "checker":
         h_idx = np.arange(height)[:, None]

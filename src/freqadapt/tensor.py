@@ -18,20 +18,36 @@ def _frozen(data, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-class FeatureMap:
-    """A channels x height x width activation tensor, row-major (c, h, w)."""
+class _Checked:
+    """A finite float64 array of rank ``_rank``, non-empty on every axis."""
 
     __slots__ = ("data",)
+    _rank: int
 
     def __init__(self, data):
+        name = type(self).__name__
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeMismatchError(f"FeatureMap needs 3 axes, got shape {arr.shape}")
+        if arr.ndim != self._rank:
+            raise ShapeMismatchError(f"{name} needs {self._rank} axes, got shape {arr.shape}")
         if min(arr.shape) < 1:
-            raise ValueError(f"FeatureMap axes must be >= 1, got shape {arr.shape}")
+            raise ValueError(f"{name} axes must be >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("FeatureMap values must be finite")
+            raise ValueError(f"{name} values must be finite")
         self.data = _frozen(arr)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    def __repr__(self):
+        return f"{type(self).__name__}({'x'.join(map(str, self.shape))})"
+
+
+class FeatureMap(_Checked):
+    """A channels x height x width activation tensor, row-major (c, h, w)."""
+
+    __slots__ = ()
+    _rank = 3
 
     @property
     def channels(self) -> int:
@@ -45,29 +61,12 @@ class FeatureMap:
     def width(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
 
-    def __repr__(self):
-        c, h, w = self.shape
-        return f"FeatureMap({c}x{h}x{w})"
-
-
-class Matrix:
+class Matrix(_Checked):
     """A rows x cols real matrix, row-major, double precision."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeMismatchError(f"Matrix needs 2 axes, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"Matrix axes must be >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("Matrix values must be finite")
-        self.data = _frozen(arr)
+    __slots__ = ()
+    _rank = 2
 
     @property
     def rows(self) -> int:
@@ -77,15 +76,12 @@ class Matrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
 
-
-def conv2d(x: FeatureMap, kernel, padding: int) -> FeatureMap:
+def conv2d(x: FeatureMap, kernel) -> FeatureMap:
     """Same-size 2D convolution with zero padding.
 
-    ``kernel`` has axes [c_out, c_in, k, k] with k odd; ``padding`` must be
-    (k - 1) / 2 so the spatial extent is preserved. The sum runs by kernel
+    ``kernel`` has axes [c_out, c_in, k, k] with k odd; the map is padded
+    by (k - 1) / 2 so the spatial extent is preserved. The sum runs by kernel
     offset: one [c_out, c_in] x [c_in, H*W] product per (dy, dx), so working
     memory stays O(C*H*W) whatever k is.
     """
@@ -99,11 +95,10 @@ def conv2d(x: FeatureMap, kernel, padding: int) -> FeatureMap:
         raise ShapeMismatchError(
             f"kernel expects {kern.shape[1]} input channels, map has {x.channels}"
         )
-    if padding != (k - 1) // 2:
-        raise ValueError(f"padding must be {(k - 1) // 2} for k={k}, got {padding}")
     if not np.all(np.isfinite(kern)):
         raise ValueError("kernel values must be finite")
     c, h, w = x.shape
+    padding = (k - 1) // 2
     padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
     out = np.zeros((kern.shape[0], h * w))
     for dy in range(k):

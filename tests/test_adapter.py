@@ -27,8 +27,8 @@ def rand_map(rng, c=3, h=6, w=6):
 
 def stepwise_activation(x, w):
     """silu(agg(mean(conv3, conv5, conv7))), one convolution per branch."""
-    avg = (conv2d(x, w.k3, 1).data + conv2d(x, w.k5, 2).data + conv2d(x, w.k7, 3).data) / 3.0
-    return silu(conv2d(FeatureMap(avg), w.agg, 0))
+    avg = (conv2d(x, w.k3).data + conv2d(x, w.k5).data + conv2d(x, w.k7).data) / 3.0
+    return silu(conv2d(FeatureMap(avg), w.agg))
 
 
 class TestAdapterForward:
@@ -55,7 +55,7 @@ class TestAdapterForward:
         for shape in SHAPES:
             x = rand_map(rng, *shape)
             w = AdapterWeights.seeded(shape[0], 6)
-            want = conv2d(FeatureMap(x.data + stepwise_activation(x, w).data), w.proj, 0)
+            want = conv2d(FeatureMap(x.data + stepwise_activation(x, w).data), w.proj)
             got = adapter_forward(x, w)
             assert np.abs(got.data - want.data).max() < 1e-10, shape
 

@@ -71,6 +71,20 @@ class TestApply:
                    "--stage", "1=none,2=none,3=none") == 0
         assert read_tensor(dst).tobytes() == read_tensor(src).tobytes()
 
+    def test_stack_alpha_length_mismatch_exit_2(self, tmp_path, capsys):
+        src = self.setup_input(tmp_path)
+        assert run("apply", "stack", "--in", str(src), "--out", str(tmp_path / "o"),
+                   "--alpha", "1,1") == 2
+        assert "alpha must have length 3" in capsys.readouterr().err
+
+    def test_stack_scalar_alpha_broadcasts(self, tmp_path):
+        src = self.setup_input(tmp_path)
+        d1, d2 = tmp_path / "a.ftns", tmp_path / "b.ftns"
+        assert run("apply", "stack", "--in", str(src), "--out", str(d1), "--alpha", "0.5") == 0
+        assert run("apply", "stack", "--in", str(src), "--out", str(d2),
+                   "--alpha", "0.5,0.5,0.5") == 0
+        assert d1.read_bytes() == d2.read_bytes()
+
     def test_crossmodal_hf_shift_positive_on_smooth(self, tmp_path, capsys):
         src = tmp_path / "in.ftns"
         base = gen_features("smooth", 4, 8, 8, 11)

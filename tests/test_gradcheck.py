@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freqadapt import (
     AttentionParams,
@@ -14,11 +16,14 @@ from freqadapt import (
     jvp_silu,
     jvp_style_transform,
     run_gradcheck,
+    style_transform,
 )
 from freqadapt.crossmodal import _group_mean, _standardize
 from freqadapt.gradcheck import GRADCHECK_OPS, _normalize_jvp
-from freqadapt.spectral import _rfft2, _unit_phasors, mirror_weights
+from freqadapt.spectral import _rfft2, _unit_phasors, amp_map_jvp, mirror_weights
 from freqadapt.synth import gen_text_tokens
+
+SMALL_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9))
 
 
 def normalize_jvp_without(drop):
@@ -35,38 +40,73 @@ def normalize_jvp_without(drop):
     return jvp
 
 
+def amp_map_jvp_without(drop):
+    """amp_map_jvp with one term zeroed: "dfn" (amplitude) or "fn" (phase)."""
+
+    def jvp(x, direction, fn, dfn):
+        if drop == "dfn":
+            return amp_map_jvp(x, direction, fn, lambda a, da: np.zeros_like(da))
+        return amp_map_jvp(x, direction, lambda a: 0.0 * fn(a), dfn)
+
+    return jvp
+
+
+def min_half_bin(x):
+    return float(np.abs(_rfft2(FeatureMap(x))).min())
+
+
 class TestFdDirectional:
     def test_quadratic_is_exact(self):
         rng = np.random.default_rng(90)
-        x = FeatureMap(rng.uniform(-1, 1, size=(2, 3, 3)))
+        x = rng.uniform(-1, 1, size=(2, 3, 3))
         i = (1, 2, 0)
         e_i = np.zeros((2, 3, 3))
         e_i[i] = 1.0
-        f = lambda m: float((m.data**2).sum())
-        got = fd_directional(f, x, FeatureMap(e_i), 1e-4)
-        assert abs(got - 2.0 * x.data[i]) < 1e-8
+        f = lambda m: float((m**2).sum())
+        got = fd_directional(f, x, e_i, 1e-4)
+        assert abs(got - 2.0 * x[i]) < 1e-8
 
     def test_constant_function(self):
-        x = FeatureMap(np.ones((1, 2, 2)))
-        d = FeatureMap(np.ones((1, 2, 2)))
+        x = np.ones((1, 2, 2))
+        d = np.ones((1, 2, 2))
         assert abs(fd_directional(lambda m: 4.2, x, d, 1e-5)) < 1e-12
 
     def test_rejects_bad_step_and_zero_direction(self):
-        x = FeatureMap(np.ones((1, 2, 2)))
+        x = np.ones((1, 2, 2))
         with pytest.raises(ValueError):
-            fd_directional(lambda m: 0.0, x, FeatureMap(np.ones((1, 2, 2))), 0.0)
+            fd_directional(lambda m: 0.0, x, np.ones((1, 2, 2)), 0.0)
         with pytest.raises(ValueError):
-            fd_directional(lambda m: 0.0, x, FeatureMap(np.zeros((1, 2, 2))), 1e-5)
+            fd_directional(lambda m: 0.0, x, np.zeros((1, 2, 2)), 1e-5)
 
 
 class TestJvps:
-    def test_linear_chain_identity(self):
-        # sigma=1, mu=0 makes the spectral chain linear: jvp == direction
-        rng = np.random.default_rng(91)
-        x = FeatureMap(rng.uniform(-1, 1, size=(2, 6, 6)))
-        d = FeatureMap(rng.uniform(-1, 1, size=(2, 6, 6)))
-        out = jvp_style_transform(x, d, 0.0, 1.0)
-        assert np.abs(out.data - d.data).max() < 1e-12
+    @settings(max_examples=150, deadline=None)
+    @given(shape=SMALL_SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_linear_chain_identity(self, shape, seed):
+        # an identity amplitude map makes the spectral chain linear: jvp == direction
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, size=shape)
+        d = rng.uniform(-1, 1, size=shape)
+        assume(min_half_bin(x) >= 1e-3)
+        out = amp_map_jvp(FeatureMap(x), FeatureMap(d), lambda a: a, lambda a, da: da)
+        assert np.abs(out.data - d).max() <= 1e-12 * np.abs(d).max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=SMALL_SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_style_jvp_matches_central_difference(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, size=shape)
+        d = rng.uniform(-1, 1, size=shape)
+        mu = rng.uniform(-1, 1, size=shape[0])
+        sigma = rng.uniform(0.1, 2, size=shape[0])
+        assume(min_half_bin(x) >= 1e-2)
+        step = 1e-6
+        fd = (
+            style_transform(FeatureMap(x + step * d), mu, sigma).data
+            - style_transform(FeatureMap(x - step * d), mu, sigma).data
+        ) / (2 * step)
+        analytic = jvp_style_transform(FeatureMap(x), FeatureMap(d), mu, sigma).data
+        assert np.abs(analytic - fd).max() <= 1e-5 * max(np.abs(analytic).max(), 1e-8)
 
     def test_normalized_radial_direction_is_null(self):
         # standardization is scale invariant, so the radial direction (the
@@ -115,27 +155,28 @@ class TestJvps:
 
     def test_silu_jvp_vs_fd(self):
         rng = np.random.default_rng(96)
-        x = FeatureMap(rng.uniform(-2, 2, size=(1, 4, 4)))
-        d = FeatureMap(rng.uniform(-1, 1, size=(1, 4, 4)))
+        x = rng.uniform(-2, 2, size=(1, 4, 4))
+        d = rng.uniform(-1, 1, size=(1, 4, 4))
         from freqadapt import silu
 
         cot = rng.uniform(-1, 1, size=(1, 4, 4))
-        analytic = float((cot * jvp_silu(x, d).data).sum())
-        fd = fd_directional(lambda m: float((cot * silu(m).data).sum()), x, d, 1e-5)
+        analytic = float((cot * jvp_silu(FeatureMap(x), FeatureMap(d)).data).sum())
+        fd = fd_directional(lambda m: float((cot * silu(FeatureMap(m)).data).sum()), x, d, 1e-5)
         assert abs(analytic - fd) / max(abs(analytic), 1e-8) < 1e-7
 
     def test_crossmodal_jvp_vs_fd(self):
         rng = np.random.default_rng(97)
-        x = FeatureMap(rng.uniform(-1, 1, size=(2, 6, 6)))
+        x = rng.uniform(-1, 1, size=(2, 6, 6))
         text = gen_text_tokens(4, 3, 5)
         p = AttentionParams.seeded(2, 3, 4, 6)
-        d = FeatureMap(rng.uniform(-1, 1, size=(2, 6, 6)))
+        d = rng.uniform(-1, 1, size=(2, 6, 6))
         from freqadapt import crossmodal_forward
 
         cot = rng.uniform(-1, 1, size=(2, 6, 6))
-        analytic = float((cot * jvp_crossmodal(x, d, text, p).data).sum())
+        analytic = float((cot * jvp_crossmodal(FeatureMap(x), FeatureMap(d), text, p).data).sum())
         fd = fd_directional(
-            lambda m: float((cot * crossmodal_forward(m, text, p).data).sum()), x, d, 1e-5
+            lambda m: float((cot * crossmodal_forward(FeatureMap(m), text, p).data).sum()),
+            x, d, 1e-5,
         )
         assert abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8) < 1e-6
 
@@ -198,6 +239,12 @@ class TestRunGradcheck:
         monkeypatch.setattr("freqadapt.gradcheck._normalize_jvp", normalize_jvp_without(None))
         (report,) = run_gradcheck(("amp_normalize",), seed=0, probes=10)
         assert report.max_rel_err < 1e-5
+
+    @pytest.mark.parametrize("drop", ["dfn", "fn"])
+    def test_spectral_ops_catch_wrong_amp_map_jvp(self, monkeypatch, drop):
+        monkeypatch.setattr("freqadapt.gradcheck.amp_map_jvp", amp_map_jvp_without(drop))
+        for report in run_gradcheck(("style", "crossmodal"), seed=0, probes=10):
+            assert report.max_rel_err > 1e-3, report
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ValueError):

@@ -46,13 +46,13 @@ class TestConv2d:
         rng = np.random.default_rng(0)
         x = FeatureMap(rng.uniform(-1, 1, size=(1, 5, 5)))
         kernel = np.ones((1, 1, 1, 1))
-        out = conv2d(x, kernel, 0)
+        out = conv2d(x, kernel)
         assert np.array_equal(out.data, x.data)
 
     def test_constant_map_border(self):
         x = FeatureMap(np.full((1, 4, 4), 2.0))
         kernel = np.full((1, 1, 3, 3), 1.0 / 9.0)
-        out = conv2d(x, kernel, 1)
+        out = conv2d(x, kernel)
         assert out.data[0, 1, 1] == pytest.approx(2.0, abs=1e-12)
         assert out.data[0, 0, 0] == pytest.approx(2.0 * 4.0 / 9.0, abs=1e-12)
 
@@ -64,7 +64,7 @@ class TestConv2d:
         for shape, k in cases:
             x = rng.uniform(-1, 1, size=shape)
             kernel = rng.uniform(-1, 1, size=(2, shape[0], k, k))
-            got = conv2d(FeatureMap(x), kernel, (k - 1) // 2).data
+            got = conv2d(FeatureMap(x), kernel).data
             want = conv2d_naive(x, kernel, (k - 1) // 2)
             assert np.abs(got - want).max() < 1e-12, (shape, k)
 
@@ -74,25 +74,20 @@ class TestConv2d:
         x = rng.uniform(-1, 1, size=(2, 5, 5))
         y = rng.uniform(-1, 1, size=(2, 5, 5))
         a, b = 1.7, -0.4
-        lhs = conv2d(FeatureMap(a * x + b * y), kernel, 1).data
-        rhs = a * conv2d(FeatureMap(x), kernel, 1).data + b * conv2d(FeatureMap(y), kernel, 1).data
+        lhs = conv2d(FeatureMap(a * x + b * y), kernel).data
+        rhs = a * conv2d(FeatureMap(x), kernel).data + b * conv2d(FeatureMap(y), kernel).data
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() / scale < 1e-9
 
     def test_rejects_even_kernel(self):
         x = FeatureMap(np.zeros((1, 4, 4)))
         with pytest.raises(ValueError):
-            conv2d(x, np.zeros((1, 1, 2, 2)), 0)
+            conv2d(x, np.zeros((1, 1, 2, 2)))
 
     def test_rejects_channel_mismatch(self):
         x = FeatureMap(np.zeros((2, 4, 4)))
         with pytest.raises(ShapeMismatchError):
-            conv2d(x, np.zeros((1, 3, 3, 3)), 1)
-
-    def test_rejects_wrong_padding(self):
-        x = FeatureMap(np.zeros((1, 4, 4)))
-        with pytest.raises(ValueError):
-            conv2d(x, np.zeros((1, 1, 3, 3)), 0)
+            conv2d(x, np.zeros((1, 3, 3, 3)))
 
 
 class TestSilu:
