@@ -68,8 +68,6 @@ from .spectral import (
 )
 from .style import (
     SCALE_MODES,
-    StyleStats,
-    StyleWeights,
     channel_stats,
     sample_dirichlet,
     style_diversify,

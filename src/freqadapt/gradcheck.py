@@ -43,6 +43,8 @@ from .synth import gen_text_tokens
 from .tensor import FeatureMap, _sigmoid, silu
 
 STEPS = (1e-4, 1e-5, 1e-6)
+GRAD_TOL = 1e-5
+MIN_CONVERGED = 0.9
 PROBE_MIN_BIN = 1e-2
 _REL_FLOOR = 1e-8
 _PROBE_ATTEMPTS = 200
@@ -65,6 +67,11 @@ class GradReport:
             raise ValueError("max_rel_err must be >= 0")
         if self.num_probes < 1:
             raise ValueError("num_probes must be >= 1")
+
+    @property
+    def passed(self) -> bool:
+        """Worst error below GRAD_TOL and at least MIN_CONVERGED of the probes converging."""
+        return self.max_rel_err < GRAD_TOL and self.converged_fraction >= MIN_CONVERGED
 
 
 def fd_directional(
@@ -103,16 +110,22 @@ def _normalize_jvp(a, da, scope: str, weight=1.0):
     return (da - dmu) / sd - dev * dsd / (sd * sd)
 
 
-def jvp_cross_attention(
-    xv: TokenMatrix, direction: TokenMatrix, xt: TokenMatrix, p: AttentionParams
-) -> TokenMatrix:
-    """Derivative of cross-attention with respect to the visual tokens only."""
+def _attention_and_jvp(xv: TokenMatrix, direction: TokenMatrix, xt: TokenMatrix,
+                       p: AttentionParams) -> tuple[TokenMatrix, TokenMatrix]:
+    """cross_attention(xv, xt, p) and its derivative along ``direction``, from one attention pass."""
     if direction.data.shape != xv.data.shape:
         raise ValueError("direction must match the visual token matrix shape")
     k, v, attn = _attention_terms(xv, xt, p)
     ds = (direction.data @ p.wq) @ k.T / math.sqrt(p.d_k)
     d_attn = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
-    return TokenMatrix((d_attn @ v) @ p.wo)
+    return TokenMatrix((attn @ v) @ p.wo), TokenMatrix((d_attn @ v) @ p.wo)
+
+
+def jvp_cross_attention(
+    xv: TokenMatrix, direction: TokenMatrix, xt: TokenMatrix, p: AttentionParams
+) -> TokenMatrix:
+    """Derivative of cross-attention with respect to the visual tokens only."""
+    return _attention_and_jvp(xv, direction, xt, p)[1]
 
 
 def jvp_crossmodal(
@@ -123,9 +136,10 @@ def jvp_crossmodal(
     scope: str = "channel",
 ) -> FeatureMap:
     """Derivative of the full cross-modal pipeline along ``direction``."""
-    du = jvp_cross_attention(flatten_tokens(x), flatten_tokens(direction), xt, p)
-    weight = mirror_weights(x.width)
-    return amp_map_jvp(_attend(x, xt, p), unflatten_tokens(du, x.height, x.width),
+    u, du = _attention_and_jvp(flatten_tokens(x), flatten_tokens(direction), xt, p)
+    h, w = x.height, x.width
+    weight = mirror_weights(w)
+    return amp_map_jvp(unflatten_tokens(u, h, w), unflatten_tokens(du, h, w),
                        lambda a: _standardize(a, scope, weight),
                        lambda a, da: _normalize_jvp(a, da, scope, weight))
 

@@ -9,87 +9,22 @@ while the style is randomized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .rng import SplitMix64
 from .spectral import amp_map
-from .tensor import FeatureMap, _frozen
+from .tensor import FeatureMap
 
 SCALE_MODES = ("times_C", "raw")
 
 
-@dataclass(frozen=True)
-class StyleStats:
-    """Per-channel spatial mean and population standard deviation."""
-
-    mu_base: np.ndarray
-    sigma_base: np.ndarray
-
-    def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu_base, dtype=np.float64))
-        sigma = np.atleast_1d(np.asarray(self.sigma_base, dtype=np.float64))
-        if mu.ndim != 1 or sigma.shape != mu.shape:
-            raise ShapeMismatchError("mu_base and sigma_base must be equal-length vectors")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
-            raise ValueError("style statistics must be finite")
-        if np.any(sigma < 0):
-            raise ValueError("sigma_base must be nonnegative")
-        object.__setattr__(self, "mu_base", _frozen(mu))
-        object.__setattr__(self, "sigma_base", _frozen(sigma))
-
-    @property
-    def channels(self) -> int:
-        return self.mu_base.shape[0]
+def channel_stats(x: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and population std over the spatial plane, as (mu, sigma)."""
+    return x.data.mean(axis=(1, 2)), x.data.std(axis=(1, 2))
 
 
-@dataclass(frozen=True)
-class StyleWeights:
-    """Dirichlet concentrations plus one sampled simplex point.
-
-    ``scale_mode`` controls the multiplier used during fusion: "times_C"
-    rescales the simplex weights by the channel count so their expected
-    value is 1 (keeping fused statistics near the base statistics), "raw"
-    uses them as sampled.
-    """
-
-    alpha: np.ndarray
-    weights: np.ndarray
-    scale_mode: str = "times_C"
-
-    def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=np.float64))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-        if alpha.ndim != 1 or weights.shape != alpha.shape:
-            raise ShapeMismatchError("alpha and weights must be equal-length vectors")
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(weights))):
-            raise ValueError("style weights must be finite")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if self.scale_mode not in SCALE_MODES:
-            raise ValueError(f"scale_mode must be one of {SCALE_MODES}, got {self.scale_mode!r}")
-        object.__setattr__(self, "alpha", _frozen(alpha))
-        object.__setattr__(self, "weights", _frozen(weights))
-
-    @property
-    def channels(self) -> int:
-        return self.weights.shape[0]
-
-    def effective(self) -> np.ndarray:
-        """Weights after the optional channel-count rescale."""
-        if self.scale_mode == "times_C":
-            return self.weights * self.channels
-        return self.weights.copy()
-
-
-def channel_stats(x: FeatureMap) -> StyleStats:
-    """Per-channel mean and population std over the spatial plane."""
-    return StyleStats(x.data.mean(axis=(1, 2)), x.data.std(axis=(1, 2)))
-
-
-def sample_dirichlet(alpha, seed: int, scale_mode: str = "times_C") -> StyleWeights:
+def sample_dirichlet(alpha, seed: int) -> np.ndarray:
     """Draw simplex weights from Dirichlet(alpha), deterministically.
 
     Each component is an independent Gamma(alpha_i, 1) variate from a
@@ -105,7 +40,7 @@ def sample_dirichlet(alpha, seed: int, scale_mode: str = "times_C") -> StyleWeig
     total = draws.sum()
     if not total > 0.0:
         raise ArithmeticError("gamma draws summed to zero; cannot normalize")
-    return StyleWeights(avec, draws / total, scale_mode)
+    return draws / total
 
 
 def _amp_affine(a: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -138,30 +73,27 @@ def style_transform(x: FeatureMap, mu, sigma) -> FeatureMap:
 
 
 def _style_coefficients(x: FeatureMap, alpha, seed: int, scale_mode: str = "times_C"):
-    """The sampled affine map (mu, sigma): Dirichlet weights times the channel statistics."""
+    """The sampled affine map (mu, sigma): Dirichlet weights times the channel statistics.
+
+    "times_C" rescales the simplex weights by the channel count so their
+    expected value is 1, keeping the fused statistics near the map's own;
+    "raw" uses them as sampled.
+    """
+    if scale_mode not in SCALE_MODES:
+        raise ValueError(f"scale_mode must be one of {SCALE_MODES}, got {scale_mode!r}")
     avec = _as_channel_vec(alpha, x.channels, "alpha")
-    stats = channel_stats(x)
-    eff = sample_dirichlet(avec, seed, scale_mode).effective()
-    return eff * stats.mu_base, eff * stats.sigma_base
+    mu, sigma = channel_stats(x)
+    w = sample_dirichlet(avec, seed)
+    if scale_mode == "times_C":
+        w = w * x.channels
+    return w * mu, w * sigma
 
 
-def style_diversify(
-    x: FeatureMap,
-    alpha,
-    seed: int,
-    scale_mode: str = "times_C",
-    style_override: tuple | None = None,
-) -> FeatureMap:
+def style_diversify(x: FeatureMap, alpha, seed: int, scale_mode: str = "times_C") -> FeatureMap:
     """Randomize a map's style by Dirichlet-reweighting its amplitude spectrum.
 
-    Deterministic given (x, alpha, seed). ``style_override=(mu, sigma)``
-    bypasses the sampled statistics and applies the given per-channel
-    affine map directly; (0, 1) makes the whole pipeline an identity up to
-    round-trip error, which is the verification hook used by the tests and
-    the CLI.
+    Deterministic given (x, alpha, seed, scale_mode). For a fixed affine
+    map, e.g. the identity ``(0, 1)`` used as a verification hook, call
+    :func:`style_transform` directly.
     """
-    if style_override is not None:
-        mu, sigma = style_override
-    else:
-        mu, sigma = _style_coefficients(x, alpha, seed, scale_mode)
-    return style_transform(x, mu, sigma)
+    return style_transform(x, *_style_coefficients(x, alpha, seed, scale_mode))

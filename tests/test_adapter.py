@@ -12,7 +12,7 @@ from freqadapt import (
     run_stack,
     silu,
     stage_seed,
-    style_diversify,
+    style_transform,
 )
 from freqadapt.rng import mix_seed
 
@@ -44,9 +44,7 @@ class TestAdapterForward:
         x = rand_map(rng)
         w = AdapterWeights.seeded(3, 5)
         plain = adapter_forward(x, w)
-        hooked = adapter_forward(
-            x, w, augment=lambda fm: style_diversify(fm, np.ones(3), 0, style_override=(0.0, 1.0))
-        )
+        hooked = adapter_forward(x, w, augment=lambda fm: style_transform(fm, 0.0, 1.0))
         assert np.abs(plain.data - hooked.data).max() < 1e-9
 
     def test_matches_stepwise_composition(self):

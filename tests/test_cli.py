@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from freqadapt import read_tensor, write_tensor
+from freqadapt import FeatureMap, read_tensor, style_diversify, write_tensor
 from freqadapt.cli import main
 from freqadapt.synth import gen_features
 
@@ -128,6 +128,38 @@ class TestApply:
         write_tensor(src, np.ones((3, 3)))
         assert run("apply", "style", "--in", str(src), "--out", str(tmp_path / "o")) == 2
 
+    def test_nan_map_payload_exit_3(self, tmp_path):
+        src = tmp_path / "nan.ftns"
+        data = np.ones((2, 4, 4))
+        data[1, 2, 3] = np.nan
+        write_tensor(src, data)
+        assert run("apply", "style", "--in", str(src), "--out", str(tmp_path / "o")) == 3
+
+    def test_inf_text_payload_exit_3(self, tmp_path):
+        src = self.setup_input(tmp_path)
+        text = tmp_path / "text.ftns"
+        tokens = np.ones((4, 6))
+        tokens[0, 0] = -np.inf
+        write_tensor(text, tokens)
+        assert run("apply", "crossmodal", "--in", str(src), "--out", str(tmp_path / "o"),
+                   "--text", str(text)) == 3
+
+    def test_three_axis_text_exit_2(self, tmp_path):
+        src = self.setup_input(tmp_path)
+        text = tmp_path / "text.ftns"
+        write_tensor(text, np.ones((2, 4, 6)))
+        assert run("apply", "crossmodal", "--in", str(src), "--out", str(tmp_path / "o"),
+                   "--text", str(text)) == 2
+
+    def test_style_raw_scale_mode_matches_library(self, tmp_path):
+        src = self.setup_input(tmp_path)
+        dst = tmp_path / "out.ftns"
+        assert run("apply", "style", "--in", str(src), "--out", str(dst), "--seed", "6",
+                   "--scale-mode", "raw") == 0
+        x = FeatureMap(read_tensor(src))
+        want = style_diversify(x, np.ones(x.channels), 6, scale_mode="raw")
+        assert read_tensor(dst).tobytes() == want.data.tobytes()
+
     def test_degenerate_exit_4(self, tmp_path):
         src = tmp_path / "zero.ftns"
         write_tensor(src, np.zeros((2, 4, 4)))
@@ -174,6 +206,15 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
         assert run("gen", "--config", str(cfg)) == 2
+
+    def test_bogus_scale_mode_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.ftns"
+        run("gen", "--kind", "smooth", "--shape", "3,8,8", "--seed", "5", "--out", str(src))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scale_mode = bogus\n")
+        assert run("apply", "style", "--in", str(src), "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)) == 2
+        assert "scale_mode" in capsys.readouterr().err
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg")) == 3
@@ -273,6 +314,20 @@ class TestVerifyAndGradcheck:
         )
         assert run("verify", "--suite", "spectral") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_tolerance_is_exclusive_in_both_commands(self, capsys, monkeypatch):
+        from freqadapt import cli, verify
+        from freqadapt.gradcheck import GradReport
+
+        def at_tolerance(ops, seed=0, probes=50):
+            return [GradReport(op, 1e-5, probes, 1e-5, 1.0) for op in ops]
+
+        monkeypatch.setattr(cli, "run_gradcheck", at_tolerance)
+        monkeypatch.setattr(verify, "run_gradcheck", at_tolerance)
+        assert run("gradcheck", "--ops", "silu") == 1
+        assert run("verify", "--suite", "grad") == 1
+        out = capsys.readouterr().out
+        assert "FAIL  grad_silu" in out
 
     def test_gradcheck_command_with_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "grad.csv"

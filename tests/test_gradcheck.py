@@ -198,6 +198,39 @@ class TestJvps:
                     jvp_crossmodal(x, d, text, p, scope=scope)
 
 
+    def test_crossmodal_jvp_attends_once(self, monkeypatch):
+        # the point and the tangent of jvp_crossmodal share one set of attention weights
+        from freqadapt import crossmodal, gradcheck
+
+        calls = []
+        terms = crossmodal._attention_terms
+
+        def counting(*args):
+            calls.append(args)
+            return terms(*args)
+
+        monkeypatch.setattr(crossmodal, "_attention_terms", counting)
+        monkeypatch.setattr(gradcheck, "_attention_terms", counting)
+        rng = np.random.default_rng(98)
+        x = FeatureMap(rng.uniform(-1, 1, size=(3, 8, 8)))
+        d = FeatureMap(rng.uniform(-1, 1, size=(3, 8, 8)))
+        jvp_crossmodal(x, d, gen_text_tokens(4, 3, 5), AttentionParams.seeded(3, 3, 4, 6))
+        assert len(calls) == 1
+
+    def test_attention_point_is_cross_attention_bitwise(self):
+        from freqadapt import cross_attention
+        from freqadapt.gradcheck import _attention_and_jvp
+
+        rng = np.random.default_rng(99)
+        xv = TokenMatrix(rng.uniform(-1, 1, size=(10, 3)))
+        d = TokenMatrix(rng.uniform(-1, 1, size=(10, 3)))
+        xt = gen_text_tokens(4, 5, 7)
+        p = AttentionParams.seeded(3, 5, 4, 8)
+        point, tangent = _attention_and_jvp(xv, d, xt, p)
+        assert np.array_equal(point.data, cross_attention(xv, xt, p).data)
+        assert np.array_equal(tangent.data, jvp_cross_attention(xv, d, xt, p).data)
+
+
 class TestRunGradcheck:
     def test_silu_suite_tight(self):
         (report,) = run_gradcheck(("silu",), seed=0, probes=10)

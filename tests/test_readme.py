@@ -23,3 +23,11 @@ def test_module_map_names_exist():
                 assert any(attr.startswith(name[:-1]) for attr in dir(module)), (module_name, name)
             else:
                 assert hasattr(module, name), (module_name, name)
+
+
+def test_config_keys_match_parsers():
+    from freqadapt.cli import _PARSERS
+
+    section = README.read_text().split("### Config files", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("Keys mirror the long flags:", 1)[1]
+    assert set(re.findall(r"`(\w+)`", listed)) == set(_PARSERS)
