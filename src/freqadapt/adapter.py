@@ -81,15 +81,15 @@ class AdapterWeights:
     @classmethod
     def seeded(cls, channels: int, seed: int) -> "AdapterWeights":
         """Gaussian weights scaled by 1/(C * k^2) per branch, identity-plus-noise projection."""
-        rng = SplitMix64(seed)
-
-        def draw(k):
-            scale = 1.0 / (channels * k * k)
-            flat = rng.normal_array(channels * channels * k * k, scale=scale)
-            return flat.reshape(channels, channels, k, k)
-
+        sizes = (3, 5, 7, 1, 1)
+        ends = np.cumsum([channels * channels * k * k for k in sizes])
+        flat = SplitMix64(seed).normal_array(int(ends[-1]))
+        # times the reciprocal, as normal_array(n, scale) scales: dividing rounds differently
+        k3, k5, k7, agg, noise = (
+            (1.0 / (channels * k * k)) * part.reshape(channels, channels, k, k)
+            for k, part in zip(sizes, np.split(flat, ends[:-1])))
         eye = np.eye(channels)[:, :, None, None]
-        return cls(k3=draw(3), k5=draw(5), k7=draw(7), agg=draw(1), proj=eye + 0.1 * draw(1))
+        return cls(k3=k3, k5=k5, k7=k7, agg=agg, proj=eye + 0.1 * noise)
 
 
 def _fused_kernel(w: AdapterWeights) -> np.ndarray:

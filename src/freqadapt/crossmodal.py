@@ -119,7 +119,7 @@ def _attention_terms(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams):
         raise ShapeMismatchError(f"wo outputs dim {p.wo.shape[1]}, visual tokens have {xv.dim}")
     k = xt.data @ p.wk
     v = xt.data @ p.wv
-    scores = (xv.data @ p.wq) @ k.T / math.sqrt(p.d_k)
+    scores = np.linalg.multi_dot([xv.data, p.wq, k.T]) / math.sqrt(p.d_k)
     return k, v, softmax_rows(Matrix(scores)).data
 
 
@@ -128,10 +128,11 @@ def cross_attention(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams) -> Tok
 
     Q comes from the visual tokens, K and V from the text tokens. The
     output has the visual token count and dim; any residual connection is
-    the caller's concern.
+    the caller's concern. Each matrix chain runs in the order its shapes
+    make cheapest (``np.linalg.multi_dot``).
     """
     _, v, attn = _attention_terms(xv, xt, p)
-    return TokenMatrix((attn @ v) @ p.wo)
+    return TokenMatrix(np.linalg.multi_dot([attn, v, p.wo]))
 
 
 def _attend(x: FeatureMap, xt: TokenMatrix, p: AttentionParams) -> FeatureMap:

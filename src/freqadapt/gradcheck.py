@@ -116,9 +116,10 @@ def _attention_and_jvp(xv: TokenMatrix, direction: TokenMatrix, xt: TokenMatrix,
     if direction.data.shape != xv.data.shape:
         raise ValueError("direction must match the visual token matrix shape")
     k, v, attn = _attention_terms(xv, xt, p)
-    ds = (direction.data @ p.wq) @ k.T / math.sqrt(p.d_k)
+    ds = np.linalg.multi_dot([direction.data, p.wq, k.T]) / math.sqrt(p.d_k)
     d_attn = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
-    return TokenMatrix((attn @ v) @ p.wo), TokenMatrix((d_attn @ v) @ p.wo)
+    return (TokenMatrix(np.linalg.multi_dot([attn, v, p.wo])),
+            TokenMatrix(np.linalg.multi_dot([d_attn, v, p.wo])))
 
 
 def jvp_cross_attention(

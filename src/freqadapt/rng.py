@@ -1,16 +1,18 @@
 """Deterministic random primitives shared by every seeded operation.
 
 All randomness in the toolkit flows through :class:`SplitMix64`, so seeded
-results are reproducible across platforms and releases. The generator and
-the derived samplers are fixed, fully specified algorithms rather than
-wrappers around a library RNG, because golden tests pin their exact output
-streams:
+results are reproducible. The generator and the derived samplers are fixed,
+fully specified algorithms rather than wrappers around a library RNG, because
+golden tests pin their exact output streams:
 
 * state update -- splitmix64 (Steele/Lea/Flood): one 64-bit word, golden
   gamma increment, xor-shift-multiply finalizer.
 * uniforms -- top 53 bits of the next output word, scaled by 2**-53.
 * normals -- Marsaglia polar method; one variate per accepted pair, the
-  second variate of the pair is discarded.
+  second variate of the pair is discarded. The log is ``np.log``, which
+  numpy dispatches by CPU feature set (its SIMD log can differ from libm in
+  the last ulp), so normal streams are bitwise reproducible per numpy build
+  and CPU; uniforms and :func:`mix_seed` are exact everywhere.
 * gammas -- Marsaglia-Tsang squeeze method for shape >= 1, with the
   u**(1/shape) boost below 1.
 
@@ -67,7 +69,7 @@ class SplitMix64:
             v = 2.0 * self.uniform() - 1.0
             s = u * u + v * v
             if 0.0 < s < 1.0:
-                return u * math.sqrt(-2.0 * math.log(s) / s)
+                return u * math.sqrt(-2.0 * float(np.log(s)) / s)
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, 1) variate via Marsaglia-Tsang."""
@@ -113,8 +115,8 @@ class SplitMix64:
 
         Polar pairs are drawn in bounded chunks; the accepted pairs are kept
         in order and the state is rewound to just after the pair that gave
-        the n-th variate. The log is ``math.log``, because ``np.log`` may
-        differ from it in the last ulp.
+        the n-th variate. Both paths take the log with ``np.log``, whose
+        scalar and array kernels agree bitwise.
         """
         vals = np.empty(n, dtype=np.float64)
         done = 0
@@ -129,7 +131,6 @@ class SplitMix64:
             if kept.size == need:
                 self._state = (start + 2 * (int(kept[-1]) + 1) * _GOLDEN) & _MASK64
             s = s[kept]
-            logs = np.fromiter(map(math.log, s.tolist()), dtype=np.float64, count=kept.size)
-            vals[done:done + kept.size] = scale * (u[kept] * np.sqrt(-2.0 * logs / s))
+            vals[done:done + kept.size] = scale * (u[kept] * np.sqrt(-2.0 * np.log(s) / s))
             done += kept.size
         return vals

@@ -108,12 +108,9 @@ def conv2d(x: FeatureMap, kernel) -> FeatureMap:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # exp(-|v|) never overflows; for v < 0 it is exactly exp(v)
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def silu(x: FeatureMap) -> FeatureMap:

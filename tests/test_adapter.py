@@ -14,7 +14,7 @@ from freqadapt import (
     stage_seed,
     style_transform,
 )
-from freqadapt.rng import mix_seed
+from freqadapt.rng import SplitMix64, mix_seed
 
 
 # the default shape, then planes smaller than the 7x7 kernel
@@ -29,6 +29,42 @@ def stepwise_activation(x, w):
     """silu(agg(mean(conv3, conv5, conv7))), one convolution per branch."""
     avg = (conv2d(x, w.k3).data + conv2d(x, w.k5).data + conv2d(x, w.k7).data) / 3.0
     return silu(conv2d(FeatureMap(avg), w.agg))
+
+
+def five_draw_weights(channels, seed):
+    """One normal_array call per kernel, 3/5/7/agg/proj in that order."""
+    rng = SplitMix64(seed)
+
+    def draw(k):
+        scale = 1.0 / (channels * k * k)
+        return rng.normal_array(channels * channels * k * k, scale=scale).reshape(
+            channels, channels, k, k)
+
+    eye = np.eye(channels)[:, :, None, None]
+    return draw(3), draw(5), draw(7), draw(1), eye + 0.1 * draw(1)
+
+
+class TestSeededWeights:
+    @pytest.mark.parametrize("channels", [1, 2, 3, 16])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_bitwise_equals_five_draws(self, channels, seed):
+        w = AdapterWeights.seeded(channels, seed)
+        got = (w.k3, w.k5, w.k7, w.agg, w.proj)
+        for name, a, b in zip(("k3", "k5", "k7", "agg", "proj"), got,
+                              five_draw_weights(channels, seed)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_one_normal_draw_per_block(self, monkeypatch):
+        calls = []
+        real = SplitMix64.normal_array
+
+        def counted(self, n, scale=1.0):
+            calls.append(n)
+            return real(self, n, scale)
+
+        monkeypatch.setattr(SplitMix64, "normal_array", counted)
+        AdapterWeights.seeded(4, 3)
+        assert calls == [4 * 4 * (9 + 25 + 49 + 1 + 1)]
 
 
 class TestAdapterForward:

@@ -88,6 +88,20 @@ class TestCrossAttention:
             want = attention_oracle_mp(xv, xt, p)
             assert np.abs(got - want).max() < 1e-12
 
+    def test_many_text_tokens_keep_the_query_first_order(self):
+        # 200 text tokens, d_k 8, dim 16: (xv wq) k^T and (attn v) wo are the cheaper chains
+        n, c, t, d_k = 36, 16, 200, 8
+        assert n * d_k * (c + t) < c * t * (d_k + n)
+        rng = np.random.default_rng(55)
+        xv = rng.uniform(-1, 1, size=(n, c))
+        xt = gen_text_tokens(t, 3, 9)
+        p = AttentionParams.seeded(c, 3, d_k, 10)
+        got = cross_attention(TokenMatrix(xv), xt, p).data
+        scores = (xv @ p.wq) @ (xt.data @ p.wk).T / np.sqrt(d_k)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        want = ((e / e.sum(axis=1, keepdims=True)) @ (xt.data @ p.wv)) @ p.wo
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_attention_rows_sum_to_one(self):
         # inherited from softmax_rows; verified through the output of a
         # value matrix whose columns are all ones

@@ -19,7 +19,7 @@ from freqadapt import (
     style_transform,
 )
 from freqadapt.crossmodal import _group_mean, _standardize
-from freqadapt.gradcheck import GRADCHECK_OPS, _normalize_jvp
+from freqadapt.gradcheck import GRAD_TOL, GRADCHECK_OPS, _normalize_jvp
 from freqadapt.spectral import _rfft2, _unit_phasors, amp_map_jvp, mirror_weights
 from freqadapt.synth import gen_text_tokens
 
@@ -216,6 +216,22 @@ class TestJvps:
         d = FeatureMap(rng.uniform(-1, 1, size=(3, 8, 8)))
         jvp_crossmodal(x, d, gen_text_tokens(4, 3, 5), AttentionParams.seeded(3, 3, 4, 6))
         assert len(calls) == 1
+
+    def test_cross_attention_jvp_with_many_text_tokens(self):
+        # 200 text tokens and d_k 8 run the chains query-first, unlike the 8-token probes
+        from freqadapt import cross_attention
+
+        rng = np.random.default_rng(100)
+        xv = rng.uniform(-1, 1, size=(36, 16))
+        d = rng.uniform(-1, 1, size=(36, 16))
+        xt = gen_text_tokens(200, 3, 9)
+        p = AttentionParams.seeded(16, 3, 8, 10)
+        cot = rng.uniform(-1, 1, size=(36, 16))
+        analytic = float((cot * jvp_cross_attention(TokenMatrix(xv), TokenMatrix(d), xt, p).data).sum())
+        fd = fd_directional(
+            lambda m: float((cot * cross_attention(TokenMatrix(m), xt, p).data).sum()), xv, d, 1e-5
+        )
+        assert abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8) < GRAD_TOL
 
     def test_attention_point_is_cross_attention_bitwise(self):
         from freqadapt import cross_attention

@@ -63,3 +63,12 @@ class TestArraySamplersMatchScalarStreams:
         vec, twin = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
         assert same_bits(vec.normal_array(30000), scalar_normals(twin, 30000, 1.0))
         assert vec._state == twin._state
+
+    def test_normal_array_takes_no_per_element_log(self, monkeypatch):
+        # a per-element math.log finish would raise here; the array path must not need one
+        def no_math_log(x):
+            raise AssertionError("normal_array called math.log")
+
+        monkeypatch.setattr("freqadapt.rng.math.log", no_math_log)
+        vals = SplitMix64(11).normal_array(30000)
+        assert vals.shape == (30000,) and np.all(np.isfinite(vals))

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqadapt import FeatureMap, Matrix, ShapeMismatchError, conv2d, silu, softmax_rows
+from freqadapt.tensor import _sigmoid
 
 
 def conv2d_naive(x, kernel, padding):
@@ -107,6 +112,34 @@ class TestSilu:
     def test_large_negative_is_finite(self):
         out = silu(FeatureMap(np.full((1, 1, 1), -745.0)))
         assert abs(out.data[0, 0, 0]) < 1e-300
+
+
+def masked_sigmoid(v):
+    """The two-branch sigmoid: 1/(1+exp(-v)) where v >= 0, exp(v)/(1+exp(v)) elsewhere."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 5e-324, -5e-324,
+                 2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+class TestSigmoid:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from(SIGMOID_EDGES),
+                                      st.floats(allow_nan=False, allow_infinity=False)),
+                           min_size=1, max_size=64))
+    def test_bitwise_equals_masked_branches(self, values):
+        v = np.array(values, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sigmoid(v)
+        want = masked_sigmoid(v)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSoftmaxRows:
