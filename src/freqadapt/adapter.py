@@ -3,8 +3,9 @@
 The block runs three parallel convolutions (3x3, 5x5, 7x7) over the same
 input, averages them, aggregates with a 1x1 convolution, applies SiLU,
 passes the result through an augmentation slot, adds the skip connection
-and projects with a final 1x1 convolution. The branches and the
-aggregation are linear, so they run as one fused 7x7 convolution.
+and projects with a final 1x1 convolution. The branches are linear, so
+they run as one fused 7x7 convolution, and the aggregation as one matrix
+product on its output.
 Augmentation choices per backbone stage are described by
 :class:`PlacementConfig`; stage seeds are derived independently so
 evaluation order never matters.
@@ -93,18 +94,19 @@ class AdapterWeights:
 
 
 def _fused_kernel(w: AdapterWeights) -> np.ndarray:
-    """agg o mean(conv3, conv5, conv7) as one 7x7 kernel.
+    """mean(conv3, conv5, conv7) as one 7x7 kernel.
 
-    The pre-activation is linear, so the branches re-parameterize into a
-    single convolution (RepVGG, Ding et al. 2021): zero-pad k3 and k5 to
-    7x7, average them with k7, then contract with the 1x1 aggregation.
+    The branches are linear, so they re-parameterize into a single
+    convolution (RepVGG, Ding et al. 2021): zero-pad k3 and k5 to 7x7 and
+    average them with k7. The aggregation is not folded in: contracting
+    it with this kernel costs 2*49*C^3 FLOP, more than running it on the
+    conv output (2*C^2*H*W) whenever H*W < 49*C.
     """
-    c = w.channels
     branches = w.k7.copy()
     branches[:, :, 1:6, 1:6] += w.k5
     branches[:, :, 2:5, 2:5] += w.k3
     branches /= 3.0
-    return (w.agg[:, :, 0, 0] @ branches.reshape(c, c * 49)).reshape(c, c, 7, 7)
+    return branches
 
 
 def adapter_forward(
@@ -115,12 +117,13 @@ def adapter_forward(
     """One adapter block pass; ``augment`` fills the augmentation slot.
 
     Computes proj(x + augment(silu(agg(avg(conv3, conv5, conv7))))), with
-    the three branches and the aggregation run as one fused 7x7
-    convolution.
+    the three branches run as one fused 7x7 convolution and the 1x1
+    aggregation as one [C, C] x [C, H*W] product on its output.
     """
     if w.channels != x.channels:
         raise ShapeMismatchError(f"weights expect {w.channels} channels, map has {x.channels}")
-    activated = silu(conv2d(x, _fused_kernel(w)))
+    branches = conv2d(x, _fused_kernel(w)).data.reshape(x.channels, -1)
+    activated = silu(FeatureMap((w.agg[:, :, 0, 0] @ branches).reshape(x.shape)))
     augmented = augment(activated) if augment is not None else activated
     if augmented.shape != x.shape:
         raise ShapeMismatchError(

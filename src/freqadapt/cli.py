@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import functools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -332,7 +333,13 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Parsing keeps no state in the parser: each call fills a fresh
+    namespace, so one parser serves every ``main`` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="freqadapt",
         description="Frequency-domain feature adapters on synthetic feature maps",
@@ -389,6 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; usage errors exit 2 from argparse.
+
+    The parser is built once per process and binds each subcommand's
+    ``cmd_*`` function when it is built, so patching a ``cmd_*`` name later
+    does not change what ``main`` runs. Tests that monkeypatch a ``cmd_*``
+    function bypass the shared parser: they call the function themselves
+    with a namespace from ``build_parser().parse_args(...)``.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -17,7 +17,9 @@ golden tests pin their exact output streams:
   u**(1/shape) boost below 1.
 
 The array samplers are numpy-vectorized and bitwise equal to the scalar
-streams: the same values, and the same state afterwards.
+streams: the same values, and the same state afterwards. They finalize
+their uint64 words in place and scale the results in place, so a draw
+allocates a few arrays, not one per arithmetic step.
 """
 
 from __future__ import annotations
@@ -32,10 +34,19 @@ _PAIR_CHUNK = 8192  # polar pairs per vectorized draw; bounds normal_array's wor
 
 
 def _finalize(z: int | np.ndarray) -> int | np.ndarray:
-    """splitmix64 output mix of one word, or elementwise of a uint64 array."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    """splitmix64 output mix of one word, or elementwise of a uint64 array.
+
+    A uint64 array is updated in place (numpy wraps mod 2**64, so its masks
+    change nothing) and returned; an int is immutable and comes back new.
+    """
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK64
+    z ^= z >> 31
+    return z
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -101,14 +112,22 @@ class SplitMix64:
         """
         if n < 0:
             raise ValueError(f"sample count must be >= 0, got {n}")
-        counters = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        words = _finalize(counters + np.uint64(self._state))
+        words = np.arange(1, n + 1, dtype=np.uint64)
+        words *= _GOLDEN
+        words += self._state
+        words = _finalize(words)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        return (words >> 11).astype(np.float64) * 2.0 ** -53
+        words >>= 11
+        u = words.astype(np.float64)
+        u *= 2.0 ** -53
+        return u
 
     def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Bitwise equal to n calls of ``low + (high - low) * uniform()``."""
-        return low + (high - low) * self._uniforms(n)
+        u = self._uniforms(n)
+        u *= high - low
+        u += low
+        return u
 
     def normal_array(self, n: int, scale: float = 1.0) -> np.ndarray:
         """Bitwise equal to n calls of ``scale * normal()``, state included.
@@ -124,13 +143,23 @@ class SplitMix64:
             need = n - done
             start = self._state
             # acceptance is pi/4, so this usually finishes in one chunk
-            uv = 2.0 * self._uniforms(2 * min(_PAIR_CHUNK, need + need // 3 + 8)) - 1.0
+            uv = self._uniforms(2 * min(_PAIR_CHUNK, need + need // 3 + 8))
+            uv *= 2.0
+            uv -= 1.0
             u, v = uv[0::2], uv[1::2]
-            s = u * u + v * v
+            s = u * u
+            s += v * v
             kept = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
             if kept.size == need:
                 self._state = (start + 2 * (int(kept[-1]) + 1) * _GOLDEN) & _MASK64
             s = s[kept]
-            vals[done:done + kept.size] = scale * (u[kept] * np.sqrt(-2.0 * np.log(s) / s))
+            # scale * (u * sqrt(-2 log(s) / s)), the scalar path's order, written into vals
+            r = vals[done:done + kept.size]
+            np.log(s, out=r)
+            r *= -2.0
+            r /= s
+            np.sqrt(r, out=r)
+            r *= u[kept]
+            r *= scale
             done += kept.size
         return vals

@@ -81,9 +81,13 @@ def conv2d(x: FeatureMap, kernel) -> FeatureMap:
     """Same-size 2D convolution with zero padding.
 
     ``kernel`` has axes [c_out, c_in, k, k] with k odd; the map is padded
-    by (k - 1) / 2 so the spatial extent is preserved. The sum runs by kernel
-    offset: one [c_out, c_in] x [c_in, H*W] product per (dy, dx), so working
-    memory stays O(C*H*W) whatever k is.
+    by p = (k - 1) / 2 so the spatial extent is preserved. The map is
+    zero-padded once into a (c_in, H + 2p + 1, W + 2p) buffer and flattened
+    per channel. Tap (dy, dx) is then one [c_out, c_in] x [c_in, H*(W + 2p)]
+    product on the window starting at dy*(W + 2p) + dx, a view with no copy;
+    the spare row keeps the last tap's window in bounds. Each output row
+    carries 2p junk columns, which wrapped around a padded row edge, and
+    they are sliced off at the end.
     """
     kern = np.asarray(kernel, dtype=np.float64)
     if kern.ndim != 4 or kern.shape[2] != kern.shape[3]:
@@ -98,13 +102,20 @@ def conv2d(x: FeatureMap, kernel) -> FeatureMap:
     if not np.all(np.isfinite(kern)):
         raise ValueError("kernel values must be finite")
     c, h, w = x.shape
-    padding = (k - 1) // 2
-    padded = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((kern.shape[0], h * w))
+    p = (k - 1) // 2
+    wp = w + 2 * p
+    padded = np.zeros((c, h + 2 * p + 1, wp))
+    padded[:, p:p + h, p:p + w] = x.data
+    flat = padded.reshape(c, -1)
+    n = h * wp
+    out = np.zeros((kern.shape[0], n))
+    tap = np.empty_like(out)
     for dy in range(k):
         for dx in range(k):
-            out += kern[:, :, dy, dx] @ padded[:, dy:dy + h, dx:dx + w].reshape(c, h * w)
-    return FeatureMap(out.reshape(-1, h, w))
+            s = dy * wp + dx
+            np.matmul(kern[:, :, dy, dx], flat[:, s:s + n], out=tap)
+            out += tap
+    return FeatureMap(out.reshape(-1, h, wp)[:, :, :w])
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

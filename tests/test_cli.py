@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from freqadapt import FeatureMap, read_tensor, style_diversify, write_tensor
-from freqadapt.cli import main
+from freqadapt.cli import build_parser, main
 from freqadapt.synth import gen_features
 
 
@@ -176,6 +176,26 @@ class TestApply:
         dst = tmp_path / "out.ftns"
         assert run("apply", "crossmodal", "--in", str(src), "--out", str(dst),
                    "--text", str(text)) == 0
+
+    def test_shared_parser_keeps_no_state_between_calls(self, tmp_path):
+        # the reference is a first call: a fresh process builds its own parser
+        src = self.setup_input(tmp_path)
+        ref, first, last = (tmp_path / name for name in ("ref.ftns", "a.ftns", "c.ftns"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqadapt", "apply", "stack", "--in", str(src),
+             "--out", str(ref), "--seed", "5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert run("apply", "stack", "--in", str(src), "--out", str(first),
+                   "--alpha", "2", "--seed", "5") == 0
+        with pytest.raises(SystemExit) as exc:
+            run("apply", "stack", "--in", str(src), "--out", str(last), "--dk", "wide")
+        assert exc.value.code == 2
+        assert run("apply", "stack", "--in", str(src), "--out", str(last), "--seed", "5") == 0
+        assert last.read_bytes() == ref.read_bytes()
+        assert first.read_bytes() != ref.read_bytes()
+        assert build_parser() is build_parser()
 
 
 class TestConfigFile:

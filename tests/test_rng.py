@@ -1,8 +1,8 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freqadapt.rng import SplitMix64
+from freqadapt.rng import SplitMix64, _finalize
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 counts = st.integers(min_value=0, max_value=5000)
@@ -72,3 +72,29 @@ class TestArraySamplersMatchScalarStreams:
         monkeypatch.setattr("freqadapt.rng.math.log", no_math_log)
         vals = SplitMix64(11).normal_array(30000)
         assert vals.shape == (30000,) and np.all(np.isfinite(vals))
+
+
+class TestFinalize:
+    @settings(max_examples=200, deadline=None)
+    @given(word=seeds)
+    @example(word=0)
+    @example(word=1)
+    @example(word=2**64 - 1)
+    def test_int_and_uint64_array_agree(self, word):
+        arr = np.array([word], dtype=np.uint64)
+        mixed = _finalize(arr)
+        assert mixed is arr  # array words are finalized in place
+        assert int(mixed[0]) == _finalize(word)
+        assert 0 <= _finalize(word) < 2**64
+
+
+def test_uniform_array_is_fresh_and_writable():
+    rng = SplitMix64(3)
+    first = rng.uniform_array(100, -1.0, 1.0)
+    kept = first.copy()
+    assert first.flags.writeable and first.flags.owndata
+    later = [rng.uniform_array(100, -1.0, 1.0), rng.normal_array(100), rng.uniform_array(0)]
+    rng.uniform()
+    rng.normal()
+    assert first.tobytes() == kept.tobytes()
+    assert not any(np.shares_memory(first, arr) for arr in later)

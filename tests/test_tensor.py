@@ -73,6 +73,18 @@ class TestConv2d:
             want = conv2d_naive(x, kernel, (k - 1) // 2)
             assert np.abs(got - want).max() < 1e-12, (shape, k)
 
+    @settings(max_examples=80, deadline=None)
+    @given(c_in=st.integers(1, 4), c_out=st.integers(1, 4), h=st.integers(1, 9),
+           w=st.integers(1, 9), k=st.sampled_from([1, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_loop_property(self, c_in, c_out, h, w, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, size=(c_in, h, w))
+        kernel = rng.uniform(-1, 1, size=(c_out, c_in, k, k))
+        got = conv2d(FeatureMap(x), kernel).data
+        assert got.shape == (c_out, h, w)
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert np.abs(got - conv2d_naive(x, kernel, (k - 1) // 2)).max() < 1e-12
+
     def test_linearity(self):
         rng = np.random.default_rng(2)
         kernel = rng.uniform(-1, 1, size=(2, 2, 3, 3))
