@@ -56,8 +56,6 @@ from .gradcheck import (
 from .rng import SplitMix64, mix_seed
 from .spectral import (
     AMP_EPS,
-    AmpPhase,
-    Spectrum,
     amp_map,
     compose,
     decompose,

@@ -32,7 +32,7 @@ from .crossmodal import (
 from .errors import DegenerateSpectrumError, ShapeMismatchError, TensorFileError
 from .gradcheck import GRAD_TOL, GRADCHECK_OPS, run_gradcheck
 from .rng import mix_seed
-from .spectral import decompose, fft2, heatmap
+from .spectral import heatmap
 from .style import SCALE_MODES, style_diversify, style_transform
 from .synth import FEATURE_KINDS, gen_features, gen_text_tokens
 from .tensor import FeatureMap
@@ -287,7 +287,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     if cfg.pgm is None and cfg.csv is None:
         raise ValueError("heatmap needs --pgm and/or --csv")
     x = _load(cfg.in_path, FeatureMap)
-    hm = heatmap(decompose(fft2(x))).data
+    hm = heatmap(x).data
     written = []
     if cfg.pgm is not None:
         _write_pgm(cfg.pgm, hm)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, ShapeMismatchError
 from .rng import SplitMix64
-from .spectral import AMP_EPS, _band_split, amp_map, fft2, mirror_weights
+from .spectral import AMP_EPS, _band_split, _rfft2, amp_map, mirror_weights
 from .tensor import FeatureMap, Matrix, _frozen, softmax_rows
 
 NORM_SCOPES = ("channel", "tensor")
@@ -189,18 +189,18 @@ def crossmodal_forward(
 
 
 def _high_fraction(x: FeatureMap, radial_cut: float) -> float:
-    """High-band share of the power spectrum, on amplitudes scaled to peak 1.
+    """High-band share of the power spectrum, on half-spectrum amplitudes scaled to peak 1.
 
     Scaling by the peak keeps the squares finite for huge maps and keeps
     AMP_EPS from swamping tiny ones, so the share is scale-invariant.
     """
-    m = np.abs(fft2(x).data)
+    m = np.abs(_rfft2(x))
     peak = m.max()
     if peak > 0.0:
         m /= peak
     m *= m
     m += AMP_EPS
-    low, high = _band_split(m, radial_cut)
+    low, high = _band_split(m, x.width, radial_cut)
     return high / (low + high)
 
 

@@ -37,7 +37,7 @@ from .crossmodal import (
     unflatten_tokens,
 )
 from .rng import SplitMix64, mix_seed
-from .spectral import _rfft2, _unit_phasors, amp_map_jvp, fft2, mirror_weights
+from .spectral import _rfft2, _unit_phasors, amp_map_jvp, mirror_weights
 from .style import _amp_affine, _as_channel_vec, _style_coefficients, style_transform
 from .synth import gen_text_tokens
 from .tensor import FeatureMap, _sigmoid, silu
@@ -150,7 +150,7 @@ def _uniform(rng: SplitMix64, shape, low, high) -> np.ndarray:
 
 
 def _min_bin(x: FeatureMap) -> float:
-    return float(np.abs(fft2(x).data).min())
+    return float(np.abs(_rfft2(x)).min())
 
 
 def _guarded(draw):

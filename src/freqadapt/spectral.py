@@ -8,15 +8,19 @@ unambiguous:
   each channel on its own);
 * the forward transform is unnormalized (DC bin = sum of spatial values),
   the inverse carries the 1/(H*W) factor;
+* the shipped code works on the half spectrum, plain (C, H, W//2+1)
+  complex arrays from :func:`_rfft2`: the bins (u, v) with v <= W/2 that
+  a real map's spectrum mirrors into the rest. Sums and statistics over
+  it weight each column by :func:`mirror_weights`, so they equal those of
+  the full grid;
+* the full-grid :func:`fft2`, :func:`ifft2`, :func:`dft2_oracle`,
+  :func:`decompose` and :func:`compose` are references, on plain arrays;
 * amplitude is sqrt(re^2 + im^2 + 1e-24); the epsilon keeps the gradient
   of amplitude defined at zero bins and perturbs any bin with magnitude
   above 1e-6 by less than 1e-12;
 * phase is atan2(im, re), normalized to (-pi, pi]; :func:`amp_map` keeps
   it as the unit phasor z/|z| instead, which is the same phase without
-  the atan2/cos/sin round trip;
-* :func:`amp_map` works on the half spectrum, the bins (u, v) with
-  v <= W/2 that a real map's spectrum mirrors into the rest; statistics
-  over it weight each column by :func:`mirror_weights`.
+  the atan2/cos/sin round trip.
 """
 
 from __future__ import annotations
@@ -26,94 +30,31 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeMismatchError, SymmetryViolationError
-from .tensor import FeatureMap, Matrix, _frozen
+from .errors import SymmetryViolationError
+from .tensor import FeatureMap, Matrix
 
 AMP_EPS = 1e-24
 
 ORACLE_MAX_PLANE = 4096  # H*W guard for the quadratic-time oracle
 
 
-class Spectrum:
-    """Complex frequency bins (c, u, v) for a C x H x W map."""
+def fft2(x: FeatureMap) -> np.ndarray:
+    """Full-grid (C, H, W) spectrum of the unnormalized forward transform.
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise ShapeMismatchError(f"Spectrum needs 3 axes, got shape {arr.shape}")
-        self.data = _frozen(arr, dtype=np.complex128)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    def conjugate_asymmetry(self) -> float:
-        """Max |Z(u, v) - conj(Z(-u, -v))| over all bins; ~0 for spectra of real maps."""
-        flipped = self.data[:, ::-1, ::-1]
-        mirrored = np.roll(flipped, shift=(1, 1), axis=(1, 2))
-        return float(np.abs(self.data - np.conj(mirrored)).max())
-
-    def __repr__(self):
-        c, h, w = self.shape
-        return f"Spectrum({c}x{h}x{w})"
-
-
-class AmpPhase:
-    """Polar form of a spectrum: amplitude and phase arrays, bins (c, u, v).
-
-    Amplitude is nonnegative when produced by :func:`decompose`; signed
-    values are permitted (they compose back exactly as pi phase flips).
+    A reference: the shipped transforms run on :func:`_rfft2`'s half.
     """
-
-    __slots__ = ("amplitude", "phase")
-
-    def __init__(self, amplitude, phase):
-        amp = np.asarray(amplitude, dtype=np.float64)
-        ph = np.asarray(phase, dtype=np.float64)
-        if amp.ndim != 3 or ph.shape != amp.shape:
-            raise ShapeMismatchError(
-                f"amplitude/phase shapes disagree: {amp.shape} vs {ph.shape}"
-            )
-        self.amplitude = _frozen(amp)
-        self.phase = _frozen(ph)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.amplitude.shape
-
-    def __repr__(self):
-        c, h, w = self.shape
-        return f"AmpPhase({c}x{h}x{w})"
+    return np.fft.fft2(x.data, axes=(1, 2))
 
 
-def fft2(x: FeatureMap) -> Spectrum:
-    """Unnormalized forward transform of each channel's H x W plane."""
-    return Spectrum(np.fft.fft2(x.data, axes=(1, 2)))
-
-
-def ifft2(s: Spectrum) -> tuple[FeatureMap, float]:
-    """Inverse transform with 1/(H*W) normalization.
+def ifft2(z: np.ndarray) -> tuple[FeatureMap, float]:
+    """Full-grid inverse with 1/(H*W) normalization, the reference for :func:`_irfft2`.
 
     Returns the real part together with the max absolute imaginary
     residue. A residue above 1e-6 of the output magnitude means the
     spectrum was not conjugate-symmetric and raises
     :class:`SymmetryViolationError`.
     """
-    full = np.fft.ifft2(s.data, axes=(1, 2))
+    full = np.fft.ifft2(z, axes=(1, 2))
     real = full.real
     residue = float(np.abs(full.imag).max())
     limit = 1e-6 * float(np.abs(real).max())
@@ -124,7 +65,7 @@ def ifft2(s: Spectrum) -> tuple[FeatureMap, float]:
     return FeatureMap(real), residue
 
 
-def dft2_oracle(x: FeatureMap) -> Spectrum:
+def dft2_oracle(x: FeatureMap) -> np.ndarray:
     """Direct double-sum 2D DFT, the quadratic-time correctness oracle.
 
     Evaluates the defining sums via explicit transform matrices; no fast
@@ -138,26 +79,30 @@ def dft2_oracle(x: FeatureMap) -> Spectrum:
     out = np.empty((c, h, w), dtype=np.complex128)
     for ch in range(c):
         out[ch] = eh @ x.data[ch].astype(np.complex128) @ ew.T
-    return Spectrum(out)
+    return out
 
 
-def decompose(s: Spectrum) -> AmpPhase:
-    """Split a spectrum into amplitude and phase."""
-    amp = np.sqrt(s.data.real**2 + s.data.imag**2 + AMP_EPS)
-    phase = np.arctan2(s.data.imag, s.data.real)
+def conjugate_asymmetry(z: np.ndarray) -> float:
+    """Max |Z(u, v) - conj(Z(-u, -v))| over a full-grid spectrum; ~0 for real maps."""
+    mirrored = np.roll(z[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2))
+    return float(np.abs(z - np.conj(mirrored)).max())
+
+
+def decompose(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(amplitude, phase) of a spectrum's bins."""
+    amp = np.sqrt(z.real**2 + z.imag**2 + AMP_EPS)
+    phase = np.arctan2(z.imag, z.real)
     phase = np.where(phase == -np.pi, np.pi, phase)  # keep phase in (-pi, pi]
-    return AmpPhase(amp, phase)
+    return amp, phase
 
 
-def compose(ap: AmpPhase) -> Spectrum:
-    """Rebuild a spectrum as amplitude * exp(i * phase).
+def compose(amplitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The spectrum amplitude * exp(i * phase).
 
     Negative amplitudes are legal and exact: they are the same spectrum as
     |amplitude| with the phase flipped by pi.
     """
-    re = ap.amplitude * np.cos(ap.phase)
-    im = ap.amplitude * np.sin(ap.phase)
-    return Spectrum(re + 1j * im)
+    return amplitude * np.cos(phase) + 1j * (amplitude * np.sin(phase))
 
 
 def _unit_phasors(z: np.ndarray) -> np.ndarray:
@@ -254,8 +199,9 @@ def amp_map(x: FeatureMap, fn: Callable[[np.ndarray], np.ndarray]) -> FeatureMap
     computed as :func:`decompose` computes it, to the new amplitude; the
     mirrored bins follow by conjugate symmetry, so the result is real by
     construction. Each bin keeps its phase as z/|z|, and for an ``fn``
-    that treats mirrored bins alike the result equals
-    ifft2(compose(AmpPhase(fn(amp), phase))) of the input's spectrum. An
+    that treats mirrored bins alike the result equals the full-grid
+    reference ifft2(compose(fn(amp), phase)), with (amp, phase) =
+    decompose(fft2(x)), up to rounding. An
     ``fn`` that breaks the symmetry of a self-mirrored column (v = 0, and
     v = W/2 when W is even) by more than 1e-8 of the output magnitude,
     measured as :func:`_mirror_residue`, raises
@@ -298,25 +244,35 @@ def amp_map_jvp(
 
 
 def _radius_grid(h: int, w: int) -> np.ndarray:
+    """Radius of each bin of the fftshift-centered H x W grid: 0 at DC, 1 at the corners."""
     cy, cx = h // 2, w // 2
     dy = (np.arange(h) - cy) / max(cy, 1)
     dx = (np.arange(w) - cx) / max(cx, 1)
     return np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2) / math.sqrt(2.0)
 
 
-def _band_split(power: np.ndarray, radial_cut: float) -> tuple[float, float]:
-    """(low, high) sums of a full-grid power array, averaged over channels."""
+def _band_split(power: np.ndarray, width: int, radial_cut: float) -> tuple[float, float]:
+    """(low, high) full-grid sums of a half-spectrum power array, averaged over channels.
+
+    The radius is the same at (u, v) and (-u, -v), so each half-spectrum
+    bin stands for its mirror too and weighs :func:`mirror_weights`.
+    """
     if not 0.0 < radial_cut < 1.0:
         raise ValueError(f"radial_cut must be in (0, 1), got {radial_cut}")
-    _, h, w = power.shape
-    shifted = np.fft.fftshift(power, axes=(1, 2))
-    low_mask = _radius_grid(h, w) <= radial_cut
-    low = float(shifted[:, low_mask].sum(axis=1).mean())
-    high = float(shifted[:, ~low_mask].sum(axis=1).mean())
+    h = power.shape[1]
+    radius = np.fft.ifftshift(_radius_grid(h, width))[:, : width // 2 + 1]
+    low_mask = radius <= radial_cut
+    weighted = power * mirror_weights(width)
+    low = float(weighted[:, low_mask].sum(axis=1).mean())
+    high = float(weighted[:, ~low_mask].sum(axis=1).mean())
     return low, high
 
 
-def heatmap(ap: AmpPhase) -> Matrix:
-    """Channel-averaged log(1 + amplitude), centered with DC in the middle."""
-    avg = np.log1p(ap.amplitude).mean(axis=0)
+def heatmap(x: FeatureMap) -> Matrix:
+    """Channel-averaged log(1 + |Z|) of the full-grid spectrum, DC in the middle.
+
+    |Z| carries no epsilon and np.abs does not square, so the field stays
+    finite for huge maps and keeps its structure for tiny ones.
+    """
+    avg = np.log1p(np.abs(fft2(x))).mean(axis=0)
     return Matrix(np.fft.fftshift(avg))

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import count_fft_calls
 from freqadapt import FeatureMap, read_tensor, style_diversify, write_tensor
 from freqadapt.cli import build_parser, main
 from freqadapt.synth import gen_features
@@ -26,8 +27,7 @@ class TestGen:
         assert read_tensor(out).tobytes() == want.tobytes()
 
     def test_smooth_is_low_passed(self, tmp_path):
-        from freqadapt import FeatureMap, decompose, fft2
-        from freqadapt.spectral import _band_split
+        from freqadapt.spectral import _band_split, _rfft2
 
         noise = tmp_path / "noise.ftns"
         smooth = tmp_path / "smooth.ftns"
@@ -35,8 +35,8 @@ class TestGen:
         run("gen", "--kind", "smooth", "--shape", "2,12,12", "--seed", "4", "--out", str(smooth))
 
         def high_fraction(path):
-            amp = decompose(fft2(FeatureMap(read_tensor(path)))).amplitude
-            low, high = _band_split(amp**2, 0.25)
+            power = np.abs(_rfft2(FeatureMap(read_tensor(path)))) ** 2
+            low, high = _band_split(power, 12, 0.25)
             return high / (low + high)
 
         assert high_fraction(smooth) < high_fraction(noise)
@@ -70,6 +70,14 @@ class TestApply:
         assert run("apply", "stack", "--in", str(src), "--out", str(dst),
                    "--stage", "1=none,2=none,3=none") == 0
         assert read_tensor(dst).tobytes() == read_tensor(src).tobytes()
+
+    @pytest.mark.parametrize("transform", ["stack", "crossmodal"])
+    def test_runs_no_full_grid_fft(self, tmp_path, monkeypatch, transform):
+        # the transforms and the hf_shift summary all run on the half spectrum
+        src = self.setup_input(tmp_path, shape="3,8,7")
+        calls = count_fft_calls(monkeypatch)
+        assert run("apply", transform, "--in", str(src), "--out", str(tmp_path / "o.ftns")) == 0
+        assert calls["fft2"] == calls["ifft2"] == calls["fftn"] == calls["ifftn"] == 0
 
     def test_stack_alpha_length_mismatch_exit_2(self, tmp_path, capsys):
         src = self.setup_input(tmp_path)
@@ -272,7 +280,7 @@ class TestHeatmap:
         assert set(pixels) == {0}
 
     def test_csv_full_precision(self, tmp_path):
-        from freqadapt import FeatureMap, decompose, fft2, heatmap
+        from freqadapt import heatmap
 
         src = tmp_path / "n.ftns"
         run("gen", "--kind", "noise", "--shape", "2,4,4", "--seed", "2", "--out", str(src))
@@ -280,8 +288,22 @@ class TestHeatmap:
         assert run("heatmap", "--in", str(src), "--csv", str(csv_path)) == 0
         rows = [[float(v) for v in line.split(",")]
                 for line in csv_path.read_text().strip().splitlines()]
-        want = heatmap(decompose(fft2(FeatureMap(read_tensor(src))))).data
+        want = heatmap(FeatureMap(read_tensor(src))).data
         assert np.array_equal(np.asarray(rows), want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scale_robust(self, tmp_path, scale):
+        # at 1e150 the DC bin, about 1.6e154, would overflow when squared; at 1e-150
+        # every bin sits far below the 1e-12 floor a regularized amplitude would add
+        src = tmp_path / "x.ftns"
+        write_tensor(src, scale * np.random.default_rng(3).uniform(0.0, 2.0, size=(2, 128, 128)))
+        pgm, csv_path = tmp_path / "hm.pgm", tmp_path / "hm.csv"
+        assert run("heatmap", "--in", str(src), "--pgm", str(pgm), "--csv", str(csv_path)) == 0
+        rows = np.loadtxt(csv_path, delimiter=",")
+        assert rows.shape == (128, 128) and np.all(np.isfinite(rows))
+        pixels = np.frombuffer(pgm.read_bytes().split(b"\n255\n", 1)[1], dtype=np.uint8)
+        assert pixels.min() < pixels.max()
 
     def test_requires_some_output(self, tmp_path):
         src = tmp_path / "n.ftns"

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attention_oracle_mp, idft2_reference, phase_gap_mod_pi
+from conftest import attention_oracle_mp, band_split_reference, idft2_reference, phase_gap_mod_pi
 from freqadapt import (
-    AmpPhase,
     AttentionParams,
     DegenerateSpectrumError,
     FeatureMap,
@@ -24,7 +23,7 @@ from freqadapt import (
     unflatten_tokens,
 )
 from freqadapt.crossmodal import NORM_SCOPES, _standardize
-from freqadapt.spectral import _band_split, _rfft2, _unit_phasors, mirror_weights
+from freqadapt.spectral import _rfft2, _unit_phasors, mirror_weights
 from freqadapt.synth import gen_features, gen_text_tokens
 
 
@@ -159,7 +158,7 @@ class TestAmpNormalize:
         # the mirror-weighted half spectrum standardizes like the full grid
         rng = np.random.default_rng(57)
         x = FeatureMap(rng.uniform(-1, 1, size=(3, 4, 5)))
-        full = decompose(fft2(x)).amplitude
+        full = decompose(fft2(x))[0]
         out = _standardize(half_amplitude(x), "channel", mirror_weights(5))
         for c in range(3):
             vals = full[c].ravel()
@@ -178,10 +177,10 @@ class TestAmpNormalize:
             mean, std = weighted_mean_std(out, weight, (1, 2))
             assert np.abs(mean).max() <= 1e-10
             assert np.abs(std - 1.0).max() <= 1e-10
-            before = decompose(fft2(x))
-            after = decompose(fft2(spectral_normalize(x)))
-            mask = before.amplitude > 1e-6
-            assert phase_gap_mod_pi(after.phase[mask], before.phase[mask]).max() <= 1e-6
+            amp_before, phase_before = decompose(fft2(x))
+            _, phase_after = decompose(fft2(spectral_normalize(x)))
+            mask = amp_before > 1e-6
+            assert phase_gap_mod_pi(phase_after[mask], phase_before[mask]).max() <= 1e-6
 
     def test_whole_tensor_scope(self):
         rng = np.random.default_rng(59)
@@ -244,8 +243,8 @@ class TestCrossmodalForward:
     def test_spectral_normalize_matches_manual(self):
         rng = np.random.default_rng(61)
         x = FeatureMap(rng.uniform(-1, 1, size=(2, 5, 5)))
-        ap = decompose(fft2(x))
-        z = _standardize(ap.amplitude, "channel") * np.exp(1j * ap.phase)
+        amp, phase = decompose(fft2(x))
+        z = _standardize(amp, "channel") * np.exp(1j * phase)
         want = idft2_reference(z).real
         got = spectral_normalize(x)
         assert np.abs(got.data - want).max() < 1e-9
@@ -254,10 +253,10 @@ class TestCrossmodalForward:
         # constant columns: every row u != 0 of the spectrum is exactly 0, and
         # standardizing gives those bins a negative amplitude at phase 0
         x = FeatureMap(np.tile(np.arange(8.0), (2, 8, 1)))
-        assert np.count_nonzero(fft2(x).data == 0) == 2 * 7 * 8
-        ap = decompose(fft2(x))
+        assert np.count_nonzero(fft2(x) == 0) == 2 * 7 * 8
+        amp, phase = decompose(fft2(x))
         for scope in ("channel", "tensor"):
-            want = ifft2(compose(AmpPhase(_standardize(ap.amplitude, scope), ap.phase)))[0]
+            want = ifft2(compose(_standardize(amp, scope), phase))[0]
             got = spectral_normalize(x, scope=scope)
             assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
 
@@ -268,7 +267,7 @@ class TestCrossmodalForward:
         p = AttentionParams.seeded(4, 6, 16, 13)
         got = crossmodal_forward(x, text, p)
         enhanced = unflatten_tokens(cross_attention(flatten_tokens(x), text, p), 8, 8)
-        z = dft2_oracle(enhanced).data
+        z = dft2_oracle(enhanced)
         amp = np.sqrt(z.real**2 + z.imag**2 + 1e-24)
         phase = np.arctan2(z.imag, z.real)
         mu = amp.mean(axis=(1, 2), keepdims=True)
@@ -314,7 +313,7 @@ class TestHighFreqShift:
             after = gen_features("noise", *shape, 66)
 
             def fraction(x):
-                low, high = _band_split(decompose(fft2(x)).amplitude ** 2, 0.25)
+                low, high = band_split_reference(decompose(fft2(x))[0] ** 2, 0.25)
                 return high / (low + high)
 
             want = fraction(after) - fraction(before)
