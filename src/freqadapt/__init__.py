@@ -29,7 +29,6 @@ from .adapter import (
 from .crossmodal import (
     NORM_SCOPES,
     AttentionParams,
-    TokenMatrix,
     cross_attention,
     crossmodal_forward,
     flatten_tokens,

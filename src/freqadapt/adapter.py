@@ -4,8 +4,9 @@ The block runs three parallel convolutions (3x3, 5x5, 7x7) over the same
 input, averages them, aggregates with a 1x1 convolution, applies SiLU,
 passes the result through an augmentation slot, adds the skip connection
 and projects with a final 1x1 convolution. The branches are linear, so
-they run as one fused 7x7 convolution, and the aggregation as one matrix
-product on its output.
+they run as one fused 7x7 convolution; the 1x1 aggregation and projection
+each run as one [C, C] x [C, H*W] product, so a block runs one
+convolution.
 Augmentation choices per backbone stage are described by
 :class:`PlacementConfig`; stage seeds are derived independently so
 evaluation order never matters.
@@ -19,12 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .crossmodal import AttentionParams, TokenMatrix, crossmodal_forward
+from .crossmodal import AttentionParams, crossmodal_forward
 from .errors import ShapeMismatchError
 from .rng import SplitMix64, mix_seed
 from .style import style_diversify
 from .synth import gen_text_tokens
-from .tensor import FeatureMap, conv2d, silu, _frozen
+from .tensor import FeatureMap, Matrix, _checked, conv2d, silu
 
 STAGE_KINDS = ("none", "plain", "style", "crossmodal")
 
@@ -46,22 +47,13 @@ class AdapterWeights:
     proj: np.ndarray
 
     def __post_init__(self):
-        kernels = {"k3": (self.k3, 3), "k5": (self.k5, 5), "k7": (self.k7, 7),
-                   "agg": (self.agg, 1), "proj": (self.proj, 1)}
         c = None
-        for name, (w, k) in kernels.items():
-            arr = np.asarray(w, dtype=np.float64)
-            if arr.ndim != 4 or arr.shape[2] != k or arr.shape[3] != k:
-                raise ShapeMismatchError(f"{name} must be [C, C, {k}, {k}], got {arr.shape}")
-            if arr.shape[0] != arr.shape[1]:
-                raise ShapeMismatchError(f"{name} must preserve the channel count")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} values must be finite")
-            if c is None:
-                c = arr.shape[0]
-            elif arr.shape[0] != c:
-                raise ShapeMismatchError("all adapter kernels must share one channel count")
-            object.__setattr__(self, name, _frozen(arr))
+        for name, k in (("k3", 3), ("k5", 5), ("k7", 7), ("agg", 1), ("proj", 1)):
+            arr = _checked(getattr(self, name), 4, name)
+            c = arr.shape[0] if c is None else c
+            if arr.shape != (c, c, k, k):
+                raise ShapeMismatchError(f"{name} must be {(c, c, k, k)}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
 
     @property
     def channels(self) -> int:
@@ -82,6 +74,8 @@ class AdapterWeights:
     @classmethod
     def seeded(cls, channels: int, seed: int) -> "AdapterWeights":
         """Gaussian weights scaled by 1/(C * k^2) per branch, identity-plus-noise projection."""
+        if channels < 1:
+            raise ValueError(f"channels must be >= 1, got {channels}")
         sizes = (3, 5, 7, 1, 1)
         ends = np.cumsum([channels * channels * k * k for k in sizes])
         flat = SplitMix64(seed).normal_array(int(ends[-1]))
@@ -117,8 +111,9 @@ def adapter_forward(
     """One adapter block pass; ``augment`` fills the augmentation slot.
 
     Computes proj(x + augment(silu(agg(avg(conv3, conv5, conv7))))), with
-    the three branches run as one fused 7x7 convolution and the 1x1
-    aggregation as one [C, C] x [C, H*W] product on its output.
+    the three branches run as one fused 7x7 convolution, the block's only
+    one. The 1x1 aggregation and projection each run as one
+    [C, C] x [C, H*W] product.
     """
     if w.channels != x.channels:
         raise ShapeMismatchError(f"weights expect {w.channels} channels, map has {x.channels}")
@@ -129,7 +124,8 @@ def adapter_forward(
         raise ShapeMismatchError(
             f"augmentation changed the shape: {augmented.shape} vs {x.shape}"
         )
-    return conv2d(FeatureMap(x.data + augmented.data), w.proj)
+    mixed = (x.data + augmented.data).reshape(x.channels, -1)
+    return FeatureMap((w.proj[:, :, 0, 0] @ mixed).reshape(x.shape))
 
 
 @dataclass(frozen=True)
@@ -138,14 +134,15 @@ class PlacementConfig:
 
     Stage indices are 1-based. The default places the style adapter at
     stage 1 and the cross-modal adapter at stage 3, the strongest
-    placement; stage 2 stays untouched. ``text_tokens`` may be supplied
-    by the caller; otherwise eight 16-dim tokens are synthesized from the
-    per-stage seed. The attention weights are always drawn from it.
+    placement; stage 2 stays untouched. ``text_tokens`` (a :class:`Matrix`,
+    one row per token) may be supplied by the caller; otherwise eight
+    16-dim tokens are synthesized from the per-stage seed. The attention
+    weights are always drawn from it.
     """
 
     stage_assignments: dict = field(default_factory=lambda: {1: "style", 3: "crossmodal"})
     alpha: tuple | None = None
-    text_tokens: TokenMatrix | None = None
+    text_tokens: Matrix | None = None
     d_k: int = 64
     seed: int = 0
     num_stages: int = 3
@@ -197,7 +194,7 @@ def apply_stage(x: FeatureMap, cfg: PlacementConfig, index: int) -> FeatureMap:
         if text is None:
             text = gen_text_tokens(8, 16, mix_seed(sseed, _TAG_TEXT))
         params = AttentionParams.seeded(
-            x.channels, text.dim, cfg.d_k, mix_seed(sseed, _TAG_ATTENTION)
+            x.channels, text.cols, cfg.d_k, mix_seed(sseed, _TAG_ATTENTION)
         )
         augment = lambda fm: crossmodal_forward(fm, text, params)
     return adapter_forward(x, weights, augment)

@@ -25,7 +25,6 @@ from .adapter import STAGE_KINDS, PlacementConfig, AdapterWeights, adapter_forwa
 from .crossmodal import (
     NORM_SCOPES,
     AttentionParams,
-    TokenMatrix,
     crossmodal_forward,
     high_freq_shift,
 )
@@ -35,7 +34,7 @@ from .rng import mix_seed
 from .spectral import heatmap
 from .style import SCALE_MODES, style_diversify, style_transform
 from .synth import FEATURE_KINDS, gen_features, gen_text_tokens
-from .tensor import FeatureMap
+from .tensor import FeatureMap, Matrix
 from .tensorfile import read_tensor, write_tensor
 from .verify import SUITE_NAMES, run_suite
 
@@ -209,8 +208,8 @@ def _load(path: str, kind):
 def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
-            flag = {"in_path": "--in", "out_path": "--out"}.get(name, "--" + name)
-            raise ValueError(f"missing required parameter {flag}")
+            key = next((k for k, f in _KEY_TO_FIELD.items() if f == name), name)
+            raise ValueError(f"missing required parameter --{key}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -230,10 +229,10 @@ def _apply_transform(transform: str, x: FeatureMap, cfg: RunConfig) -> FeatureMa
         alpha = cfg.alpha if cfg.alpha is not None else np.ones(x.channels)
         return style_diversify(x, alpha, cfg.seed, scale_mode=cfg.scale_mode)
     if transform == "crossmodal":
-        text = _load(cfg.text, TokenMatrix) if cfg.text else gen_text_tokens(
+        text = _load(cfg.text, Matrix) if cfg.text else gen_text_tokens(
             8, 16, mix_seed(cfg.seed, _TEXT_TAG)
         )
-        params = AttentionParams.seeded(x.channels, text.dim, cfg.dk,
+        params = AttentionParams.seeded(x.channels, text.cols, cfg.dk,
                                         mix_seed(cfg.seed, _ATTN_TAG))
         return crossmodal_forward(x, text, params, scope=cfg.norm_scope)
     if transform == "plain":
@@ -245,7 +244,7 @@ def _apply_transform(transform: str, x: FeatureMap, cfg: RunConfig) -> FeatureMa
     placement = PlacementConfig(
         stage_assignments=assignments,
         alpha=cfg.alpha,
-        text_tokens=_load(cfg.text, TokenMatrix) if cfg.text else None,
+        text_tokens=_load(cfg.text, Matrix) if cfg.text else None,
         d_k=cfg.dk,
         seed=cfg.seed,
         num_stages=num_stages,

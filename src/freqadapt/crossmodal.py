@@ -6,6 +6,10 @@ is standardized per channel. Standardizing the amplitude shrinks the
 dominant low-frequency bins relative to everything else, which shifts
 energy toward high frequencies while the phase (and with it the spatial
 structure) is untouched.
+
+Tokens are :class:`~freqadapt.tensor.Matrix` rows: a C x H x W map
+flattens into H*W rows of dim C, and text embeddings hold one row per
+token.
 """
 
 from __future__ import annotations
@@ -18,26 +22,19 @@ import numpy as np
 from .errors import DegenerateSpectrumError, ShapeMismatchError
 from .rng import SplitMix64
 from .spectral import AMP_EPS, _band_split, _rfft2, amp_map, mirror_weights
-from .tensor import FeatureMap, Matrix, _frozen, softmax_rows
+from .tensor import FeatureMap, Matrix, _checked, softmax_rows
 
 NORM_SCOPES = ("channel", "tensor")
 
 _SIGMA_FLOOR = 1e-12
 
 
-class TokenMatrix(Matrix):
-    """Row-major token embeddings: one row per token."""
-
-    __slots__ = ()
-    tokens = Matrix.rows
-    dim = Matrix.cols
-
-
 @dataclass(frozen=True)
 class AttentionParams:
     """Projection weights for single-head cross-attention.
 
-    wq: visual_dim x d_k, wk/wv: text_dim x d_k, wo: d_k x visual_dim.
+    wq: visual_dim x d_k, wk/wv: text_dim x d_k, wo: d_k x visual_dim, all
+    checked at construction, so a call only checks the token dims.
     """
 
     wq: np.ndarray
@@ -47,27 +44,18 @@ class AttentionParams:
     d_k: int
 
     def __post_init__(self):
-        wq = np.asarray(self.wq, dtype=np.float64)
-        wk = np.asarray(self.wk, dtype=np.float64)
-        wv = np.asarray(self.wv, dtype=np.float64)
-        wo = np.asarray(self.wo, dtype=np.float64)
         if self.d_k < 1:
             raise ValueError(f"d_k must be >= 1, got {self.d_k}")
-        for name, w in (("wq", wq), ("wk", wk), ("wv", wv), ("wo", wo)):
-            if w.ndim != 2:
-                raise ShapeMismatchError(f"{name} must be 2D, got shape {w.shape}")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"{name} values must be finite")
-        if wq.shape[1] != self.d_k or wk.shape[1] != self.d_k or wv.shape[1] != self.d_k:
+        for name in ("wq", "wk", "wv", "wo"):
+            object.__setattr__(self, name, _checked(getattr(self, name), 2, name))
+        if any(w.shape[1] != self.d_k for w in (self.wq, self.wk, self.wv)):
             raise ShapeMismatchError("wq/wk/wv must project to d_k columns")
-        if wk.shape[0] != wv.shape[0]:
+        if self.wk.shape[0] != self.wv.shape[0]:
             raise ShapeMismatchError("wk and wv must share the text dimension")
-        if wo.shape[0] != self.d_k:
-            raise ShapeMismatchError("wo must consume d_k rows")
-        object.__setattr__(self, "wq", _frozen(wq))
-        object.__setattr__(self, "wk", _frozen(wk))
-        object.__setattr__(self, "wv", _frozen(wv))
-        object.__setattr__(self, "wo", _frozen(wo))
+        if self.wo.shape != (self.d_k, self.visual_dim):
+            raise ShapeMismatchError(
+                f"wo must be (d_k, visual_dim) = {(self.d_k, self.visual_dim)}, got {self.wo.shape}"
+            )
 
     @property
     def visual_dim(self) -> int:
@@ -80,6 +68,8 @@ class AttentionParams:
     @classmethod
     def seeded(cls, visual_dim: int, text_dim: int, d_k: int, seed: int) -> "AttentionParams":
         """Gaussian projections scaled by 1/sqrt(fan_in), from one seeded stream."""
+        if min(visual_dim, text_dim, d_k) < 1:
+            raise ValueError(f"dims must be >= 1, got {(visual_dim, text_dim, d_k)}")
         rng = SplitMix64(seed)
 
         def draw(rows, cols, fan):
@@ -94,36 +84,34 @@ class AttentionParams:
         )
 
 
-def flatten_tokens(x: FeatureMap) -> TokenMatrix:
-    """Turn a C x H x W map into H*W tokens of dim C; token i sits at (i // W, i % W)."""
+def flatten_tokens(x: FeatureMap) -> Matrix:
+    """Turn a C x H x W map into H*W token rows of dim C; token i sits at (i // W, i % W)."""
     c = x.channels
-    return TokenMatrix(x.data.reshape(c, -1).T)
+    return Matrix(x.data.reshape(c, -1).T)
 
 
-def unflatten_tokens(t: TokenMatrix, height: int, width: int) -> FeatureMap:
-    """Inverse of :func:`flatten_tokens`; requires tokens == height * width."""
-    if t.tokens != height * width:
+def unflatten_tokens(t: Matrix, height: int, width: int) -> FeatureMap:
+    """Inverse of :func:`flatten_tokens`; requires rows == height * width."""
+    if t.rows != height * width:
         raise ShapeMismatchError(
-            f"cannot unflatten {t.tokens} tokens into {height}x{width} plane"
+            f"cannot unflatten {t.rows} tokens into {height}x{width} plane"
         )
-    return FeatureMap(t.data.T.reshape(t.dim, height, width))
+    return FeatureMap(t.data.T.reshape(t.cols, height, width))
 
 
-def _attention_terms(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams):
+def _attention_terms(xv: Matrix, xt: Matrix, p: AttentionParams):
     """Keys, values and softmax weights of :func:`cross_attention`, dimensions checked."""
-    if xv.dim != p.visual_dim:
-        raise ShapeMismatchError(f"visual tokens have dim {xv.dim}, wq expects {p.visual_dim}")
-    if xt.dim != p.text_dim:
-        raise ShapeMismatchError(f"text tokens have dim {xt.dim}, wk/wv expect {p.text_dim}")
-    if p.wo.shape[1] != xv.dim:
-        raise ShapeMismatchError(f"wo outputs dim {p.wo.shape[1]}, visual tokens have {xv.dim}")
+    if xv.cols != p.visual_dim:
+        raise ShapeMismatchError(f"visual tokens have dim {xv.cols}, wq expects {p.visual_dim}")
+    if xt.cols != p.text_dim:
+        raise ShapeMismatchError(f"text tokens have dim {xt.cols}, wk/wv expect {p.text_dim}")
     k = xt.data @ p.wk
     v = xt.data @ p.wv
     scores = np.linalg.multi_dot([xv.data, p.wq, k.T]) / math.sqrt(p.d_k)
     return k, v, softmax_rows(Matrix(scores)).data
 
 
-def cross_attention(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams) -> TokenMatrix:
+def cross_attention(xv: Matrix, xt: Matrix, p: AttentionParams) -> Matrix:
     """softmax(Q K^T / sqrt(d_k)) V, projected back to the visual dim.
 
     Q comes from the visual tokens, K and V from the text tokens. The
@@ -132,10 +120,10 @@ def cross_attention(xv: TokenMatrix, xt: TokenMatrix, p: AttentionParams) -> Tok
     make cheapest (``np.linalg.multi_dot``).
     """
     _, v, attn = _attention_terms(xv, xt, p)
-    return TokenMatrix(np.linalg.multi_dot([attn, v, p.wo]))
+    return Matrix(np.linalg.multi_dot([attn, v, p.wo]))
 
 
-def _attend(x: FeatureMap, xt: TokenMatrix, p: AttentionParams) -> FeatureMap:
+def _attend(x: FeatureMap, xt: Matrix, p: AttentionParams) -> FeatureMap:
     """:func:`cross_attention` over a map's tokens, as a map of the same shape."""
     return unflatten_tokens(cross_attention(flatten_tokens(x), xt, p), x.height, x.width)
 
@@ -180,7 +168,7 @@ def spectral_normalize(x: FeatureMap, scope: str = "channel") -> FeatureMap:
 
 def crossmodal_forward(
     x: FeatureMap,
-    xt: TokenMatrix,
+    xt: Matrix,
     p: AttentionParams,
     scope: str = "channel",
 ) -> FeatureMap:

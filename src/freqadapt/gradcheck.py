@@ -26,7 +26,6 @@ import numpy as np
 
 from .crossmodal import (
     AttentionParams,
-    TokenMatrix,
     _attend,
     _attention_terms,
     _group_mean,
@@ -40,7 +39,7 @@ from .rng import SplitMix64, mix_seed
 from .spectral import _rfft2, _unit_phasors, amp_map_jvp, mirror_weights
 from .style import _amp_affine, _as_channel_vec, _style_coefficients, style_transform
 from .synth import gen_text_tokens
-from .tensor import FeatureMap, _sigmoid, silu
+from .tensor import FeatureMap, Matrix, _sigmoid, silu
 
 STEPS = (1e-4, 1e-5, 1e-6)
 GRAD_TOL = 1e-5
@@ -110,21 +109,21 @@ def _normalize_jvp(a, da, scope: str, weight=1.0):
     return (da - dmu) / sd - dev * dsd / (sd * sd)
 
 
-def _attention_and_jvp(xv: TokenMatrix, direction: TokenMatrix, xt: TokenMatrix,
-                       p: AttentionParams) -> tuple[TokenMatrix, TokenMatrix]:
+def _attention_and_jvp(xv: Matrix, direction: Matrix, xt: Matrix,
+                       p: AttentionParams) -> tuple[Matrix, Matrix]:
     """cross_attention(xv, xt, p) and its derivative along ``direction``, from one attention pass."""
     if direction.data.shape != xv.data.shape:
         raise ValueError("direction must match the visual token matrix shape")
     k, v, attn = _attention_terms(xv, xt, p)
     ds = np.linalg.multi_dot([direction.data, p.wq, k.T]) / math.sqrt(p.d_k)
     d_attn = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
-    return (TokenMatrix(np.linalg.multi_dot([attn, v, p.wo])),
-            TokenMatrix(np.linalg.multi_dot([d_attn, v, p.wo])))
+    return (Matrix(np.linalg.multi_dot([attn, v, p.wo])),
+            Matrix(np.linalg.multi_dot([d_attn, v, p.wo])))
 
 
 def jvp_cross_attention(
-    xv: TokenMatrix, direction: TokenMatrix, xt: TokenMatrix, p: AttentionParams
-) -> TokenMatrix:
+    xv: Matrix, direction: Matrix, xt: Matrix, p: AttentionParams
+) -> Matrix:
     """Derivative of cross-attention with respect to the visual tokens only."""
     return _attention_and_jvp(xv, direction, xt, p)[1]
 
@@ -132,7 +131,7 @@ def jvp_cross_attention(
 def jvp_crossmodal(
     x: FeatureMap,
     direction: FeatureMap,
-    xt: TokenMatrix,
+    xt: Matrix,
     p: AttentionParams,
     scope: str = "channel",
 ) -> FeatureMap:
@@ -189,11 +188,11 @@ def _probe_amp_normalize(rng: SplitMix64):
 
 def _probe_cross_attention(rng: SplitMix64):
     xv = _uniform(rng, (8, 4), -1.0, 1.0)
-    xt = TokenMatrix(_uniform(rng, (5, 3), -1.0, 1.0))
+    xt = Matrix(_uniform(rng, (5, 3), -1.0, 1.0))
     params = AttentionParams.seeded(4, 3, 4, rng.next_u64())
     d = _uniform(rng, (8, 4), -3.0, 3.0)
-    return (_on_arrays(TokenMatrix, cross_attention, xt, params),
-            _on_arrays(TokenMatrix, jvp_cross_attention, xt, params), xv, d)
+    return (_on_arrays(Matrix, cross_attention, xt, params),
+            _on_arrays(Matrix, jvp_cross_attention, xt, params), xv, d)
 
 
 def _probe_style(rng: SplitMix64):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import SplitMix64
-from .tensor import FeatureMap, conv2d
+from .tensor import FeatureMap, Matrix, conv2d
 
 FEATURE_KINDS = ("noise", "smooth", "checker")
 
@@ -52,11 +52,9 @@ def gen_features(kind: str, channels: int, height: int, width: int, seed: int) -
     raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
 
 
-def gen_text_tokens(tokens: int, dim: int, seed: int):
+def gen_text_tokens(tokens: int, dim: int, seed: int) -> Matrix:
     """Standard-normal stand-in text embeddings, one row per token."""
-    from .crossmodal import TokenMatrix
-
     if tokens < 1 or dim < 1:
         raise ValueError("tokens and dim must be >= 1")
     rng = SplitMix64(seed)
-    return TokenMatrix(rng.normal_array(tokens * dim).reshape(tokens, dim))
+    return Matrix(rng.normal_array(tokens * dim).reshape(tokens, dim))

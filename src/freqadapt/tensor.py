@@ -1,8 +1,10 @@
 """Dense float64 tensor containers and the basic neural ops built on them.
 
-Everything is double precision and immutable after construction: the
-wrapped arrays are copied in and marked read-only, so values are safe to
-share across threads.
+Everything is double precision and immutable after construction: every
+array the library stores, in these containers and in the adapter and
+attention weights, passes through :func:`_checked`, which copies it in
+once, checks it and marks it read-only, so values are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -12,8 +14,21 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 
-def _frozen(data, dtype=np.float64) -> np.ndarray:
-    arr = np.array(data, dtype=dtype, order="C", copy=True)
+def _checked(data, rank: int, name: str) -> np.ndarray:
+    """``data`` as a read-only float64 C-order copy, checked for rank, size and finiteness.
+
+    The one guard for every array the library stores: the copy is the
+    only one made, so mutating the source afterwards changes nothing.
+    Raises ShapeMismatchError on a rank other than ``rank`` and ValueError
+    on an empty axis or a non-finite value.
+    """
+    arr = np.array(data, dtype=np.float64, order="C", copy=True)
+    if arr.ndim != rank:
+        raise ShapeMismatchError(f"{name} needs {rank} axes, got shape {arr.shape}")
+    if min(arr.shape) < 1:
+        raise ValueError(f"{name} axes must be >= 1, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} values must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -25,15 +40,7 @@ class _Checked:
     _rank: int
 
     def __init__(self, data):
-        name = type(self).__name__
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != self._rank:
-            raise ShapeMismatchError(f"{name} needs {self._rank} axes, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"{name} axes must be >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} values must be finite")
-        self.data = _frozen(arr)
+        self.data = _checked(data, self._rank, type(self).__name__)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -21,7 +21,6 @@ import numpy as np
 from .adapter import AdapterWeights, PlacementConfig, adapter_forward, apply_stage, run_stack
 from .crossmodal import (
     AttentionParams,
-    TokenMatrix,
     _standardize,
     cross_attention,
     crossmodal_forward,
@@ -44,7 +43,7 @@ from .spectral import (
 )
 from .style import sample_dirichlet, style_diversify, style_transform
 from .synth import gen_features, gen_text_tokens
-from .tensor import FeatureMap
+from .tensor import FeatureMap, Matrix
 from .tensorfile import read_tensor, write_tensor
 
 SUITE_NAMES = ("spectral", "style", "crossmodal", "grad", "all")
@@ -253,8 +252,8 @@ def check_crossmodal(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for _ in range(200):
-        xv = TokenMatrix(rng.uniform(-1, 1, size=(4, 3)))
-        xt = TokenMatrix(rng.uniform(-1, 1, size=(3, 2)))
+        xv = Matrix(rng.uniform(-1, 1, size=(4, 3)))
+        xt = Matrix(rng.uniform(-1, 1, size=(3, 2)))
         p = AttentionParams.seeded(3, 2, 2, int(rng.integers(0, 2**63)))
         got = cross_attention(xv, xt, p).data
         ref = _attention_scalar_loop(xv.data, xt.data, p)
@@ -310,7 +309,7 @@ def check_crossmodal(seed: int = 0) -> list[CheckResult]:
     degenerate_ok = False
     try:
         zero = FeatureMap(np.zeros((2, 4, 4)))
-        zero_text = TokenMatrix(np.zeros((3, 5)))
+        zero_text = Matrix(np.zeros((3, 5)))
         params = AttentionParams.seeded(2, 5, 4, 1)
         crossmodal_forward(zero, zero_text, params)
     except DegenerateSpectrumError:

@@ -16,8 +16,8 @@ from freqadapt import (
     AdapterWeights,
     AttentionParams,
     FeatureMap,
+    Matrix,
     PlacementConfig,
-    TokenMatrix,
     adapter_forward,
     cross_attention,
     crossmodal_forward,
@@ -149,10 +149,10 @@ def test_criterion_5_attention_correctness():
         xv = rng.uniform(-1, 1, size=(4, 3))
         xt = rng.uniform(-1, 1, size=(3, 2))
         p = AttentionParams.seeded(3, 2, 2, mix_seed(SEED, 30_000 + i))
-        got = cross_attention(TokenMatrix(xv), TokenMatrix(xt), p).data
+        got = cross_attention(Matrix(xv), Matrix(xt), p).data
         worst = max(worst, float(np.abs(got - attention_oracle_mp(xv, xt, p)).max()))
-    xv = TokenMatrix(rng.uniform(-1, 1, size=(6, 3)))
-    xt = TokenMatrix(rng.uniform(-1, 1, size=(1, 4)))
+    xv = Matrix(rng.uniform(-1, 1, size=(6, 3)))
+    xt = Matrix(rng.uniform(-1, 1, size=(1, 4)))
     p = AttentionParams.seeded(3, 4, 2, 1)
     out = cross_attention(xv, xt, p)
     want = (xt.data @ p.wv) @ p.wo

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import freqadapt.adapter
 from freqadapt import (
     AdapterWeights,
     FeatureMap,
@@ -66,6 +67,13 @@ class TestSeededWeights:
         AdapterWeights.seeded(4, 3)
         assert calls == [4 * 4 * (9 + 25 + 49 + 1 + 1)]
 
+    def test_zero_channels_rejected(self):
+        # no valid map has zero channels to meet these weights
+        with pytest.raises(ValueError):
+            AdapterWeights.zero_identity(0)
+        with pytest.raises(ValueError):
+            AdapterWeights.seeded(0, 3)
+
 
 class TestAdapterForward:
     def test_zero_weights_identity(self):
@@ -92,6 +100,18 @@ class TestAdapterForward:
             want = conv2d(FeatureMap(x.data + stepwise_activation(x, w).data), w.proj)
             got = adapter_forward(x, w)
             assert np.abs(got.data - want.data).max() < 1e-10, shape
+
+    def test_one_convolution_per_block(self, monkeypatch):
+        calls = []
+        real = freqadapt.adapter.conv2d
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return real(*args)
+
+        monkeypatch.setattr(freqadapt.adapter, "conv2d", counted)
+        adapter_forward(rand_map(np.random.default_rng(75)), AdapterWeights.seeded(3, 8))
+        assert calls == [(3, 3, 7, 7)]
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):

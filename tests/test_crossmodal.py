@@ -8,8 +8,8 @@ from freqadapt import (
     AttentionParams,
     DegenerateSpectrumError,
     FeatureMap,
+    Matrix,
     ShapeMismatchError,
-    TokenMatrix,
     compose,
     cross_attention,
     crossmodal_forward,
@@ -31,7 +31,7 @@ class TestTokens:
     def test_roundtrip_small(self):
         x = FeatureMap(np.arange(8, dtype=float).reshape(2, 2, 2))
         t = flatten_tokens(x)
-        assert t.tokens == 4 and t.dim == 2
+        assert t.rows == 4 and t.cols == 2
         back = unflatten_tokens(t, 2, 2)
         assert np.array_equal(back.data, x.data)
 
@@ -43,7 +43,7 @@ class TestTokens:
 
     def test_single_cell(self):
         t = flatten_tokens(FeatureMap(np.array([[[3.0]]])))
-        assert t.tokens == 1 and t.dim == 1
+        assert t.rows == 1 and t.cols == 1
 
     def test_roundtrip_random_bitwise(self):
         rng = np.random.default_rng(50)
@@ -52,7 +52,7 @@ class TestTokens:
         assert np.array_equal(back.data, x.data)
 
     def test_unflatten_rejects_bad_count(self):
-        t = TokenMatrix(np.zeros((5, 2)))
+        t = Matrix(np.zeros((5, 2)))
         with pytest.raises(ShapeMismatchError):
             unflatten_tokens(t, 2, 2)
 
@@ -60,8 +60,8 @@ class TestTokens:
 class TestCrossAttention:
     def test_single_text_token(self):
         rng = np.random.default_rng(51)
-        xv = TokenMatrix(rng.uniform(-1, 1, size=(6, 3)))
-        xt = TokenMatrix(rng.uniform(-1, 1, size=(1, 4)))
+        xv = Matrix(rng.uniform(-1, 1, size=(6, 3)))
+        xt = Matrix(rng.uniform(-1, 1, size=(1, 4)))
         p = AttentionParams.seeded(3, 4, 2, 7)
         out = cross_attention(xv, xt, p)
         want_row = (xt.data @ p.wv) @ p.wo
@@ -70,11 +70,11 @@ class TestCrossAttention:
 
     def test_two_identical_text_tokens(self):
         rng = np.random.default_rng(52)
-        xv = TokenMatrix(rng.uniform(-1, 1, size=(4, 3)))
+        xv = Matrix(rng.uniform(-1, 1, size=(4, 3)))
         row = rng.uniform(-1, 1, size=(1, 4))
         p = AttentionParams.seeded(3, 4, 2, 8)
-        one = cross_attention(xv, TokenMatrix(row), p)
-        two = cross_attention(xv, TokenMatrix(np.vstack([row, row])), p)
+        one = cross_attention(xv, Matrix(row), p)
+        two = cross_attention(xv, Matrix(np.vstack([row, row])), p)
         assert np.abs(one.data - two.data).max() < 1e-15
 
     def test_matches_extended_precision_oracle(self):
@@ -83,7 +83,7 @@ class TestCrossAttention:
             xv = rng.uniform(-1, 1, size=(4, 3))
             xt = rng.uniform(-1, 1, size=(3, 2))
             p = AttentionParams.seeded(3, 2, 2, 1000 + i)
-            got = cross_attention(TokenMatrix(xv), TokenMatrix(xt), p).data
+            got = cross_attention(Matrix(xv), Matrix(xt), p).data
             want = attention_oracle_mp(xv, xt, p)
             assert np.abs(got - want).max() < 1e-12
 
@@ -95,7 +95,7 @@ class TestCrossAttention:
         xv = rng.uniform(-1, 1, size=(n, c))
         xt = gen_text_tokens(t, 3, 9)
         p = AttentionParams.seeded(c, 3, d_k, 10)
-        got = cross_attention(TokenMatrix(xv), xt, p).data
+        got = cross_attention(Matrix(xv), xt, p).data
         scores = (xv @ p.wq) @ (xt.data @ p.wk).T / np.sqrt(d_k)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         want = ((e / e.sum(axis=1, keepdims=True)) @ (xt.data @ p.wv)) @ p.wo
@@ -105,8 +105,8 @@ class TestCrossAttention:
         # inherited from softmax_rows; verified through the output of a
         # value matrix whose columns are all ones
         rng = np.random.default_rng(54)
-        xv = TokenMatrix(rng.uniform(-1, 1, size=(5, 3)))
-        xt = TokenMatrix(rng.uniform(-1, 1, size=(4, 2)))
+        xv = Matrix(rng.uniform(-1, 1, size=(5, 3)))
+        xt = Matrix(rng.uniform(-1, 1, size=(4, 2)))
         p = AttentionParams(
             wq=rng.normal(size=(3, 2)),
             wk=rng.normal(size=(2, 2)),
@@ -118,11 +118,24 @@ class TestCrossAttention:
         assert np.abs(out.data).max() < 1e-15  # zero V rows stay zero under convex weights
 
     def test_dimension_mismatch_rejected(self):
-        xv = TokenMatrix(np.zeros((4, 3)))
-        xt = TokenMatrix(np.zeros((2, 5)))
+        xv = Matrix(np.zeros((4, 3)))
+        xt = Matrix(np.zeros((2, 5)))
         p = AttentionParams.seeded(3, 4, 2, 0)
         with pytest.raises(ShapeMismatchError):
             cross_attention(xv, xt, p)
+
+    @pytest.mark.parametrize("wo_shape", [(2, 4), (3, 3), (2, 2)])
+    def test_wrong_wo_shape_rejected_at_construction(self, wo_shape):
+        # wo must be (d_k, visual_dim) = (2, 3)
+        with pytest.raises(ShapeMismatchError):
+            AttentionParams(wq=np.ones((3, 2)), wk=np.ones((4, 2)), wv=np.ones((4, 2)),
+                            wo=np.ones(wo_shape), d_k=2)
+
+    def test_zero_dim_params_rejected(self):
+        # no valid map or token matrix has a zero dim to meet these weights
+        for dims in [(0, 4, 2), (3, 0, 2), (3, 4, 0)]:
+            with pytest.raises(ValueError):
+                AttentionParams.seeded(*dims, 0)
 
 def half_amplitude(x):
     """The half-spectrum amplitude that spectral_normalize standardizes."""
@@ -217,7 +230,7 @@ class TestAmpNormalize:
 class TestCrossmodalForward:
     def test_zero_map_zero_text_raises(self):
         zero = FeatureMap(np.zeros((2, 4, 4)))
-        zero_text = TokenMatrix(np.zeros((3, 5)))
+        zero_text = Matrix(np.zeros((3, 5)))
         p = AttentionParams.seeded(2, 5, 4, 1)
         with pytest.raises(DegenerateSpectrumError):
             crossmodal_forward(zero, zero_text, p)

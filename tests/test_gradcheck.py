@@ -9,7 +9,7 @@ from freqadapt import (
     AttentionParams,
     DegenerateSpectrumError,
     FeatureMap,
-    TokenMatrix,
+    Matrix,
     fd_directional,
     jvp_cross_attention,
     jvp_crossmodal,
@@ -132,10 +132,10 @@ class TestJvps:
 
     def test_single_text_token_zero_jvp(self):
         rng = np.random.default_rng(94)
-        xv = TokenMatrix(rng.uniform(-1, 1, size=(5, 3)))
-        xt = TokenMatrix(rng.uniform(-1, 1, size=(1, 4)))
+        xv = Matrix(rng.uniform(-1, 1, size=(5, 3)))
+        xt = Matrix(rng.uniform(-1, 1, size=(1, 4)))
         p = AttentionParams.seeded(3, 4, 2, 0)
-        d = TokenMatrix(rng.uniform(-1, 1, size=(5, 3)))
+        d = Matrix(rng.uniform(-1, 1, size=(5, 3)))
         out = jvp_cross_attention(xv, d, xt, p)
         assert np.abs(out.data).max() < 1e-15
 
@@ -227,9 +227,9 @@ class TestJvps:
         xt = gen_text_tokens(200, 3, 9)
         p = AttentionParams.seeded(16, 3, 8, 10)
         cot = rng.uniform(-1, 1, size=(36, 16))
-        analytic = float((cot * jvp_cross_attention(TokenMatrix(xv), TokenMatrix(d), xt, p).data).sum())
+        analytic = float((cot * jvp_cross_attention(Matrix(xv), Matrix(d), xt, p).data).sum())
         fd = fd_directional(
-            lambda m: float((cot * cross_attention(TokenMatrix(m), xt, p).data).sum()), xv, d, 1e-5
+            lambda m: float((cot * cross_attention(Matrix(m), xt, p).data).sum()), xv, d, 1e-5
         )
         assert abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8) < GRAD_TOL
 
@@ -238,8 +238,8 @@ class TestJvps:
         from freqadapt.gradcheck import _attention_and_jvp
 
         rng = np.random.default_rng(99)
-        xv = TokenMatrix(rng.uniform(-1, 1, size=(10, 3)))
-        d = TokenMatrix(rng.uniform(-1, 1, size=(10, 3)))
+        xv = Matrix(rng.uniform(-1, 1, size=(10, 3)))
+        d = Matrix(rng.uniform(-1, 1, size=(10, 3)))
         xt = gen_text_tokens(4, 5, 7)
         p = AttentionParams.seeded(3, 5, 4, 8)
         point, tangent = _attention_and_jvp(xv, d, xt, p)

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -5,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqadapt import FeatureMap, Matrix, ShapeMismatchError, conv2d, silu, softmax_rows
+from freqadapt import (
+    AdapterWeights,
+    AttentionParams,
+    FeatureMap,
+    Matrix,
+    ShapeMismatchError,
+    conv2d,
+    silu,
+    softmax_rows,
+)
 from freqadapt.tensor import _sigmoid
 
 
@@ -29,21 +39,81 @@ def conv2d_naive(x, kernel, padding):
     return out
 
 
-class TestFeatureMap:
-    def test_rejects_nan(self):
-        data = np.zeros((1, 2, 2))
-        data[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            FeatureMap(data)
+# every type that stores arrays: its constructor and the shape of each array field
+GUARDED = {
+    "FeatureMap": (FeatureMap, {"data": (2, 3, 4)}),
+    "Matrix": (Matrix, {"data": (3, 4)}),
+    "AttentionParams": (functools.partial(AttentionParams, d_k=2),
+                        {"wq": (3, 2), "wk": (4, 2), "wv": (4, 2), "wo": (2, 3)}),
+    "AdapterWeights": (AdapterWeights, {"k3": (2, 2, 3, 3), "k5": (2, 2, 5, 5),
+                                        "k7": (2, 2, 7, 7), "agg": (2, 2, 1, 1),
+                                        "proj": (2, 2, 1, 1)}),
+}
 
-    def test_rejects_wrong_ndim(self):
-        with pytest.raises(ShapeMismatchError):
-            FeatureMap(np.zeros((2, 2)))
 
-    def test_immutable(self):
-        fm = FeatureMap(np.zeros((1, 2, 2)))
-        with pytest.raises(ValueError):
-            fm.data[0, 0, 0] = 1.0
+@pytest.mark.parametrize("kind", GUARDED)
+class TestArrayGuard:
+    """The one array guard, as every container and weight set applies it."""
+
+    def fields(self, kind):
+        rng = np.random.default_rng(3)
+        return {name: rng.uniform(-1, 1, size=shape) for name, shape in GUARDED[kind][1].items()}
+
+    def each_bad_field(self, kind, corrupt):
+        """The fields with one array replaced by ``corrupt(array)``, for each field in turn."""
+        for name, arr in self.fields(kind).items():
+            yield {**self.fields(kind), name: corrupt(arr)}
+
+    def test_copies_its_input(self, kind):
+        build, _ = GUARDED[kind]
+        fields = self.fields(kind)
+        before = {name: arr.copy() for name, arr in fields.items()}
+        obj = build(**fields)
+        for arr in fields.values():
+            arr += 1.0
+        for name, arr in before.items():
+            assert np.array_equal(getattr(obj, name), arr), name
+
+    def test_immutable(self, kind):
+        build, _ = GUARDED[kind]
+        obj = build(**self.fields(kind))
+        for name in GUARDED[kind][1]:
+            stored = getattr(obj, name)
+            assert stored.dtype == np.float64 and stored.flags.c_contiguous, name
+            with pytest.raises(ValueError):
+                stored.flat[0] = 1.0
+
+    def test_accepts_lists(self, kind):
+        build, _ = GUARDED[kind]
+        fields = self.fields(kind)
+        obj = build(**{name: arr.tolist() for name, arr in fields.items()})
+        for name, arr in fields.items():
+            assert getattr(obj, name).tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nan(self, kind, bad):
+        build, _ = GUARDED[kind]
+
+        def corrupt(arr):
+            arr.flat[-1] = bad
+            return arr
+
+        for fields in self.each_bad_field(kind, corrupt):
+            with pytest.raises(ValueError, match="finite"):
+                build(**fields)
+
+    def test_rejects_wrong_ndim(self, kind):
+        build, _ = GUARDED[kind]
+        for corrupt in (lambda a: a[None], lambda a: a[0]):
+            for fields in self.each_bad_field(kind, corrupt):
+                with pytest.raises(ShapeMismatchError):
+                    build(**fields)
+
+    def test_rejects_empty_axis(self, kind):
+        build, _ = GUARDED[kind]
+        for fields in self.each_bad_field(kind, lambda a: a[:0]):
+            with pytest.raises(ValueError, match="axes must be >= 1"):
+                build(**fields)
 
 
 class TestConv2d:
