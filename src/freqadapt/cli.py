@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv as csv_module
 import functools
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -47,8 +48,8 @@ def _parse_alpha(text: str) -> tuple[float, ...]:
         vals = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"alpha must be a comma list of numbers, got {text!r}") from None
-    if not vals or any(v <= 0 for v in vals):
-        raise ValueError(f"alpha entries must be > 0, got {text!r}")
+    if not all(0 < v < math.inf for v in vals):  # also false for nan
+        raise ValueError(f"alpha entries must be finite and > 0, got {text!r}")
     return vals
 
 

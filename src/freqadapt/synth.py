@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import SplitMix64
-from .tensor import FeatureMap, Matrix, conv2d
+from .tensor import FeatureMap, Matrix
 
 FEATURE_KINDS = ("noise", "smooth", "checker")
 
@@ -28,7 +28,10 @@ def gen_features(kind: str, channels: int, height: int, width: int, seed: int) -
 
     noise   -- uniform(-1, 1) per element;
     smooth  -- the same noise convolved with a 5x5 Gaussian (sigma 1.0,
-               zero-padded), i.e. a low-passed map;
+               zero-padded), i.e. a low-passed map. One pass per tap runs
+               over all channels at once, summing the taps in conv2d's
+               (dy, dx) order, one product each, so the map is bitwise
+               equal to a per-channel conv2d;
     checker -- the (-1)^(h+w) Nyquist checkerboard.
     """
     if min(channels, height, width) < 1:
@@ -38,12 +41,24 @@ def gen_features(kind: str, channels: int, height: int, width: int, seed: int) -
         flat = rng.uniform_array(channels * height * width, low=-1.0, high=1.0)
         return FeatureMap(flat.reshape(channels, height, width))
     if kind == "smooth":
-        base = gen_features("noise", channels, height, width, seed)
-        kernel = _gaussian_kernel_5x5()[None, None]
-        out = np.empty((channels, height, width))
-        for c in range(channels):
-            out[c] = conv2d(FeatureMap(base.data[c : c + 1]), kernel).data[0]
-        return FeatureMap(out)
+        kernel = _gaussian_kernel_5x5()
+        # conv2d's flat layout: the spare row keeps the last tap's window in
+        # bounds, and the 4 junk columns per output row are sliced off
+        wp = width + 4
+        padded = np.zeros((channels, height + 5, wp))
+        padded[:, 2:2 + height, 2:2 + width] = gen_features(
+            "noise", channels, height, width, seed).data
+        flat = padded.reshape(channels, -1)
+        n = height * wp
+        out = np.zeros((channels, n))
+        tap = np.empty_like(out)
+        for dy in range(5):
+            for dx in range(5):
+                s = dy * wp + dx
+                np.multiply(kernel[dy, dx], flat[:, s:s + n], out=tap)
+                out += tap
+        del padded, flat, tap  # at most three map-sized buffers live at once
+        return FeatureMap(out.reshape(channels, height, wp)[:, :, :width])
     if kind == "checker":
         h_idx = np.arange(height)[:, None]
         w_idx = np.arange(width)[None, :]

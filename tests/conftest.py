@@ -2,6 +2,8 @@ import mpmath as mp
 import numpy as np
 
 from freqadapt.spectral import _radius_grid
+from freqadapt.synth import _gaussian_kernel_5x5, gen_features
+from freqadapt.tensor import FeatureMap, conv2d
 
 
 def attention_oracle_mp(xv, xt, p, dps=50):
@@ -23,6 +25,16 @@ def attention_oracle_mp(xv, xt, p, dps=50):
                    for b in range(p.wo.shape[1])]
             out_rows.append(row)
         return np.asarray(out_rows)
+
+
+def smooth_reference(channels, height, width, seed):
+    """``gen_features("smooth")`` as one zero-padded 5x5 ``conv2d`` per channel."""
+    base = gen_features("noise", channels, height, width, seed)
+    kernel = _gaussian_kernel_5x5()[None, None]
+    out = np.empty((channels, height, width))
+    for c in range(channels):
+        out[c] = conv2d(FeatureMap(base.data[c : c + 1]), kernel).data[0]
+    return FeatureMap(out)
 
 
 def idft2_reference(z):

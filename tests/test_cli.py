@@ -85,6 +85,15 @@ class TestApply:
                    "--alpha", "1,1") == 2
         assert "alpha must have length 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("transform, alpha", [("style", "nan,1,1"), ("stack", "inf")])
+    def test_non_finite_alpha_flag_exit_2(self, tmp_path, capsys, transform, alpha):
+        src = self.setup_input(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run("apply", transform, "--in", str(src), "--out", str(tmp_path / "o"),
+                "--alpha", alpha)
+        assert exc.value.code == 2
+        assert "argument --alpha" in capsys.readouterr().err
+
     def test_stack_scalar_alpha_broadcasts(self, tmp_path):
         src = self.setup_input(tmp_path)
         d1, d2 = tmp_path / "a.ftns", tmp_path / "b.ftns"
@@ -243,6 +252,15 @@ class TestConfigFile:
         assert run("apply", "style", "--in", str(src), "--out", str(tmp_path / "o"),
                    "--config", str(cfg)) == 2
         assert "scale_mode" in capsys.readouterr().err
+
+    def test_non_finite_alpha_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.ftns"
+        run("gen", "--kind", "smooth", "--shape", "3,8,8", "--seed", "5", "--out", str(src))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = nan\n")
+        assert run("apply", "style", "--in", str(src), "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)) == 2
+        assert "alpha entries must be finite and > 0" in capsys.readouterr().err
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg")) == 3
