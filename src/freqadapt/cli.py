@@ -17,8 +17,8 @@ import csv as csv_module
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,67 +98,93 @@ def _parse_seed(text: str) -> int:
         raise ValueError(f"seed must be an integer, got {text!r}") from None
 
 
-_PARSERS = {
-    "seed": _parse_seed,
-    "alpha": _parse_alpha,
-    "dk": int,
-    "cut": float,
-    "stage": _parse_stage,
-    "in": str,
-    "out": str,
-    "text": str,
-    "kind": str,
-    "shape": _parse_shape,
-    "pgm": str,
-    "csv": str,
-    "probes": int,
-    "ops": _parse_ops,
-    "suite": str,
-    "norm_scope": str,
-    "scale_mode": str,
+def _number(key: str, kind: type, in_range: Callable[[float], bool], expected: str):
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {text!r}") from None
+        if not in_range(value):  # also false for nan
+            raise ValueError(f"{key} must be {expected}, got {value}")
+        return value
+    return parse
+
+
+def _one_of(key: str, choices: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{key} must be one of {choices}, got {text!r}")
+        return text
+    return parse
+
+
+class _Param(NamedTuple):
+    parse: Callable[[str], object]  # does all the checking; raises ValueError with the reason
+    default: object
+    metavar: str
+    help: str
+
+
+# every command parameter, declared once: a config key, and the long flag
+# --key (underscores as dashes) on each command that lists it in _COMMAND_KEYS
+_PARAMS = {
+    "seed": _Param(_parse_seed, 0, "N", "64-bit seed"),
+    "alpha": _Param(_parse_alpha, None, "A1,A2,...",
+                    "Dirichlet concentrations, one or one per channel (default all 1)"),
+    "dk": _Param(_number("dk", int, lambda v: v >= 1, ">= 1"), 64, "N", "attention key dim"),
+    "cut": _Param(_number("cut", float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), 0.25, "R",
+                  "radial cut for hf_shift"),
+    "stage": _Param(_parse_stage, PlacementConfig().stage_assignments, "i=kind,...",
+                    "apply stack: adapter kind per stage"),
+    "in": _Param(str, None, "FILE", "input tensor file"),
+    "out": _Param(str, None, "FILE", "output tensor file"),
+    "text": _Param(str, None, "FILE", "2-axis tensor file of text tokens"),
+    "kind": _Param(_one_of("kind", FEATURE_KINDS), None, "|".join(FEATURE_KINDS),
+                   "synthetic map kind"),
+    "shape": _Param(_parse_shape, None, "C,H,W", "feature map shape"),
+    "pgm": _Param(str, None, "FILE", "binary P5 output, min-max scaled"),
+    "csv": _Param(str, None, "FILE", "full-precision CSV output"),
+    "probes": _Param(_number("probes", int, lambda v: v >= 1, ">= 1"), 50, "N",
+                     "gradcheck probes"),
+    "ops": _Param(_parse_ops, GRADCHECK_OPS, "op1,op2,...", "gradcheck ops"),
+    "suite": _Param(_one_of("suite", SUITE_NAMES), "all", "|".join(SUITE_NAMES),
+                    "verification suite"),
+    "norm_scope": _Param(_one_of("norm_scope", NORM_SCOPES), "channel", "|".join(NORM_SCOPES),
+                         "crossmodal amplitude standardization scope"),
+    "scale_mode": _Param(_one_of("scale_mode", SCALE_MODES), "times_C", "|".join(SCALE_MODES),
+                         "style Dirichlet weight scaling"),
 }
 
-_KEY_TO_FIELD = {"in": "in_path", "out": "out_path"}
+_COMMAND_KEYS = {
+    "gen": ("seed", "kind", "shape", "out"),
+    "apply": ("seed", "in", "out", "alpha", "dk", "cut", "stage", "text", "norm_scope",
+              "scale_mode"),
+    "heatmap": ("seed", "in", "pgm", "csv"),
+    "verify": ("seed", "suite", "probes"),
+    "gradcheck": ("seed", "ops", "probes", "csv"),
+}
 
 
-@dataclass
-class RunConfig:
-    """Merged command parameters: defaults, then config file, then flags."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
-    seed: int = 0
-    alpha: tuple | None = None
-    dk: int = 64
-    cut: float = 0.25
-    stage: dict | None = None
-    in_path: str | None = None
-    out_path: str | None = None
-    text: str | None = None
-    kind: str | None = None
-    shape: tuple | None = None
-    pgm: str | None = None
-    csv: str | None = None
-    probes: int = 50
-    ops: tuple = GRADCHECK_OPS
-    suite: str = "all"
-    norm_scope: str = "channel"
-    scale_mode: str = "times_C"
-    identity_hook: bool = False
 
-    def validate(self) -> None:
-        if self.dk < 1:
-            raise ValueError(f"dk must be >= 1, got {self.dk}")
-        if not 0.0 < self.cut < 1.0:
-            raise ValueError(f"cut must be in (0, 1), got {self.cut}")
-        if self.probes < 1:
-            raise ValueError(f"probes must be >= 1, got {self.probes}")
-        if self.suite not in SUITE_NAMES:
-            raise ValueError(f"suite must be one of {SUITE_NAMES}, got {self.suite!r}")
-        if self.norm_scope not in NORM_SCOPES:
-            raise ValueError(f"norm_scope must be one of {NORM_SCOPES}, got {self.norm_scope!r}")
-        if self.scale_mode not in SCALE_MODES:
-            raise ValueError(f"scale_mode must be one of {SCALE_MODES}, got {self.scale_mode!r}")
-        if self.kind is not None and self.kind not in FEATURE_KINDS:
-            raise ValueError(f"kind must be one of {FEATURE_KINDS}, got {self.kind!r}")
+def _show(value) -> str:
+    """A default as it would be typed on the command line."""
+    if isinstance(value, dict):
+        value = [f"{i}={kind}" for i, kind in value.items()]
+    return ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+
+
+def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` for argparse: its ValueError reason becomes the usage error's message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _read_config_file(path: str) -> dict:
@@ -175,23 +201,21 @@ def _read_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _PARSERS:
+        if key not in _PARAMS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _PARSERS[key](value.strip())  # later keys override earlier ones
+        try:
+            values[key] = _PARAMS[key].parse(value.strip())  # later keys override earlier ones
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            setattr(cfg, _KEY_TO_FIELD.get(key, key), value)
-    field_names = {f.name for f in fields(RunConfig)}
-    for name in field_names:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            setattr(cfg, name, flag_value)
-    cfg.validate()
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Every parameter's value: the defaults, then the config file, then the flags given."""
+    cfg = {key: param.default for key, param in _PARAMS.items()}
+    if args.config:
+        cfg.update(_read_config_file(args.config))
+    cfg.update((key, value) for key, value in vars(args).items() if key in _PARAMS)
     return cfg
 
 
@@ -206,48 +230,48 @@ def _load(path: str, kind):
         raise TensorFileError(f"{path}: {exc}") from exc
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            key = next((k for k, f in _KEY_TO_FIELD.items() if f == name), name)
-            raise ValueError(f"missing required parameter --{key}")
+def _require(cfg: dict, *keys: str) -> None:
+    for key in keys:
+        if cfg[key] is None:
+            raise ValueError(f"missing required parameter {_flag(key)}")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    _require(cfg, "kind", "shape", "out_path")
-    fm = gen_features(cfg.kind, *cfg.shape, cfg.seed)
-    write_tensor(cfg.out_path, fm.data)
+    _require(cfg, "kind", "shape", "out")
+    fm = gen_features(cfg["kind"], *cfg["shape"], cfg["seed"])
+    write_tensor(cfg["out"], fm.data)
     c, h, w = fm.shape
-    print(f"gen {cfg.kind} {c}x{h}x{w} seed={cfg.seed} -> {cfg.out_path}")
+    print(f"gen {cfg['kind']} {c}x{h}x{w} seed={cfg['seed']} -> {cfg['out']}")
     return 0
 
 
-def _apply_transform(transform: str, x: FeatureMap, cfg: RunConfig) -> FeatureMap:
+def _apply_transform(transform: str, x: FeatureMap, cfg: dict,
+                     identity_hook: bool) -> FeatureMap:
+    seed = cfg["seed"]
     if transform == "style":
-        if cfg.identity_hook:
+        if identity_hook:
             return style_transform(x, 0.0, 1.0)
-        alpha = cfg.alpha if cfg.alpha is not None else np.ones(x.channels)
-        return style_diversify(x, alpha, cfg.seed, scale_mode=cfg.scale_mode)
+        alpha = cfg["alpha"] if cfg["alpha"] is not None else np.ones(x.channels)
+        return style_diversify(x, alpha, seed, scale_mode=cfg["scale_mode"])
     if transform == "crossmodal":
-        text = _load(cfg.text, Matrix) if cfg.text else gen_text_tokens(
-            8, 16, mix_seed(cfg.seed, _TEXT_TAG)
+        text = _load(cfg["text"], Matrix) if cfg["text"] else gen_text_tokens(
+            8, 16, mix_seed(seed, _TEXT_TAG)
         )
-        params = AttentionParams.seeded(x.channels, text.cols, cfg.dk,
-                                        mix_seed(cfg.seed, _ATTN_TAG))
-        return crossmodal_forward(x, text, params, scope=cfg.norm_scope)
+        params = AttentionParams.seeded(x.channels, text.cols, cfg["dk"],
+                                        mix_seed(seed, _ATTN_TAG))
+        return crossmodal_forward(x, text, params, scope=cfg["norm_scope"])
     if transform == "plain":
-        weights = AdapterWeights.seeded(x.channels, mix_seed(cfg.seed, 1))
+        weights = AdapterWeights.seeded(x.channels, mix_seed(seed, 1))
         return adapter_forward(x, weights)
     # stack: fold the per-stage adapters over one map, in stage order
-    assignments = cfg.stage if cfg.stage is not None else {1: "style", 3: "crossmodal"}
-    num_stages = max([3] + list(assignments))
+    num_stages = max([3] + list(cfg["stage"]))
     placement = PlacementConfig(
-        stage_assignments=assignments,
-        alpha=cfg.alpha,
-        text_tokens=_load(cfg.text, Matrix) if cfg.text else None,
-        d_k=cfg.dk,
-        seed=cfg.seed,
+        stage_assignments=cfg["stage"],
+        alpha=cfg["alpha"],
+        text_tokens=_load(cfg["text"], Matrix) if cfg["text"] else None,
+        d_k=cfg["dk"],
+        seed=seed,
         num_stages=num_stages,
     )
     out = x
@@ -258,15 +282,15 @@ def _apply_transform(transform: str, x: FeatureMap, cfg: RunConfig) -> FeatureMa
 
 def cmd_apply(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    _require(cfg, "in_path", "out_path")
-    x = _load(cfg.in_path, FeatureMap)
-    out = _apply_transform(args.transform, x, cfg)
-    write_tensor(cfg.out_path, out.data)
+    _require(cfg, "in", "out")
+    x = _load(cfg["in"], FeatureMap)
+    out = _apply_transform(args.transform, x, cfg, args.identity_hook)
+    write_tensor(cfg["out"], out.data)
     c, h, w = out.shape
-    shift = high_freq_shift(x, out, cfg.cut)
+    shift = high_freq_shift(x, out, cfg["cut"])
     print(
         f"apply {args.transform} {c}x{h}x{w} min={out.data.min():.6g} "
-        f"max={out.data.max():.6g} hf_shift@{cfg.cut:g}={shift:+.6g} -> {cfg.out_path}"
+        f"max={out.data.max():.6g} hf_shift@{cfg['cut']:g}={shift:+.6g} -> {cfg['out']}"
     )
     return 0
 
@@ -283,51 +307,51 @@ def _write_pgm(path: str, values: np.ndarray) -> None:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    _require(cfg, "in_path")
-    if cfg.pgm is None and cfg.csv is None:
+    _require(cfg, "in")
+    if cfg["pgm"] is None and cfg["csv"] is None:
         raise ValueError("heatmap needs --pgm and/or --csv")
-    x = _load(cfg.in_path, FeatureMap)
+    x = _load(cfg["in"], FeatureMap)
     hm = heatmap(x).data
     written = []
-    if cfg.pgm is not None:
-        _write_pgm(cfg.pgm, hm)
-        written.append(cfg.pgm)
-    if cfg.csv is not None:
-        with open(cfg.csv, "w", newline="") as fh:
+    if cfg["pgm"] is not None:
+        _write_pgm(cfg["pgm"], hm)
+        written.append(cfg["pgm"])
+    if cfg["csv"] is not None:
+        with open(cfg["csv"], "w", newline="") as fh:
             for row in hm:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        written.append(cfg.csv)
+        written.append(cfg["csv"])
     print(f"heatmap {hm.shape[0]}x{hm.shape[1]} -> {', '.join(written)}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    results = run_suite(cfg.suite, seed=cfg.seed, probes=cfg.probes)
+    results = run_suite(cfg["suite"], seed=cfg["seed"], probes=cfg["probes"])
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<28} {r.detail}")
     failed = sum(not r.passed for r in results)
-    print(f"verify {cfg.suite}: {len(results) - failed}/{len(results)} checks passed")
+    print(f"verify {cfg['suite']}: {len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    reports = run_gradcheck(cfg.ops, seed=cfg.seed, probes=cfg.probes)
+    reports = run_gradcheck(cfg["ops"], seed=cfg["seed"], probes=cfg["probes"])
     print(f"{'op':<18} {'probes':>6} {'max_rel_err':>12} {'best_step':>10} {'converged':>10}")
     for r in reports:
         print(
             f"{r.op_name:<18} {r.num_probes:>6} {r.max_rel_err:>12.3e} "
             f"{r.step:>10g} {r.converged_fraction:>9.0%}"
         )
-    if cfg.csv is not None:
-        with open(cfg.csv, "w", newline="") as fh:
+    if cfg["csv"] is not None:
+        with open(cfg["csv"], "w", newline="") as fh:
             writer = csv_module.writer(fh)
             writer.writerow(["op_name", "max_rel_err", "num_probes", "step", "converged_fraction"])
             for r in reports:
                 writer.writerow([r.op_name, repr(r.max_rel_err), r.num_probes,
                                  repr(r.step), repr(r.converged_fraction)])
-        print(f"report -> {cfg.csv}")
+        print(f"report -> {cfg['csv']}")
     worst = max(r.max_rel_err for r in reports)
     print(f"gradcheck: worst max_rel_err={worst:.3e} (tol {GRAD_TOL:g})")
     return 0 if all(r.passed for r in reports) else 1
@@ -345,53 +369,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frequency-domain feature adapters on synthetic feature maps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=_parse_seed, default=None, help="64-bit seed (default 0)")
-        p.add_argument("--config", default=None, help="key = value config file")
-
-    p = sub.add_parser("gen", help="generate a synthetic feature map")
-    add_common(p)
-    p.add_argument("--kind", choices=FEATURE_KINDS, default=None)
-    p.add_argument("--shape", type=_parse_shape, default=None, metavar="C,H,W")
-    p.add_argument("--out", dest="out_path", default=None)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("apply", help="apply a transform to a tensor file")
-    add_common(p)
-    p.add_argument("transform", choices=("style", "crossmodal", "plain", "stack"))
-    p.add_argument("--in", dest="in_path", default=None)
-    p.add_argument("--out", dest="out_path", default=None)
-    p.add_argument("--alpha", type=_parse_alpha, default=None, metavar="A1,A2,...")
-    p.add_argument("--dk", type=int, default=None, help="attention key dim (default 64)")
-    p.add_argument("--cut", type=float, default=None, help="radial cut for hf_shift (default 0.25)")
-    p.add_argument("--stage", type=_parse_stage, default=None, metavar="i=kind,...")
-    p.add_argument("--text", default=None, help="2-axis tensor file of text tokens")
-    p.add_argument("--norm-scope", dest="norm_scope", choices=NORM_SCOPES, default=None)
-    p.add_argument("--scale-mode", dest="scale_mode", choices=SCALE_MODES, default=None)
-    p.add_argument("--identity-hook", dest="identity_hook", action="store_true", default=None,
-                   help="style only: force the identity affine map (verification hook)")
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("heatmap", help="write the centered log-amplitude heatmap")
-    add_common(p)
-    p.add_argument("--in", dest="in_path", default=None)
-    p.add_argument("--pgm", default=None, help="binary P5 output, min-max scaled")
-    p.add_argument("--csv", default=None, help="full-precision CSV output")
-    p.set_defaults(func=cmd_heatmap)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    add_common(p)
-    p.add_argument("--suite", choices=SUITE_NAMES, default=None)
-    p.add_argument("--probes", type=int, default=None, help="gradcheck probes (default 50)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient report")
-    add_common(p)
-    p.add_argument("--ops", type=_parse_ops, default=None, metavar="op1,op2,...")
-    p.add_argument("--probes", type=int, default=None)
-    p.add_argument("--csv", default=None, help="also write the report as CSV")
-    p.set_defaults(func=cmd_gradcheck)
+    commands = (
+        ("gen", cmd_gen, "generate a synthetic feature map"),
+        ("apply", cmd_apply, "apply a transform to a tensor file"),
+        ("heatmap", cmd_heatmap, "write the centered log-amplitude heatmap"),
+        ("verify", cmd_verify, "run a verification suite"),
+        ("gradcheck", cmd_gradcheck, "finite-difference gradient report"),
+    )
+    for name, func, help_text in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name == "apply":
+            p.add_argument("transform", choices=("style", "crossmodal", "plain", "stack"))
+            p.add_argument("--identity-hook", action="store_true",
+                           help="style only: force the identity affine map (verification hook)")
+        p.add_argument("--config", metavar="FILE", help="key = value config file")
+        for key in _COMMAND_KEYS[name]:
+            param = _PARAMS[key]
+            help_text = param.help
+            if param.default is not None:
+                help_text += f" (default {_show(param.default)})"
+            # unset flags stay out of the namespace, so only given flags override the file
+            p.add_argument(_flag(key), dest=key, type=_flag_type(param.parse),
+                           default=argparse.SUPPRESS, metavar=param.metavar, help=help_text)
     return parser
 
 

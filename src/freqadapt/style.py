@@ -39,7 +39,10 @@ def sample_dirichlet(alpha, seed: int) -> np.ndarray:
     draws = np.array([rng.gamma(a) for a in avec])
     total = draws.sum()
     if not total > 0.0:
-        raise ArithmeticError("gamma draws summed to zero; cannot normalize")
+        raise ValueError(
+            f"Dirichlet concentrations {avec.tolist()} are too small: every gamma draw "
+            "underflowed to 0, so the weights cannot be normalized"
+        )
     return draws / total
 
 

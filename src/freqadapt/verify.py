@@ -46,8 +46,6 @@ from .synth import gen_features, gen_text_tokens
 from .tensor import FeatureMap, Matrix
 from .tensorfile import read_tensor, write_tensor
 
-SUITE_NAMES = ("spectral", "style", "crossmodal", "grad", "all")
-
 # corpus used by the high-frequency emphasis checks: low-passed noise with a
 # constant channel lift, i.e. a smooth activation-like map whose DC dominates
 _HF_CORPUS = dict(channels=4, height=8, width=8, lift=4.0, tokens=8, text_dim=16, d_k=64)
@@ -134,9 +132,13 @@ def check_spectral(seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def _phase_gap_mod_pi(p_out: np.ndarray, p_in: np.ndarray) -> np.ndarray:
-    d = np.abs(np.mod(p_out - p_in + np.pi, 2.0 * np.pi) - np.pi)
-    return np.minimum(d, np.abs(np.pi - d))  # pi flips from negative amplitudes are exact
+def _phase_gap(x: FeatureMap, out: FeatureMap) -> float:
+    """Largest phase change, mod pi, from ``x`` to ``out`` over the bins where |X| > 1e-6."""
+    amp, phase = decompose(fft2(x))
+    mask = amp > 1e-6
+    d = np.abs(np.mod(decompose(fft2(out))[1][mask] - phase[mask] + np.pi, 2.0 * np.pi) - np.pi)
+    d = np.minimum(d, np.abs(np.pi - d))  # pi flips from negative amplitudes are exact
+    return float(d.max())
 
 
 def check_style(seed: int = 0) -> list[CheckResult]:
@@ -155,11 +157,8 @@ def check_style(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for i in range(1000):
         x = _rand_map(rng, 3, 8, 8)
-        amp, phase = decompose(fft2(x))
         out = style_diversify(x, np.ones(3), mix_seed(seed, 40_000 + i))
-        mask = amp > 1e-6
-        gap = _phase_gap_mod_pi(decompose(fft2(out))[1][mask], phase[mask])
-        worst = max(worst, float(gap.max()))
+        worst = max(worst, _phase_gap(x, out))
     results.append(CheckResult(
         "phase_preservation", worst <= 1e-6,
         f"max_phase_dev={worst:.3e} rad tol=1e-6 (1000 maps, bins with amp>1e-6)"
@@ -238,10 +237,7 @@ def check_crossmodal(seed: int = 0) -> list[CheckResult]:
         var = np.average((out - mean[:, None, None]) ** 2, axis=(1, 2), weights=full)
         worst_mean = max(worst_mean, float(np.abs(mean).max()))
         worst_std = max(worst_std, float(np.abs(np.sqrt(var) - 1.0).max()))
-        amp, phase = decompose(fft2(x))
-        mask = amp > 1e-6
-        gap = _phase_gap_mod_pi(decompose(fft2(spectral_normalize(x)))[1][mask], phase[mask])
-        worst_phase = max(worst_phase, float(gap.max()))
+        worst_phase = max(worst_phase, _phase_gap(x, spectral_normalize(x)))
     results.append(CheckResult(
         "amp_normalize_contract",
         worst_mean <= 1e-10 and worst_std <= 1e-10 and worst_phase <= 1e-6,
@@ -410,22 +406,20 @@ def check_io(seed: int = 0) -> list[CheckResult]:
     return results
 
 
+_SUITES = {
+    "spectral": (check_spectral,),
+    "style": (check_style,),
+    "crossmodal": (check_crossmodal,),
+    "grad": (check_grad,),
+    "all": (check_spectral, check_style, check_crossmodal, check_grad, check_frame, check_io),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, seed: int = 0, probes: int = 50) -> list[CheckResult]:
-    if name not in SUITE_NAMES:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    if name == "spectral":
-        return check_spectral(seed)
-    if name == "style":
-        return check_style(seed)
-    if name == "crossmodal":
-        return check_crossmodal(seed)
-    if name == "grad":
-        return check_grad(seed, probes)
     results = []
-    results += check_spectral(seed)
-    results += check_style(seed)
-    results += check_crossmodal(seed)
-    results += check_grad(seed, probes)
-    results += check_frame(seed)
-    results += check_io(seed)
+    for check in _SUITES[name]:
+        results += check(seed, probes) if check is check_grad else check(seed)
     return results

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import count_fft_calls
 from freqadapt import FeatureMap, read_tensor, style_diversify, write_tensor
-from freqadapt.cli import build_parser, main
+from freqadapt.cli import _COMMAND_KEYS, _PARAMS, _flag, _merge_config, build_parser, main
 from freqadapt.synth import gen_features
 
 
@@ -93,6 +93,13 @@ class TestApply:
                 "--alpha", alpha)
         assert exc.value.code == 2
         assert "argument --alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("transform", ["style", "stack"])
+    def test_underflowing_alpha_exit_2(self, tmp_path, capsys, transform):
+        src = self.setup_input(tmp_path)
+        assert run("apply", transform, "--in", str(src), "--out", str(tmp_path / "o"),
+                   "--alpha", "1e-300,1e-300,1e-300") == 2
+        assert "concentrations [1e-300, 1e-300, 1e-300]" in capsys.readouterr().err
 
     def test_stack_scalar_alpha_broadcasts(self, tmp_path):
         src = self.setup_input(tmp_path)
@@ -234,10 +241,13 @@ class TestConfigFile:
         assert read_tensor(tmp_path / "flag.ftns").tobytes() == \
             gen_features("noise", 1, 4, 4, 1).data.tobytes()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kid = noise\n")
         assert run("gen", "--config", str(cfg)) == 2
+        cfg.write_text("identity_hook = 1\n")  # the one flag with no config key
+        assert run("apply", "style", "--config", str(cfg)) == 2
+        assert "unknown key 'identity_hook'" in capsys.readouterr().err
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -262,6 +272,12 @@ class TestConfigFile:
                    "--config", str(cfg)) == 2
         assert "alpha entries must be finite and > 0" in capsys.readouterr().err
 
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# widths\ndk = wide\n")
+        assert run("verify", "--config", str(cfg)) == 2
+        assert f"error: {cfg}:2: dk: dk must be an integer, got 'wide'" in capsys.readouterr().err
+
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg")) == 3
 
@@ -274,6 +290,48 @@ class TestConfigFile:
         assert run("apply", "stack", "--in", str(src), "--out", str(dst),
                    "--config", str(cfg)) == 0
         assert read_tensor(dst).tobytes() == read_tensor(src).tobytes()
+
+
+# one accepted and one rejected value per parameter; every table key has a sample
+GOOD = {
+    "seed": "0x10", "alpha": "0.5,2", "dk": "8", "cut": "0.1", "stage": "1=plain,4=style",
+    "in": "a.ftns", "out": "b.ftns", "text": "t.ftns", "kind": "checker", "shape": "2,3,4",
+    "pgm": "h.pgm", "csv": "h.csv", "probes": "7", "ops": "silu,style", "suite": "grad",
+    "norm_scope": "tensor", "scale_mode": "raw",
+}
+BAD = {
+    "alpha": "0,1", "shape": "1,2", "stage": "1-style", "ops": "sin", "dk": "0",
+    "probes": "wide", "cut": "1.5", "suite": "bogus", "kind": "plaid",
+    "norm_scope": "global", "scale_mode": "bogus",
+}
+
+
+def parse_with(key, *argv):
+    command = next(c for c, keys in _COMMAND_KEYS.items() if key in keys)
+    return build_parser().parse_args([command, *(["style"] if command == "apply" else []), *argv])
+
+
+class TestParameterTable:
+    def test_every_key_has_samples(self):
+        assert set(GOOD) == set(_PARAMS)
+
+    @pytest.mark.parametrize("key", sorted(GOOD))
+    def test_flag_and_config_value_merge_alike(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {GOOD[key]}\n")
+        from_flag = _merge_config(parse_with(key, _flag(key), GOOD[key]))
+        from_file = _merge_config(parse_with(key, "--config", str(cfg)))
+        assert from_flag == from_file
+        assert from_flag[key] != _PARAMS[key].default
+
+    @pytest.mark.parametrize("key", sorted(BAD))
+    def test_rejected_flag_shows_the_reason(self, capsys, key):
+        with pytest.raises(ValueError) as reason:
+            _PARAMS[key].parse(BAD[key])
+        with pytest.raises(SystemExit) as exc:
+            parse_with(key, _flag(key), BAD[key])
+        assert exc.value.code == 2
+        assert f"argument {_flag(key)}: {reason.value}" in capsys.readouterr().err
 
 
 class TestHeatmap:

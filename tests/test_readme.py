@@ -43,8 +43,8 @@ def test_every_export_is_in_module_map():
 
 
 def test_config_keys_match_parsers():
-    from freqadapt.cli import _PARSERS
+    from freqadapt.cli import _PARAMS
 
     section = README.read_text().split("### Config files", 1)[1].split("\n## ", 1)[0]
     listed = section.split("Keys mirror the long flags:", 1)[1]
-    assert set(re.findall(r"`(\w+)`", listed)) == set(_PARSERS)
+    assert set(re.findall(r"`(\w+)`", listed)) == set(_PARAMS)

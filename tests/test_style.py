@@ -97,6 +97,11 @@ class TestSampleDirichlet:
         with pytest.raises(ValueError):
             sample_dirichlet([-1.0], 0)
 
+    def test_underflowing_concentrations_name_themselves(self):
+        # every Gamma(1e-300) draw underflows to 0, so there is no simplex point to return
+        with pytest.raises(ValueError, match=r"concentrations \[1e-300, 1e-300, 1e-300\]"):
+            sample_dirichlet([1e-300] * 3, 0)
+
     def test_determinism(self):
         a = sample_dirichlet([1.0, 2.0, 3.0], 5)
         b = sample_dirichlet([1.0, 2.0, 3.0], 5)
