@@ -117,15 +117,21 @@ def adapter_forward(
     """
     if w.channels != x.channels:
         raise ShapeMismatchError(f"weights expect {w.channels} channels, map has {x.channels}")
-    branches = conv2d(x, _fused_kernel(w)).data.reshape(x.channels, -1)
-    activated = silu(FeatureMap((w.agg[:, :, 0, 0] @ branches).reshape(x.shape)))
+    activated = silu(_pointwise(w.agg, conv2d(x, _fused_kernel(w)).data))
     augmented = augment(activated) if augment is not None else activated
     if augmented.shape != x.shape:
         raise ShapeMismatchError(
             f"augmentation changed the shape: {augmented.shape} vs {x.shape}"
         )
-    mixed = (x.data + augmented.data).reshape(x.channels, -1)
-    return FeatureMap((w.proj[:, :, 0, 0] @ mixed).reshape(x.shape))
+    return _pointwise(w.proj, x.data + augmented.data)
+
+
+def _pointwise(kernel: np.ndarray, v: np.ndarray) -> FeatureMap:
+    """The 1x1 convolution ``kernel`` of a C x H x W array, as one [C, C] x [C, H*W] product."""
+    out = np.empty(v.shape)
+    c = v.shape[0]
+    np.matmul(kernel[:, :, 0, 0], v.reshape(c, -1), out=out.reshape(c, -1))
+    return FeatureMap._adopt(out)
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,7 @@ def _load(path: str, kind):
     """Read a tensor file as ``kind``: a wrong rank exits 2, empty or non-finite values exit 3."""
     arr = read_tensor(path)
     try:
-        return kind(arr)
+        return kind._adopt(arr)
     except ShapeMismatchError as exc:
         raise ShapeMismatchError(f"{path}: {exc}") from exc
     except ValueError as exc:

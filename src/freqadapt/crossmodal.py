@@ -108,7 +108,7 @@ def _attention_terms(xv: Matrix, xt: Matrix, p: AttentionParams):
     k = xt.data @ p.wk
     v = xt.data @ p.wv
     scores = np.linalg.multi_dot([xv.data, p.wq, k.T]) / math.sqrt(p.d_k)
-    return k, v, softmax_rows(Matrix(scores)).data
+    return k, v, softmax_rows(Matrix._adopt(scores)).data
 
 
 def cross_attention(xv: Matrix, xt: Matrix, p: AttentionParams) -> Matrix:
@@ -120,7 +120,7 @@ def cross_attention(xv: Matrix, xt: Matrix, p: AttentionParams) -> Matrix:
     make cheapest (``np.linalg.multi_dot``).
     """
     _, v, attn = _attention_terms(xv, xt, p)
-    return Matrix(np.linalg.multi_dot([attn, v, p.wo]))
+    return Matrix._adopt(np.linalg.multi_dot([attn, v, p.wo]))
 
 
 def _attend(x: FeatureMap, xt: Matrix, p: AttentionParams) -> FeatureMap:

@@ -13,6 +13,12 @@ unambiguous:
   a real map's spectrum mirrors into the rest. Sums and statistics over
   it weight each column by :func:`mirror_weights`, so they equal those of
   the full grid;
+* each way runs as two in-place 1-D passes, the ones ``rfft2``/``irfft2``
+  run themselves (so the bits are theirs): :func:`_rfft2` writes the
+  complex pass along H into the real pass's output, and :func:`_irfft2`
+  runs the inverse complex pass in place on the spectrum it consumes and
+  the real pass into an output buffer that :func:`amp_map` allocates
+  before the forward transform, so each spectrum buffer is allocated once;
 * the full-grid :func:`fft2`, :func:`ifft2`, :func:`dft2_oracle`,
   :func:`decompose` and :func:`compose` are references, on plain arrays;
 * amplitude is sqrt(re^2 + im^2 + 1e-24); the epsilon keeps the gradient
@@ -137,14 +143,21 @@ def _rescale(z: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarra
     return z
 
 
-def _self_mirrored(n: int) -> list[int]:
-    """Indices k of a length-n FFT axis with -k = k mod n: 0, and n/2 when n is even."""
-    return [0, n // 2] if n % 2 == 0 else [0]
+def _self_mirrored(n: int) -> slice:
+    """Indices k of a length-n FFT axis with -k = k mod n: 0, and n/2 when n is even.
+
+    A slice, so they index as a view: for n even, a step of n/2 picks
+    exactly 0 and n/2 from the H rows of a spectrum and from the
+    W//2+1 columns of a half spectrum alike.
+    """
+    return slice(None, None, n // 2) if n % 2 == 0 else slice(0, 1)
 
 
 def _rfft2(x: FeatureMap) -> np.ndarray:
     """Half spectrum (C, H, W//2+1) of the unnormalized forward transform.
 
+    Two 1-D passes, the real one along W and then the complex one along
+    H in place: the passes ``rfft2`` runs itself, so the bits are its own.
     The spectrum of a real map is conjugate-symmetric, but the FFT gives
     the self-mirrored columns only up to rounding, and a bin at rounding
     level (or an exact zero with a signed zero its mirror lacks) has a
@@ -152,18 +165,24 @@ def _rfft2(x: FeatureMap) -> np.ndarray:
     are set to the conjugate of rows H - u, and the bins that are their
     own mirror (rows 0 and H/2) to their real part: exactly symmetric.
     """
-    z = np.fft.rfft2(x.data, axes=(1, 2))
+    z = np.fft.rfft(x.data, axis=2)
+    np.fft.fft(z, axis=1, out=z)
     h = z.shape[1]
-    cols = _self_mirrored(x.width)
-    rows = np.arange(h // 2 + 1, h)[:, None]
-    z[:, rows, cols] = np.conj(z[:, h - rows, cols])
-    z.imag[:, np.array(_self_mirrored(h))[:, None], cols] = 0.0
+    cols = z[:, :, _self_mirrored(x.width)]
+    cols[:, h // 2 + 1:] = np.conj(cols[:, 1:(h + 1) // 2][:, ::-1])
+    cols.imag[:, _self_mirrored(h)] = 0.0
     return z
 
 
-def _irfft2(z: np.ndarray, shape: tuple[int, int, int]) -> FeatureMap:
-    """Real C x H x W map of a half spectrum, with the 1/(H*W) factor."""
-    return FeatureMap(np.fft.irfft2(z, s=shape[1:], axes=(1, 2)))
+def _irfft2(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Real C x H x W map of a half spectrum, with the 1/(H*W) factor, written into ``out``.
+
+    Two 1-D passes, the inverse of :func:`_rfft2`'s: the complex one along
+    H in place, which consumes ``z``, then the real one along W into
+    ``out``. Returns ``out``.
+    """
+    np.fft.ifft(z, axis=1, out=z)
+    return np.fft.irfft(z, n=out.shape[2], axis=2, out=out)
 
 
 def mirror_weights(width: int) -> np.ndarray:
@@ -188,7 +207,7 @@ def _mirror_residue(z: np.ndarray, width: int) -> float:
     """
     h = z.shape[1]
     cols = z[:, :, _self_mirrored(width)]
-    mirror = cols[:, -np.arange(h) % h]
+    mirror = np.concatenate((cols[:, :1], cols[:, :0:-1]), axis=1)  # rows -u mod H
     return float(np.abs(cols - np.conj(mirror)).max()) / (h * width)
 
 
@@ -207,15 +226,16 @@ def amp_map(x: FeatureMap, fn: Callable[[np.ndarray], np.ndarray]) -> FeatureMap
     measured as :func:`_mirror_residue`, raises
     :class:`SymmetryViolationError`.
     """
+    out = np.empty(x.shape)
     z = _rescale(_rfft2(x), fn)
     residue = _mirror_residue(z, x.width)
-    out = _irfft2(z, x.shape)
-    scale = float(np.abs(out.data).max())
+    _irfft2(z, out)
+    scale = float(max(out.max(), -out.min()))
     if residue > 1e-8 * scale:
         raise SymmetryViolationError(
             f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"
         )
-    return out
+    return FeatureMap._adopt(out)
 
 
 def amp_map_jvp(
@@ -229,6 +249,7 @@ def amp_map_jvp(
     u * (dfn(a, da) + i * fn(a) * dp). ``fn`` runs before ``dfn``, so the
     forward's guards fire first.
     """
+    out = np.empty(x.shape)
     z = _rfft2(x)
     dz = _rfft2(direction)
     re, im = z.real, z.imag
@@ -240,7 +261,7 @@ def amp_map_jvp(
     a = _unit_phasors(z)
     da /= a
     new = fn(a)
-    return _irfft2(z * (dfn(a, da) + 1j * new * dp), x.shape)
+    return FeatureMap._adopt(_irfft2(z * (dfn(a, da) + 1j * new * dp), out))
 
 
 def _radius_grid(h: int, w: int) -> np.ndarray:

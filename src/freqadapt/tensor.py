@@ -2,9 +2,12 @@
 
 Everything is double precision and immutable after construction: every
 array the library stores, in these containers and in the adapter and
-attention weights, passes through :func:`_checked`, which copies it in
-once, checks it and marks it read-only, so values are safe to share
-across threads.
+attention weights, is checked once by :func:`_frozen` and marked
+read-only, so values are safe to share across threads. The public
+constructors copy their input in first (:func:`_checked`), so mutating
+the source afterwards changes nothing; an array the library has just
+computed and holds the only reference to is adopted as it is
+(:meth:`_Checked._adopt`), after the same checks.
 """
 
 from __future__ import annotations
@@ -14,15 +17,12 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 
-def _checked(data, rank: int, name: str) -> np.ndarray:
-    """``data`` as a read-only float64 C-order copy, checked for rank, size and finiteness.
+def _frozen(arr: np.ndarray, rank: int, name: str) -> np.ndarray:
+    """``arr`` marked read-only after the checks for rank, size and finiteness.
 
-    The one guard for every array the library stores: the copy is the
-    only one made, so mutating the source afterwards changes nothing.
     Raises ShapeMismatchError on a rank other than ``rank`` and ValueError
     on an empty axis or a non-finite value.
     """
-    arr = np.array(data, dtype=np.float64, order="C", copy=True)
     if arr.ndim != rank:
         raise ShapeMismatchError(f"{name} needs {rank} axes, got shape {arr.shape}")
     if min(arr.shape) < 1:
@@ -33,6 +33,15 @@ def _checked(data, rank: int, name: str) -> np.ndarray:
     return arr
 
 
+def _checked(data, rank: int, name: str) -> np.ndarray:
+    """``data`` as a read-only float64 C-order copy, checked by :func:`_frozen`.
+
+    The guard of every public constructor: the copy is the only one made,
+    so mutating the source afterwards changes nothing.
+    """
+    return _frozen(np.array(data, dtype=np.float64, order="C", copy=True), rank, name)
+
+
 class _Checked:
     """A finite float64 array of rank ``_rank``, non-empty on every axis."""
 
@@ -41,6 +50,21 @@ class _Checked:
 
     def __init__(self, data):
         self.data = _checked(data, self._rank, type(self).__name__)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray):
+        """Wrap an array the library has just computed, without copying it.
+
+        ``arr`` is frozen in place after the checks the constructor runs,
+        so the caller must hold no other reference it writes through. A
+        view, an array that does not own its buffer, or one that is not
+        C-ordered float64 goes through the copying constructor instead.
+        """
+        if arr.dtype != np.float64 or not (arr.flags.owndata and arr.flags.c_contiguous):
+            return cls(arr)
+        obj = cls.__new__(cls)
+        obj.data = _frozen(arr, cls._rank, cls.__name__)
+        return obj
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -133,11 +157,11 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 def silu(x: FeatureMap) -> FeatureMap:
     """Elementwise x * sigmoid(x)."""
-    return FeatureMap(x.data * _sigmoid(x.data))
+    return FeatureMap._adopt(x.data * _sigmoid(x.data))
 
 
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise softmax with per-row max subtraction for stability."""
     shifted = m.data - m.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return Matrix(e / e.sum(axis=1, keepdims=True))
+    return Matrix._adopt(e / e.sum(axis=1, keepdims=True))

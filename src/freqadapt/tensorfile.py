@@ -66,5 +66,5 @@ def read_tensor(path) -> np.ndarray:
         raise TensorFileError(
             f"{path}: payload is {len(raw) - header_len} bytes, dims {dims} need {8 * count}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=header_len)
-    return flat.astype(np.float64, copy=True).reshape(dims)
+    payload = np.frombuffer(raw, dtype="<f8", count=count, offset=header_len).reshape(dims)
+    return payload.astype(np.float64, order="C")  # a fresh array that owns its buffer

@@ -101,9 +101,9 @@ def check_spectral(seed: int = 0) -> list[CheckResult]:
     for _ in range(50):
         x = _rand_map(rng, 3, 8, 8)
         z = _rfft2(x)
-        back = _irfft2(z, x.shape)
         residue = _mirror_residue(z, x.width)
-        worst = max(worst, float(np.abs(back.data - x.data).max()))
+        back = _irfft2(z, np.empty(x.shape))
+        worst = max(worst, float(np.abs(back - x.data).max()))
         worst_res = max(worst_res, residue)
     results.append(CheckResult(
         "fft_roundtrip", worst <= 1e-10 and worst_res <= 1e-10,

@@ -1,7 +1,8 @@
 import mpmath as mp
 import numpy as np
 
-from freqadapt.spectral import _radius_grid
+from freqadapt.errors import SymmetryViolationError
+from freqadapt.spectral import _radius_grid, _rescale, _unit_phasors
 from freqadapt.synth import _gaussian_kernel_5x5, gen_features
 from freqadapt.tensor import FeatureMap, conv2d
 
@@ -64,11 +65,82 @@ def band_split_reference(power, cut):
     return float(low), float(high)
 
 
-FFT_NAMES = ("rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn")
+# The half-spectrum core as it ran on np.fft.rfft2/irfft2 with fancy-index
+# symmetrization, kept verbatim as the bitwise reference for the two-pass core.
+
+
+def _self_mirrored_reference(n):
+    return [0, n // 2] if n % 2 == 0 else [0]
+
+
+def rfft2_reference(x):
+    z = np.fft.rfft2(x.data, axes=(1, 2))
+    h = z.shape[1]
+    cols = _self_mirrored_reference(x.width)
+    rows = np.arange(h // 2 + 1, h)[:, None]
+    z[:, rows, cols] = np.conj(z[:, h - rows, cols])
+    z.imag[:, np.array(_self_mirrored_reference(h))[:, None], cols] = 0.0
+    return z
+
+
+def _irfft2_reference(z, shape):
+    return FeatureMap(np.fft.irfft2(z, s=shape[1:], axes=(1, 2)))
+
+
+def _mirror_residue_reference(z, width):
+    h = z.shape[1]
+    cols = z[:, :, _self_mirrored_reference(width)]
+    mirror = cols[:, -np.arange(h) % h]
+    return float(np.abs(cols - np.conj(mirror)).max()) / (h * width)
+
+
+def amp_map_reference(x, fn):
+    z = _rescale(rfft2_reference(x), fn)
+    residue = _mirror_residue_reference(z, x.width)
+    out = _irfft2_reference(z, x.shape)
+    scale = float(np.abs(out.data).max())
+    if residue > 1e-8 * scale:
+        raise SymmetryViolationError(
+            f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"
+        )
+    return out
+
+
+def amp_map_jvp_reference(x, direction, fn, dfn):
+    z = rfft2_reference(x)
+    dz = rfft2_reference(direction)
+    re, im = z.real, z.imag
+    r2 = re * re + im * im
+    if np.any(r2 == 0.0):
+        raise ValueError("phase derivative undefined at zero-magnitude bins")
+    da = re * dz.real + im * dz.imag
+    dp = (re * dz.imag - im * dz.real) / r2
+    a = _unit_phasors(z)
+    da /= a
+    new = fn(a)
+    return _irfft2_reference(z * (dfn(a, da) + 1j * new * dp), x.shape)
+
+
+def channel_stats_reference(x):
+    return x.data.mean(axis=(1, 2)), x.data.std(axis=(1, 2))
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` gives, comparable bit for bit: its bytes, or its exception's type and text."""
+    try:
+        result = f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return tuple(np.asarray(r).tobytes() for r in result)
+    return np.asarray(getattr(result, "data", result)).tobytes()
+
+
+FFT_NAMES = ("rfft", "irfft", "fft", "ifft", "rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn")
 
 
 def count_fft_calls(monkeypatch):
-    """Count calls to the 2D and n-D transforms of np.fft; returns the live name -> count dict."""
+    """Count calls to the 1-D, 2D and n-D transforms of np.fft; returns the live name -> count dict."""
     calls = dict.fromkeys(FFT_NAMES, 0)
 
     def counted(name):

@@ -138,6 +138,15 @@ class TestApply:
         shift = capsys.readouterr().out.split("hf_shift@0.25=")[1].split()[0]
         assert np.isfinite(float(shift))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_style_overflow_on_huge_map_exit_2(self, tmp_path, capsys):
+        # channel_stats squares deviations above about 1.3e154 to inf, and the
+        # style output then fails the finiteness check of the map it is adopted as
+        src = tmp_path / "huge.ftns"
+        write_tensor(src, 1e155 * gen_features("noise", 3, 8, 8, 0).data)
+        assert run("apply", "style", "--in", str(src), "--out", str(tmp_path / "o.ftns")) == 2
+        assert "FeatureMap values must be finite" in capsys.readouterr().err
+
     def test_parse_failure_exit_3(self, tmp_path):
         bad = tmp_path / "bad.ftns"
         bad.write_bytes(b"JUNKJUNKJUNK")

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import band_split_reference, count_fft_calls
+from conftest import (
+    amp_map_jvp_reference,
+    amp_map_reference,
+    band_split_reference,
+    count_fft_calls,
+    outcome,
+    rfft2_reference,
+)
 from freqadapt import (
     DegenerateSpectrumError,
     FeatureMap,
@@ -17,14 +24,17 @@ from freqadapt import (
     ifft2,
 )
 from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
+from freqadapt.gradcheck import _normalize_jvp
 from freqadapt.spectral import (
     _band_split,
     _rescale,
     _rfft2,
     _unit_phasors,
+    amp_map_jvp,
     conjugate_asymmetry,
     mirror_weights,
 )
+from freqadapt.style import _amp_affine
 
 
 def idft2_reference(z):
@@ -385,7 +395,9 @@ class TestHalfSpectrum:
                 calls[name] = 0
             amp_map(rand_map(rng, c, h, w), fn)
             assert seen == [(c, h, w // 2 + 1)]
-            assert calls == {"rfft2": 1, "irfft2": 1, "fft2": 0, "ifft2": 0, "fftn": 0, "ifftn": 0}
+            # one real forward/inverse pair, as two 1-D passes each way, and no full grid
+            assert calls == {"rfft": 1, "fft": 1, "ifft": 1, "irfft": 1, "rfft2": 0, "irfft2": 0,
+                             "fft2": 0, "ifft2": 0, "fftn": 0, "ifftn": 0}
 
     @settings(max_examples=150, deadline=None)
     @given(shape=planes, seed=map_seeds, snap=st.booleans())
@@ -416,6 +428,47 @@ class TestHalfSpectrum:
         want_sd = full.std(axis=axes, keepdims=True)
         assert np.all(np.abs(mu - want_mu) <= 1e-12 * np.abs(want_mu))
         assert np.all(np.abs(sd - want_sd) <= 1e-12 * np.abs(want_sd))
+
+
+def amplitude_maps(rng, x):
+    """(name, fn, dfn) for each amplitude map the adapters run: the style affine and both scopes."""
+    mu = rng.uniform(-1.0, 1.0, size=x.channels)
+    sigma = rng.uniform(0.1, 2.0, size=x.channels)
+    weight = mirror_weights(x.width)
+    yield ("style", lambda a: _amp_affine(a, mu, sigma), lambda a, da: sigma[:, None, None] * da)
+    for scope in NORM_SCOPES:
+        yield (scope, lambda a, s=scope: _standardize(a, s, weight),
+               lambda a, da, s=scope: _normalize_jvp(a, da, s, weight))
+
+
+def pinned_map(shape, seed, snap):
+    """A uniform map; ``snap`` rounds it to halves, which gives exact-zero and tied bins."""
+    data = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+    return FeatureMap(np.round(2.0 * data) / 2.0 if snap else data)
+
+
+class TestBitwiseAgainstRfft2Core:
+    """The two-pass core gives the bits of the rfft2/irfft2 core it replaced, errors included."""
+
+    def check(self, shape, seed, snap):
+        x = pinned_map(shape, seed, snap)
+        rng = np.random.default_rng(seed)
+        direction = FeatureMap(rng.uniform(-1.0, 1.0, size=shape))
+        assert _rfft2(x).tobytes() == rfft2_reference(x).tobytes()
+        for name, fn, dfn in amplitude_maps(rng, x):
+            assert outcome(amp_map, x, fn) == outcome(amp_map_reference, x, fn), name
+            assert (outcome(amp_map_jvp, x, direction, fn, dfn)
+                    == outcome(amp_map_jvp_reference, x, direction, fn, dfn)), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)),
+           seed=map_seeds, snap=st.booleans())
+    def test_small_planes(self, shape, seed, snap):
+        self.check(shape, seed, snap)
+
+    @pytest.mark.parametrize("shape", [(64, 56, 56), (256, 14, 14)])
+    def test_backbone_shapes(self, shape):
+        self.check(shape, 5, False)
 
 
 class TestHeatmap:

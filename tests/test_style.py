@@ -4,8 +4,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import idft2_reference, phase_gap_mod_pi
+from conftest import channel_stats_reference, idft2_reference, outcome, phase_gap_mod_pi
 from freqadapt import (
     FeatureMap,
     channel_stats,
@@ -46,6 +48,19 @@ class TestChannelStats:
         mu, sigma = channel_stats(FeatureMap(np.full((1, 3, 3), 7.0)))
         assert mu[0] == pytest.approx(7.0)
         assert sigma[0] == pytest.approx(0.0, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-100, 100))
+    def test_bitwise_equal_to_numpy_mean_and_std(self, shape, seed, log_scale):
+        data = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape) * 10.0**log_scale
+        x = FeatureMap(data)
+        assert outcome(channel_stats, x) == outcome(channel_stats_reference, x)
+
+    @pytest.mark.parametrize("shape", [(64, 56, 56), (256, 14, 14)])
+    def test_bitwise_equal_to_numpy_at_backbone_shapes(self, shape):
+        x = FeatureMap(np.random.default_rng(31).uniform(-1.0, 1.0, size=shape))
+        assert outcome(channel_stats, x) == outcome(channel_stats_reference, x)
 
     def test_matches_fsum_two_pass(self):
         rng = np.random.default_rng(30)

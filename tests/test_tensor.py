@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import outcome
 from freqadapt import (
     AdapterWeights,
     AttentionParams,
     FeatureMap,
     Matrix,
     ShapeMismatchError,
+    adapter_forward,
+    amp_map,
     conv2d,
+    cross_attention,
     silu,
     softmax_rows,
 )
@@ -114,6 +118,71 @@ class TestArrayGuard:
         for fields in self.each_bad_field(kind, lambda a: a[:0]):
             with pytest.raises(ValueError, match="axes must be >= 1"):
                 build(**fields)
+
+
+class TestAdoption:
+    """Arrays the library computes are frozen in place after the constructor's checks."""
+
+    def fresh(self, shape=(2, 3, 4)):
+        return np.random.default_rng(4).uniform(-1, 1, size=shape)
+
+    def test_adopts_a_fresh_array_without_a_copy(self):
+        for kind, shape in ((FeatureMap, (2, 3, 4)), (Matrix, (3, 4))):
+            arr = self.fresh(shape)
+            obj = kind._adopt(arr)
+            assert type(obj) is kind and obj.data is arr
+            assert not arr.flags.writeable
+
+    def test_copies_what_it_cannot_own(self):
+        base = self.fresh((4, 3, 4))
+        cases = {
+            "view": base[:2],
+            "reshaped view": base.reshape(-1).reshape(4, 3, 4),
+            "non-owning buffer": np.frombuffer(base.tobytes()).reshape(4, 3, 4),
+            "float32": base.astype(np.float32),
+            "fortran order": np.asfortranarray(base),
+        }
+        for name, arr in cases.items():
+            writeable = arr.flags.writeable
+            obj = FeatureMap._adopt(arr)
+            assert not np.shares_memory(obj.data, arr), name
+            assert arr.flags.writeable == writeable, name
+            assert obj.data.dtype == np.float64 and obj.data.flags.c_contiguous, name
+            assert not obj.data.flags.writeable, name
+            assert obj.data.tobytes() == FeatureMap(arr).data.tobytes(), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_like_the_constructor(self, bad):
+        arr = self.fresh()
+        arr[1, 2, 3] = bad
+        want = outcome(FeatureMap, arr)
+        assert want == (ValueError, "FeatureMap values must be finite")
+        assert outcome(FeatureMap._adopt, arr) == want
+
+    def test_rejects_bad_shapes_like_the_constructor(self):
+        for arr in (self.fresh((3, 4)), self.fresh((1, 2, 3, 4)), self.fresh((2, 0, 4))):
+            want = outcome(FeatureMap, arr)
+            assert isinstance(want, tuple) and want[0] in (ShapeMismatchError, ValueError)
+            assert outcome(FeatureMap._adopt, arr) == want
+
+    def test_request_path_outputs_are_their_own(self):
+        x = FeatureMap(self.fresh())
+        w = AdapterWeights.seeded(2, 7)
+        tokens = Matrix(self.fresh((5, 3)))
+        p = AttentionParams.seeded(3, 3, 2, 7)
+        # the identity amplitude map included: its output still owns a buffer of its own
+        for inp, out in ((x, amp_map(x, lambda a: a)), (x, silu(x)), (x, adapter_forward(x, w)),
+                         (x, adapter_forward(x, w, silu)), (tokens, softmax_rows(tokens)),
+                         (tokens, cross_attention(tokens, tokens, p))):
+            assert not out.data.flags.writeable and out.data.flags.owndata
+            assert not np.shares_memory(out.data, inp.data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_amp_map_non_finite_result_raises(self, bad):
+        x = FeatureMap(self.fresh())
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+                amp_map(x, lambda a: a + bad)
 
 
 class TestConv2d:

@@ -22,6 +22,12 @@ class TestRoundTrip:
             assert back.shape == arr.shape
             assert back.tobytes() == arr.tobytes()
 
+    def test_returns_a_fresh_array_it_owns(self, tmp_path):
+        # so a map read by the CLI is adopted without a second copy
+        back = roundtrip(tmp_path, np.ones((2, 3, 4)))
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert back.flags.owndata and back.flags.writeable
+
     def test_signed_zeros_and_denormals(self, tmp_path):
         arr = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]).reshape(1, 5)
         back = roundtrip(tmp_path, arr)
