@@ -18,7 +18,8 @@ unambiguous:
   complex pass along H into the real pass's output, and :func:`_irfft2`
   runs the inverse complex pass in place on the spectrum it consumes and
   the real pass into an output buffer that :func:`amp_map` allocates
-  before the forward transform, so each spectrum buffer is allocated once;
+  before the forward transform, so each spectrum buffer is allocated once
+  (``np.fft`` takes ``out=`` from numpy 2.0 on, the package's floor);
 * the full-grid :func:`fft2`, :func:`ifft2`, :func:`dft2_oracle`,
   :func:`decompose` and :func:`compose` are references, on plain arrays;
 * amplitude is sqrt(re^2 + im^2 + 1e-24); the epsilon keeps the gradient

@@ -22,17 +22,12 @@ SCALE_MODES = ("times_C", "raw")
 def channel_stats(x: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and population std over the spatial plane, as (mu, sigma).
 
-    Runs the steps of ``np.mean`` and ``np.std`` over axes (1, 2), so the
-    bits are theirs, but computes the mean once for both.
+    The std is the root mean squared deviation from ``mu``: the steps, and
+    so the bits, of ``np.std``, which would compute ``mu`` a second time.
     """
-    n = x.height * x.width
-    mu = np.add.reduce(x.data, axis=(1, 2))
-    mu /= n
+    mu = x.data.mean(axis=(1, 2))
     dev = x.data - mu[:, None, None]
-    np.square(dev, out=dev)
-    var = np.add.reduce(dev, axis=(1, 2))
-    var /= n
-    return mu, np.sqrt(var, out=var)
+    return mu, np.sqrt(np.square(dev, out=dev).mean(axis=(1, 2)))
 
 
 def sample_dirichlet(alpha, seed: int) -> np.ndarray:

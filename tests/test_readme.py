@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def module_map_rows():
@@ -48,3 +49,10 @@ def test_config_keys_match_parsers():
     section = README.read_text().split("### Config files", 1)[1].split("\n## ", 1)[0]
     listed = section.split("Keys mirror the long flags:", 1)[1]
     assert set(re.findall(r"`(\w+)`", listed)) == set(_PARAMS)
+
+
+def test_numpy_floor_takes_fft_out():
+    # the spectral core passes out= to np.fft.fft/ifft/irfft, which numpy 1.x rejects
+    floor = re.search(r'"numpy>=([\d.]+)"', PYPROJECT.read_text()).group(1)
+    assert int(floor.split(".")[0]) >= 2
+    assert f"numpy>={floor}" in README.read_text()
