@@ -149,7 +149,7 @@ def _uniform(rng: SplitMix64, shape, low, high) -> np.ndarray:
 
 
 def _min_bin(x: FeatureMap) -> float:
-    return float(np.abs(_rfft2(x)).min())
+    return float(np.abs(_rfft2(x.data)).min())
 
 
 def _guarded(draw):
@@ -179,7 +179,7 @@ def _probe_silu(rng: SplitMix64):
 
 def _probe_amp_normalize(rng: SplitMix64):
     """Mirror-weighted standardization of a half-spectrum amplitude, as spectral_normalize runs it."""
-    a = _unit_phasors(_rfft2(FeatureMap(_uniform(rng, (3, 6, 6), -1.0, 1.0))))
+    a = _unit_phasors(_rfft2(_uniform(rng, (3, 6, 6), -1.0, 1.0)))
     weight = mirror_weights(6)
     d = _uniform(rng, a.shape, -3.0, 3.0)
     return (lambda m: _standardize(m, "channel", weight),

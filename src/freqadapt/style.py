@@ -78,7 +78,7 @@ def style_transform(x: FeatureMap, mu, sigma) -> FeatureMap:
     """
     mu_vec = _as_channel_vec(mu, x.channels, "mu")
     sigma_vec = _as_channel_vec(sigma, x.channels, "sigma")
-    return amp_map(x, lambda a: _amp_affine(a, mu_vec, sigma_vec))
+    return amp_map(x, lambda a, ch: _amp_affine(a, mu_vec[ch], sigma_vec[ch]), per_channel=True)
 
 
 def _style_coefficients(x: FeatureMap, alpha, seed: int, scale_mode: str = "times_C"):

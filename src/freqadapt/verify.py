@@ -59,7 +59,7 @@ class CheckResult:
 
 
 def _rand_map(rng: np.random.Generator, c: int, h: int, w: int) -> FeatureMap:
-    return FeatureMap(rng.uniform(-1.0, 1.0, size=(c, h, w)))
+    return FeatureMap._adopt(rng.uniform(-1.0, 1.0, size=(c, h, w)))
 
 
 def check_spectral(seed: int = 0) -> list[CheckResult]:
@@ -76,7 +76,7 @@ def check_spectral(seed: int = 0) -> list[CheckResult]:
         for h in (2, 3, 4, 5, 8):
             for w in (2, 3, 4, 5, 8):
                 x = _rand_map(rng, c, h, w)
-                diff = np.abs(_rfft2(x) - dft2_oracle(x)[:, :, : w // 2 + 1]).max()
+                diff = np.abs(_rfft2(x.data) - dft2_oracle(x)[:, :, : w // 2 + 1]).max()
                 worst = max(worst, float(diff))
     results.append(CheckResult(
         "fft_vs_direct_dft", worst <= 1e-10, f"max_abs_err={worst:.3e} tol=1e-10"
@@ -88,7 +88,7 @@ def check_spectral(seed: int = 0) -> list[CheckResult]:
         h = int(rng.integers(4, 10))
         w = int(rng.integers(4, 10))
         x = _rand_map(rng, c, h, w)
-        power = np.abs(_rfft2(x)) ** 2 * mirror_weights(w)
+        power = np.abs(_rfft2(x.data)) ** 2 * mirror_weights(w)
         spatial = float((x.data**2).sum())
         spectral_side = float(power.sum()) / (h * w)
         worst = max(worst, abs(spatial - spectral_side) / max(abs(spatial), 1e-300))
@@ -100,7 +100,7 @@ def check_spectral(seed: int = 0) -> list[CheckResult]:
     worst_res = 0.0
     for _ in range(50):
         x = _rand_map(rng, 3, 8, 8)
-        z = _rfft2(x)
+        z = _rfft2(x.data)
         residue = _mirror_residue(z, x.width)
         back = _irfft2(z, np.empty(x.shape))
         worst = max(worst, float(np.abs(back - x.data).max()))
@@ -115,8 +115,8 @@ def check_spectral(seed: int = 0) -> list[CheckResult]:
         x = _rand_map(rng, 2, 6, 7)
         y = _rand_map(rng, 2, 6, 7)
         a, b = rng.uniform(-2, 2, size=2)
-        combo = _rfft2(FeatureMap(a * x.data + b * y.data))
-        split = a * _rfft2(x) + b * _rfft2(y)
+        combo = _rfft2(a * x.data + b * y.data)
+        split = a * _rfft2(x.data) + b * _rfft2(y.data)
         worst = max(worst, float(np.abs(combo - split).max()))
     results.append(CheckResult(
         "fft_linearity", worst <= 1e-10, f"max_abs_err={worst:.3e} tol=1e-10"
@@ -231,7 +231,7 @@ def check_crossmodal(seed: int = 0) -> list[CheckResult]:
         w = int(rng.integers(3, 9))
         x = _rand_map(rng, c, h, w)
         weight = mirror_weights(w)
-        out = _standardize(_unit_phasors(_rfft2(x)), "channel", weight)
+        out = _standardize(_unit_phasors(_rfft2(x.data)), "channel", weight)
         full = np.broadcast_to(weight, out.shape)
         mean = np.average(out, axis=(1, 2), weights=full)
         var = np.average((out - mean[:, None, None]) ** 2, axis=(1, 2), weights=full)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import mpmath as mp
 import numpy as np
 
+from freqadapt import spectral
 from freqadapt.errors import SymmetryViolationError
 from freqadapt.spectral import _radius_grid, _rescale, _unit_phasors
 from freqadapt.synth import _gaussian_kernel_5x5, gen_features
@@ -134,6 +137,11 @@ def outcome(f, *args):
     if isinstance(result, tuple):
         return tuple(np.asarray(r).tobytes() for r in result)
     return np.asarray(getattr(result, "data", result)).tobytes()
+
+
+def channel_blocks(n, shape):
+    """Patch amp_map's block size so a per-channel block of a ``shape`` map holds ``n`` channels."""
+    return mock.patch.object(spectral, "_BLOCK_BYTES", n * shape[1] * (shape[2] // 2 + 1) * 16)
 
 
 FFT_NAMES = ("rfft", "irfft", "fft", "ifft", "rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn")

@@ -104,7 +104,7 @@ def test_criterion_3_normalization_contract():
         x = FeatureMap(rng.uniform(-1, 1, size=(c, h, w)))
         # the half-spectrum standardization spectral_normalize runs, mirror-weighted
         weight = np.broadcast_to(mirror_weights(w), (c, h, w // 2 + 1))
-        out = _standardize(_unit_phasors(_rfft2(x)), "channel", weight)
+        out = _standardize(_unit_phasors(_rfft2(x.data)), "channel", weight)
         mean = np.average(out, axis=(1, 2), weights=weight, keepdims=True)
         std = np.sqrt(np.average((out - mean) ** 2, axis=(1, 2), weights=weight))
         worst_mean = max(worst_mean, float(np.abs(mean).max()))

@@ -35,7 +35,7 @@ class TestGen:
         run("gen", "--kind", "smooth", "--shape", "2,12,12", "--seed", "4", "--out", str(smooth))
 
         def high_fraction(path):
-            power = np.abs(_rfft2(FeatureMap(read_tensor(path)))) ** 2
+            power = np.abs(_rfft2(read_tensor(path))) ** 2
             low, high = _band_split(power, 12, 0.25)
             return high / (low + high)
 

@@ -139,7 +139,7 @@ class TestCrossAttention:
 
 def half_amplitude(x):
     """The half-spectrum amplitude that spectral_normalize standardizes."""
-    return _unit_phasors(_rfft2(x))
+    return _unit_phasors(_rfft2(x.data))
 
 
 def weighted_mean_std(a, weight, axes):

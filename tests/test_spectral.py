@@ -7,6 +7,7 @@ from conftest import (
     amp_map_jvp_reference,
     amp_map_reference,
     band_split_reference,
+    channel_blocks,
     count_fft_calls,
     outcome,
     rfft2_reference,
@@ -22,6 +23,8 @@ from freqadapt import (
     fft2,
     heatmap,
     ifft2,
+    spectral_normalize,
+    style_transform,
 )
 from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
 from freqadapt.gradcheck import _normalize_jvp
@@ -236,7 +239,7 @@ class TestDecomposeCompose:
 
 
 def half_power(x):
-    return np.abs(_rfft2(x)) ** 2
+    return np.abs(_rfft2(x.data)) ** 2
 
 
 class TestBandEnergy:
@@ -267,7 +270,7 @@ class TestBandEnergy:
     def test_half_spectrum_matches_full_grid(self, shape, seed, cut):
         # the same bins on both sides: only the mirror weighting differs
         x = FeatureMap(np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape))
-        half = _rfft2(x)
+        half = _rfft2(x.data)
         low, high = _band_split(np.abs(half) ** 2, shape[2], cut)
         low_ref, high_ref = band_split_reference(np.abs(full_spectrum(half, shape[2])) ** 2, cut)
         assert abs(low - low_ref) <= 1e-12 * low_ref
@@ -294,6 +297,28 @@ class TestAmpMap:
         ifft2(compose(lopsided(amp), phase))
         with pytest.raises(SymmetryViolationError, match="amplitude map residue"):
             amp_map(x, lopsided)
+
+    def test_residue_guard_takes_the_whole_map(self):
+        # channel 1 is 1e-6 the size of channel 0. A bump of 3.6e-11 in its column v = 0
+        # leaves a residue of 1e-12: far below 1e-8 of the whole output, above 1e-8 of its own
+        data = np.random.default_rng(31).uniform(-1.0, 1.0, size=(2, 6, 6))
+        data[1] *= 1e-6
+        x = FeatureMap(data)
+
+        def lopsided(channel, bump):
+            def fn(a, channels):
+                bumped = a.copy()
+                bumped[np.arange(channels.start, channels.stop) == channel, 1, 0] += bump
+                return bumped
+            return fn
+
+        for channel, bump in ((1, 3.6e-11), (0, 1e-5)):
+            fn = lopsided(channel, bump)
+            want = outcome(amp_map_reference, x, lambda a: fn(a, slice(0, 2)))
+            assert isinstance(want, tuple) == (channel == 0)
+            for per_block in (1, 2):
+                with channel_blocks(per_block, x.shape):
+                    assert outcome(amp_map, x, fn, True) == want, (channel, per_block)
 
     def test_signed_zero_bins_keep_decompose_phase(self):
         # all four signed zeros: decompose gives +-0 + 0j phase 0 and -0 +- 0j phase pi
@@ -336,7 +361,7 @@ def full_spectrum(half, width):
 
 def amp_map_oracle(x, fn):
     """The full-grid decompose/compose path on the spectrum amp_map's half spectrum stands for."""
-    amp, phase = decompose(full_spectrum(_rfft2(x), x.width))
+    amp, phase = decompose(full_spectrum(_rfft2(x.data), x.width))
     return ifft2(compose(fn(amp), phase))[0]
 
 
@@ -380,24 +405,51 @@ class TestAmpMapProperty:
         assert np.abs(out.data - x.data).max() <= 1e-12 * np.abs(x.data).max()
 
 
+def run_counted(calls, x, per_channel=True):
+    """The (shape, channels) each ``fn`` call of amp_map(x, ...) sees, with ``calls`` reset first."""
+    seen = []
+
+    def fn(a, channels=None):
+        seen.append((a.shape, channels))
+        return 2.0 * a
+
+    for name in calls:
+        calls[name] = 0
+    amp_map(x, fn, per_channel)
+    return seen
+
+
+def fft_pairs(n):
+    """The np.fft call counts of ``n`` real forward/inverse pairs, two 1-D passes each way."""
+    return {"rfft": n, "fft": n, "ifft": n, "irfft": n, "rfft2": 0, "irfft2": 0,
+            "fft2": 0, "ifft2": 0, "fftn": 0, "ifftn": 0}
+
+
 class TestHalfSpectrum:
     def test_amp_map_runs_one_real_fft_pair(self, monkeypatch):
         calls = count_fft_calls(monkeypatch)
         rng = np.random.default_rng(28)
-        for c, h, w in ((2, 6, 6), (3, 5, 7), (1, 4, 1), (2, 1, 2), (1, 1, 1)):
-            seen = []
+        for c, h, w in ((2, 6, 6), (3, 5, 7), (1, 4, 1), (2, 1, 2), (1, 1, 1), (16, 32, 32),
+                        (256, 14, 14)):
+            x = rand_map(rng, c, h, w)
+            # a map that fits in one block: one real forward/inverse pair and no full grid
+            assert run_counted(calls, x) == [((c, h, w // 2 + 1), slice(0, c))]
+            assert calls == fft_pairs(1)
+            assert run_counted(calls, x, per_channel=False) == [((c, h, w // 2 + 1), None)]
+            assert calls == fft_pairs(1)
 
-            def fn(a):
-                seen.append(a.shape)
-                return 2.0 * a
-
-            for name in calls:
-                calls[name] = 0
-            amp_map(rand_map(rng, c, h, w), fn)
-            assert seen == [(c, h, w // 2 + 1)]
-            # one real forward/inverse pair, as two 1-D passes each way, and no full grid
-            assert calls == {"rfft": 1, "fft": 1, "ifft": 1, "irfft": 1, "rfft2": 0, "irfft2": 0,
-                             "fft2": 0, "ifft2": 0, "fftn": 0, "ifftn": 0}
+    def test_amp_map_runs_one_fft_pair_per_block(self, monkeypatch):
+        calls = count_fft_calls(monkeypatch)
+        x = rand_map(np.random.default_rng(29), 5, 6, 7)
+        for per_block, starts in ((1, range(5)), (2, (0, 2, 4)), (3, (0, 3)), (5, (0,)), (9, (0,))):
+            with channel_blocks(per_block, x.shape):
+                seen = run_counted(calls, x)
+                assert seen == [((min(per_block, 5 - s), 6, 4), slice(s, min(s + per_block, 5)))
+                                for s in starts]
+                assert calls == fft_pairs(len(starts))
+                # an fn that is not per-channel gets the whole map at any block size
+                assert run_counted(calls, x, per_channel=False) == [((5, 6, 4), None)]
+                assert calls == fft_pairs(1)
 
     @settings(max_examples=150, deadline=None)
     @given(shape=planes, seed=map_seeds, snap=st.booleans())
@@ -406,7 +458,7 @@ class TestHalfSpectrum:
         if snap:
             data = np.round(2.0 * data) / 2.0
         x = FeatureMap(data)
-        half = _rfft2(x)
+        half = _rfft2(x.data)
         full = fft2(x)
         assert half.shape == shape[:2] + (shape[2] // 2 + 1,)
         gap = np.abs(half - full[:, :, : shape[2] // 2 + 1]).max()
@@ -418,7 +470,7 @@ class TestHalfSpectrum:
     def test_mirror_weighted_stats_match_full_grid(self, shape, seed, scope):
         x = FeatureMap(np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape))
         full = decompose(fft2(x))[0]
-        half = _unit_phasors(_rfft2(x))
+        half = _unit_phasors(_rfft2(x.data))
         assert half.shape == shape[:2] + (shape[2] // 2 + 1,)
         weight = mirror_weights(shape[2])
         axes = (1, 2) if scope == "channel" else (0, 1, 2)
@@ -431,14 +483,20 @@ class TestHalfSpectrum:
 
 
 def amplitude_maps(rng, x):
-    """(name, fn, dfn) for each amplitude map the adapters run: the style affine and both scopes."""
+    """(name, fn, dfn, op) for each amplitude map the adapters run: the style affine and both scopes.
+
+    ``fn`` is the whole-map amplitude map and ``dfn`` its derivative; ``op`` is the public
+    transform that runs ``fn`` on a map, per channel where ``fn`` allows it.
+    """
     mu = rng.uniform(-1.0, 1.0, size=x.channels)
     sigma = rng.uniform(0.1, 2.0, size=x.channels)
     weight = mirror_weights(x.width)
-    yield ("style", lambda a: _amp_affine(a, mu, sigma), lambda a, da: sigma[:, None, None] * da)
+    yield ("style", lambda a: _amp_affine(a, mu, sigma), lambda a, da: sigma[:, None, None] * da,
+           lambda m: style_transform(m, mu, sigma))
     for scope in NORM_SCOPES:
         yield (scope, lambda a, s=scope: _standardize(a, s, weight),
-               lambda a, da, s=scope: _normalize_jvp(a, da, s, weight))
+               lambda a, da, s=scope: _normalize_jvp(a, da, s, weight),
+               lambda m, s=scope: spectral_normalize(m, s))
 
 
 def pinned_map(shape, seed, snap):
@@ -448,15 +506,22 @@ def pinned_map(shape, seed, snap):
 
 
 class TestBitwiseAgainstRfft2Core:
-    """The two-pass core gives the bits of the rfft2/irfft2 core it replaced, errors included."""
+    """The two-pass core gives the bits of the rfft2/irfft2 core it replaced, errors included.
+
+    So do the public transforms when amp_map runs them in blocks of 1, 2 or 3 channels.
+    """
 
     def check(self, shape, seed, snap):
         x = pinned_map(shape, seed, snap)
         rng = np.random.default_rng(seed)
         direction = FeatureMap(rng.uniform(-1.0, 1.0, size=shape))
-        assert _rfft2(x).tobytes() == rfft2_reference(x).tobytes()
-        for name, fn, dfn in amplitude_maps(rng, x):
-            assert outcome(amp_map, x, fn) == outcome(amp_map_reference, x, fn), name
+        assert _rfft2(x.data).tobytes() == rfft2_reference(x).tobytes()
+        for name, fn, dfn, op in amplitude_maps(rng, x):
+            want = outcome(amp_map_reference, x, fn)
+            assert outcome(amp_map, x, fn) == want, name
+            for per_block in (1, 2, 3):
+                with channel_blocks(per_block, shape):
+                    assert outcome(op, x) == want, (name, per_block)
             assert (outcome(amp_map_jvp, x, direction, fn, dfn)
                     == outcome(amp_map_jvp_reference, x, direction, fn, dfn)), name
 
@@ -469,6 +534,17 @@ class TestBitwiseAgainstRfft2Core:
     @pytest.mark.parametrize("shape", [(64, 56, 56), (256, 14, 14)])
     def test_backbone_shapes(self, shape):
         self.check(shape, 5, False)
+
+    def test_degenerate_channel_in_a_later_block(self):
+        data = np.random.default_rng(30).uniform(-1.0, 1.0, size=(5, 6, 6))
+        data[3] = 0.0  # every amplitude at the epsilon floor: std 0
+        x = FeatureMap(data)
+        whole = lambda a: _standardize(a, "channel", mirror_weights(6))
+        want = outcome(amp_map_reference, x, whole)
+        assert want[0] is DegenerateSpectrumError and "in group 3 " in want[1]
+        for per_block in (1, 2, 3, 5):
+            with channel_blocks(per_block, x.shape):
+                assert outcome(spectral_normalize, x, "channel") == want, per_block
 
 
 class TestHeatmap:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import outcome
+from conftest import channel_blocks, outcome
 from freqadapt import (
     AdapterWeights,
     AttentionParams,
@@ -179,10 +179,19 @@ class TestAdoption:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_amp_map_non_finite_result_raises(self, bad):
-        x = FeatureMap(self.fresh())
+        x = FeatureMap(self.fresh((5, 3, 4)))
+
+        def last_channel(a, channels):  # non-finite in the last block only
+            return a + np.where(np.arange(channels.start, channels.stop) == 4, bad, 0.0)[:, None, None]
+
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(ValueError, match="FeatureMap values must be finite"):
                 amp_map(x, lambda a: a + bad)
+            for per_block in (1, 2, 3):
+                with channel_blocks(per_block, x.shape):
+                    for fn in (lambda a, channels: a + bad, last_channel):
+                        with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+                            amp_map(x, fn, per_channel=True)
 
 
 class TestConv2d:
