@@ -135,14 +135,12 @@ def _group_mean(v: np.ndarray, scope: str, weight) -> np.ndarray:
     return (w * v).sum(axis=axes, keepdims=True) / w.sum(axis=axes, keepdims=True)
 
 
-def _standardize(a: np.ndarray, scope: str, weight=1.0, first: int = 0) -> np.ndarray:
+def _standardize(a: np.ndarray, scope: str, weight=1.0) -> np.ndarray:
     """Amplitudes at mean 0, population std 1 per normalization group.
 
     ``weight`` broadcasts against the last axis: 1 on a full grid, and
     :func:`~freqadapt.spectral.mirror_weights` on a half spectrum, whose
-    weighted statistics are then those of the full grid. ``first`` is the
-    index of a's first group in the whole map, so that an error names a
-    group of a channel block by its index in the map.
+    weighted statistics are then those of the full grid.
     """
     if scope not in NORM_SCOPES:
         raise ValueError(f"scope must be one of {NORM_SCOPES}, got {scope!r}")
@@ -151,8 +149,8 @@ def _standardize(a: np.ndarray, scope: str, weight=1.0, first: int = 0) -> np.nd
     if np.any(sd <= _SIGMA_FLOOR):
         bad = int(np.argmax(sd.ravel() <= _SIGMA_FLOOR))
         raise DegenerateSpectrumError(
-            f"amplitude std {sd.ravel()[bad]:.3e} in group {first + bad} is below "
-            f"{_SIGMA_FLOOR:.0e}; normalization is undefined"
+            f"amplitude std {sd.ravel()[bad]:.3e} in group {bad} is below {_SIGMA_FLOOR:.0e}; "
+            "normalization is undefined"
         )
     out /= sd
     return out
@@ -162,13 +160,10 @@ def spectral_normalize(x: FeatureMap, scope: str = "channel") -> FeatureMap:
     """Standardize a map's amplitude spectrum and reconstruct it.
 
     Every bin keeps its phase (see :func:`amp_map`), so this redistributes
-    energy across frequencies without moving structure. Scope "tensor"
-    takes its statistics over all channels, so it runs as one block.
+    energy across frequencies without moving structure.
     """
     weight = mirror_weights(x.width)
-    if scope == "tensor":
-        return amp_map(x, lambda a: _standardize(a, scope, weight))
-    return amp_map(x, lambda a, ch: _standardize(a, scope, weight, ch.start), per_channel=True)
+    return amp_map(x, lambda a: _standardize(a, scope, weight))
 
 
 def crossmodal_forward(

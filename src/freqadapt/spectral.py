@@ -36,7 +36,6 @@ unambiguous:
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -253,8 +252,10 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
         channels = slice(c0, min(c0 + step, c))
         z = _rescale(_rfft2(x.data[channels]),
                      (lambda a: fn(a, channels)) if per_channel else fn)
-        # np.maximum keeps a NaN residue, which the builtin max can drop
-        residue = np.maximum(residue, _mirror_residue(z, w))
+        # max may drop a NaN residue, which cannot change the outcome: it comes
+        # from a non-finite self-mirrored bin, which the inverse spreads into
+        # out, so scale is NaN or inf, no residue exceeds it, and _adopt raises
+        residue = max(residue, _mirror_residue(z, w))
         _irfft2(z, out[channels])
     scale = float(max(out.max(), -out.min()))
     if residue > 1e-8 * scale:
@@ -299,15 +300,6 @@ def _radius_grid(h: int, w: int) -> np.ndarray:
     return np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2) / math.sqrt(2.0)
 
 
-@functools.lru_cache(maxsize=32)
-def _band_masks(h: int, w: int, radial_cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only masks of the half-spectrum bins at radius <= ``radial_cut`` (low) and above."""
-    low = np.fft.ifftshift(_radius_grid(h, w))[:, : w // 2 + 1] <= radial_cut
-    high = ~low
-    low.flags.writeable = high.flags.writeable = False
-    return low, high
-
-
 def _band_split(power: np.ndarray, width: int, radial_cut: float) -> tuple[float, float]:
     """(low, high) full-grid sums of a half-spectrum power array, averaged over channels.
 
@@ -316,10 +308,12 @@ def _band_split(power: np.ndarray, width: int, radial_cut: float) -> tuple[float
     """
     if not 0.0 < radial_cut < 1.0:
         raise ValueError(f"radial_cut must be in (0, 1), got {radial_cut}")
-    low_mask, high_mask = _band_masks(power.shape[1], width, radial_cut)
+    h = power.shape[1]
+    radius = np.fft.ifftshift(_radius_grid(h, width))[:, : width // 2 + 1]
+    low_mask = radius <= radial_cut
     weighted = power * mirror_weights(width)
     low = float(weighted[:, low_mask].sum(axis=1).mean())
-    high = float(weighted[:, high_mask].sum(axis=1).mean())
+    high = float(weighted[:, ~low_mask].sum(axis=1).mean())
     return low, high
 
 
