@@ -3,9 +3,9 @@
 Each transform gets a hand-derived Jacobian-vector product (JVP); the two
 amplitude-spectrum JVPs run on :func:`~freqadapt.spectral.amp_map_jvp`
 with the forwards' own amplitude maps. The verifier contracts each JVP
-with a random cotangent and compares against the central finite
-difference of the same scalar at steps 1e-4/1e-5/1e-6, reporting the best
-step per probe. Probes whose spectra contain bins with
+with a random cotangent and compares against Ridders' extrapolation of
+the central finite differences of the same scalar at steps
+1e-4/1e-5/1e-6. Probes whose spectra contain bins with
 magnitude below 1e-2 are resampled: near the regularized zero of the
 amplitude map the forward is effectively non-smooth and finite
 differences stop being trustworthy.
@@ -42,6 +42,8 @@ from .synth import gen_text_tokens
 from .tensor import FeatureMap, Matrix, _sigmoid, silu
 
 STEPS = (1e-4, 1e-5, 1e-6)
+_STEP_RATIO = 10.0  # each step of STEPS is the one before over this
+_RIDDERS_SAFE = 2.0  # stop once a higher order errs this much more than the best so far
 GRAD_TOL = 1e-5
 MIN_CONVERGED = 0.9
 PROBE_MIN_BIN = 1e-2
@@ -82,6 +84,35 @@ def fd_directional(
     if not np.any(direction):
         raise ValueError("direction must be nonzero")
     return (f(x + step * direction) - f(x - step * direction)) / (2.0 * step)
+
+
+def _ridders(diffs: list[float], ratio: float) -> tuple[float, int]:
+    """Ridders' extrapolation to step 0 of central differences at steps h, h/ratio, h/ratio^2, ...
+
+    Ridders, Adv. Eng. Software 4(2), 1982; Numerical Recipes, section 5.7.
+    A central difference errs by a series in h^2, so each order of the
+    tableau cancels one more term of it. The estimate is the entry that
+    agrees best with the two lower-order entries it was built from, and
+    the tableau stops once its diagonal drifts by _RIDDERS_SAFE times
+    that agreement, where rounding starts to dominate. Returns the
+    estimate and the index of the step whose column gave it.
+    """
+    fac0 = ratio * ratio
+    prev = [diffs[0]]
+    best, err, at = diffs[0], math.inf, 0
+    for i in range(1, len(diffs)):
+        col = [diffs[i]]
+        fac = fac0
+        for j in range(1, i + 1):
+            col.append((col[j - 1] * fac - prev[j - 1]) / (fac - 1.0))
+            fac *= fac0
+            errt = max(abs(col[j] - col[j - 1]), abs(col[j] - prev[j - 1]))
+            if errt <= err:
+                best, err, at = col[j], errt, i
+        if abs(col[i] - prev[i - 1]) >= _RIDDERS_SAFE * err:
+            break
+        prev = col
+    return best, at
 
 
 def jvp_silu(x: FeatureMap, direction: FeatureMap) -> FeatureMap:
@@ -242,10 +273,12 @@ def run_gradcheck(ops=GRADCHECK_OPS, seed: int = 0, probes: int = 50) -> list[Gr
     """Gradient-check the selected ops; failures are reported, never raised.
 
     Per probe, the JVP and the forward are contracted with a random
-    cotangent, and the relative error is taken at the best of the three
-    steps; the report carries the worst probe. ``converged_fraction`` is
-    the share of probes whose discrepancy shrank when the step dropped
-    from 1e-4 to 1e-5, the second-order signature of central differences.
+    cotangent, and the relative error is taken against :func:`_ridders`'
+    extrapolation of the central differences at the three steps; the
+    report carries the worst probe and the step whose column gave its
+    estimate. ``converged_fraction`` is the share of probes whose
+    discrepancy shrank when the step dropped from 1e-4 to 1e-5, the
+    second-order signature of central differences.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -269,12 +302,13 @@ def run_gradcheck(ops=GRADCHECK_OPS, seed: int = 0, probes: int = 50) -> list[Gr
             def scalar(m):
                 return float(np.sum(cot * f(m)))
 
-            errs = [_rel_err(analytic, fd_directional(scalar, x, d, step)) for step in STEPS]
-            best = min(range(len(STEPS)), key=errs.__getitem__)
-            if errs[best] > worst:
-                worst = errs[best]
-                worst_step = STEPS[best]
-            if errs[1] < errs[0]:
+            diffs = [fd_directional(scalar, x, d, step) for step in STEPS]
+            estimate, at = _ridders(diffs, _STEP_RATIO)
+            err = _rel_err(analytic, estimate)
+            if err > worst:
+                worst = err
+                worst_step = STEPS[at]
+            if _rel_err(analytic, diffs[1]) < _rel_err(analytic, diffs[0]):
                 converged += 1
         reports.append(GradReport(name, max(worst, 0.0), probes, worst_step, converged / probes))
     return reports

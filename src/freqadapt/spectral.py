@@ -9,6 +9,10 @@ unambiguous:
   over blocks of consecutive channels whose half spectrum fills about
   512 KB, so a block stays in cache from the forward transform to the
   inverse; every other transform is one call over all channels;
+* the blocks of a map that spans two or more run on up to as many
+  threads as the process may use CPUs, so a per-channel ``fn`` may be
+  called concurrently on disjoint blocks; the bits do not depend on the
+  thread count;
 * the forward transform is unnormalized (DC bin = sum of spatial values),
   the inverse carries the 1/(H*W) factor;
 * the shipped code works on the half spectrum, plain (C, H, W//2+1)
@@ -36,7 +40,10 @@ unambiguous:
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -221,6 +228,74 @@ def _mirror_residue(z: np.ndarray, width: int) -> float:
     return float(np.abs(cols - np.conj(mirror)).max()) / (h * width)
 
 
+def _workers() -> int:
+    """Threads the blocks of one amp_map may run on: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _amp_block(data: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
+               out: np.ndarray) -> tuple[float, float]:
+    """amp_map's pipeline on the channels ``data``, written into ``out``.
+
+    Returns the block's :func:`_mirror_residue` and its output scale
+    max|out|, taken while the block is still in cache.
+    """
+    z = _rescale(_rfft2(data), fn)
+    residue = _mirror_residue(z, data.shape[2])
+    _irfft2(z, out)
+    return residue, float(max(out.max(), -out.min()))
+
+
+def _amp_blocks(data: np.ndarray, fn: Callable[..., np.ndarray], out: np.ndarray,
+                n: int) -> tuple[float, float]:
+    """:func:`_amp_block` on ``n`` or so blocks of consecutive channels, on up to _workers() threads.
+
+    ``n`` is rounded up to a multiple of the threads, so each runs as many
+    blocks of ceil(C / n) channels. The caller's thread runs the first
+    share and helpers the rest. Returns the largest residue and the
+    output scale over all blocks, reduced in block order once all have
+    run; if blocks raised, the first of them in block order raises here.
+    """
+    c = data.shape[0]
+    workers = min(_workers(), n)
+    step = -(-c // (-(-n // workers) * workers))
+    blocks = [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
+    workers = min(workers, len(blocks))
+    bounds = [k * len(blocks) // workers for k in range(workers + 1)]
+    found: list = [None] * len(blocks)  # per block: (residue, scale) or what it raised
+
+    def run(first, last):
+        for i in range(first, last):
+            channels = blocks[i]
+            try:
+                found[i] = _amp_block(data[channels], lambda a: fn(a, channels), out[channels])
+            except BaseException as exc:
+                found[i] = exc
+                return
+
+    # each helper runs in a copy of the caller's context, so numpy's errstate
+    # (a context variable) holds on it as it does on the caller
+    helpers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, bounds[k], bounds[k + 1]))
+               for k in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    run(bounds[0], bounds[1])
+    for helper in helpers:
+        helper.join()
+    for result in found:
+        if isinstance(result, BaseException):
+            raise result
+    residues, scales = zip(*found)
+    # max may drop a NaN residue, which cannot change the outcome: it comes
+    # from a non-finite self-mirrored bin, which the inverse spreads into
+    # out, so scale is NaN or inf, no residue exceeds it, and _adopt raises
+    return max(0.0, *residues), float(np.max(scales))  # np.max keeps a NaN scale
+
+
 def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = False) -> FeatureMap:
     """Rewrite a map's amplitude spectrum with ``fn`` and reconstruct it.
 
@@ -240,24 +315,21 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     ``per_channel``: it is then called as fn(a, channels) on blocks of
     consecutive channels, ``channels`` the slice of x's channels that
     ``a`` holds. A block's half spectrum fills about ``_BLOCK_BYTES``, so
-    it stays in cache from the forward transform to the inverse, and the
-    result is bitwise that of one block. Any other ``fn`` gets the whole
-    map, as one block.
+    it stays in cache from the forward transform to the inverse. The
+    blocks of a map that spans two or more run on up to as many threads
+    as the process may use CPUs, so ``fn`` may be called concurrently on
+    disjoint blocks; the result is bitwise that of one block on one
+    thread, whatever the thread count, and a failing block raises as the
+    first failing block in channel order would. Any other ``fn`` gets the
+    whole map, as one block on the calling thread.
     """
     c, h, w = x.shape
-    step = max(1, _BLOCK_BYTES // (h * (w // 2 + 1) * 16)) if per_channel else c
     out = np.empty(x.shape)
-    residue = 0.0
-    for c0 in range(0, c, step):
-        channels = slice(c0, min(c0 + step, c))
-        z = _rescale(_rfft2(x.data[channels]),
-                     (lambda a: fn(a, channels)) if per_channel else fn)
-        # max may drop a NaN residue, which cannot change the outcome: it comes
-        # from a non-finite self-mirrored bin, which the inverse spreads into
-        # out, so scale is NaN or inf, no residue exceeds it, and _adopt raises
-        residue = max(residue, _mirror_residue(z, w))
-        _irfft2(z, out[channels])
-    scale = float(max(out.max(), -out.min()))
+    n = min(c, -(-c * h * (w // 2 + 1) * 16 // _BLOCK_BYTES)) if per_channel else 1
+    if n == 1:
+        residue, scale = _amp_block(x.data, (lambda a: fn(a, slice(0, c))) if per_channel else fn, out)
+    else:
+        residue, scale = _amp_blocks(x.data, fn, out, n)
     if residue > 1e-8 * scale:
         raise SymmetryViolationError(
             f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"

@@ -1,3 +1,4 @@
+import threading
 from unittest import mock
 
 import mpmath as mp
@@ -144,18 +145,25 @@ def channel_blocks(n, shape):
     return mock.patch.object(spectral, "_BLOCK_BYTES", n * shape[1] * (shape[2] // 2 + 1) * 16)
 
 
+def workers(n):
+    """Patch how many threads amp_map runs the blocks of a multi-block map on."""
+    return mock.patch.object(spectral, "_workers", lambda: n)
+
+
 FFT_NAMES = ("rfft", "irfft", "fft", "ifft", "rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn")
 
 
 def count_fft_calls(monkeypatch):
     """Count calls to the 1-D, 2D and n-D transforms of np.fft; returns the live name -> count dict."""
     calls = dict.fromkeys(FFT_NAMES, 0)
+    lock = threading.Lock()  # amp_map may run blocks on several threads
 
     def counted(name):
         original = getattr(np.fft, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from conftest import (
     count_fft_calls,
     outcome,
     rfft2_reference,
+    workers,
 )
 from freqadapt import (
     DegenerateSpectrumError,
@@ -305,20 +308,82 @@ class TestAmpMap:
         data[1] *= 1e-6
         x = FeatureMap(data)
 
-        def lopsided(channel, bump):
+        def lopsided(channel, bump, nan_in=None):
             def fn(a, channels):
                 bumped = a.copy()
-                bumped[np.arange(channels.start, channels.stop) == channel, 1, 0] += bump
+                index = np.arange(channels.start, channels.stop)
+                bumped[index == channel, 1, 0] += bump
+                bumped[index == nan_in] = np.nan
                 return bumped
             return fn
 
-        for channel, bump in ((1, 3.6e-11), (0, 1e-5)):
-            fn = lopsided(channel, bump)
+        # a NaN in a later block makes the scale NaN: no residue exceeds it, and the
+        # finiteness error wins over the asymmetry of channel 0
+        for channel, bump, nan_in, error in ((1, 3.6e-11, None, None),
+                                             (0, 1e-5, None, SymmetryViolationError),
+                                             (0, 1e-5, 1, ValueError)):
+            fn = lopsided(channel, bump, nan_in)
             want = outcome(amp_map_reference, x, lambda a: fn(a, slice(0, 2)))
-            assert isinstance(want, tuple) == (channel == 0)
+            assert (want[0] if isinstance(want, tuple) else None) is error
             for per_block in (1, 2):
-                with channel_blocks(per_block, x.shape):
-                    assert outcome(amp_map, x, fn, True) == want, (channel, per_block)
+                for n in (1, 2, 3):
+                    with channel_blocks(per_block, x.shape), workers(n):
+                        assert outcome(amp_map, x, fn, True) == want, (channel, per_block, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_on_a_helper_keeps_the_callers_errstate(self, bad):
+        # numpy's errstate is a context variable. A helper that did not run in a copy
+        # of the caller's context would warn where the inf meets a zero (0 * inf in the
+        # rescale), and the warning filter would raise that instead
+        x = rand_map(np.random.default_rng(32), 4, 6, 6)
+
+        def bad_in_channel_3(a, channels):
+            return a + np.where(np.arange(channels.start, channels.stop) == 3, bad, 0.0)[:, None, None]
+
+        with channel_blocks(1, x.shape), workers(2), np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+                amp_map(x, bad_in_channel_3, per_channel=True)
+
+    def test_first_failing_block_raises_its_own_error(self):
+        x = rand_map(np.random.default_rng(33), 4, 6, 6)
+        for failing in ((1, 3), (3,), (0, 1, 2, 3)):
+            raised = {}
+
+            def fn(a, channels):
+                if channels.start in failing:
+                    raised[channels.start] = ValueError(f"block {channels.start}")
+                    raise raised[channels.start]
+                return a
+
+            # 2 workers run blocks 0-1 and 2-3, 3 workers 0, 1 and 2-3
+            for n in (1, 2, 3):
+                raised.clear()
+                with channel_blocks(1, x.shape), workers(n):
+                    with pytest.raises(ValueError) as caught:
+                        amp_map(x, fn, per_channel=True)
+                assert caught.value is raised[failing[0]], (failing, n)
+
+    def test_one_block_maps_start_no_thread(self, monkeypatch):
+        started = []
+        thread = threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(kwargs)
+            return thread(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", counted)
+        rng = np.random.default_rng(34)
+        with workers(2):
+            for shape in ((16, 32, 32), (3, 9, 9)):
+                x = rand_map(rng, *shape)
+                style_transform(x, rng.uniform(-1.0, 1.0, shape[0]), rng.uniform(0.1, 2.0, shape[0]))
+            for scope in NORM_SCOPES:
+                spectral_normalize(rand_map(rng, 256, 14, 14), scope)
+            assert started == []
+            # a map of four blocks does start a helper
+            x = rand_map(rng, 64, 56, 56)
+            style_transform(x, rng.uniform(-1.0, 1.0, 64), rng.uniform(0.1, 2.0, 64))
+            assert len(started) == 1
 
     def test_signed_zero_bins_keep_decompose_phase(self):
         # all four signed zeros: decompose gives +-0 + 0j phase 0 and -0 +- 0j phase pi
@@ -405,12 +470,16 @@ class TestAmpMapProperty:
         assert np.abs(out.data - x.data).max() <= 1e-12 * np.abs(x.data).max()
 
 
-def run_counted(calls, x, per_channel=True):
-    """The (shape, channels) each ``fn`` call of amp_map(x, ...) sees, with ``calls`` reset first."""
+def run_counted(calls, x, per_channel=True, on_thread=lambda thread: None):
+    """The (shape, channels) each ``fn`` call of amp_map(x, ...) sees, with ``calls`` reset first.
+
+    ``on_thread`` gets the thread of each call.
+    """
     seen = []
 
     def fn(a, channels=None):
         seen.append((a.shape, channels))
+        on_thread(threading.current_thread())
         return 2.0 * a
 
     for name in calls:
@@ -440,16 +509,26 @@ class TestHalfSpectrum:
 
     def test_amp_map_runs_one_fft_pair_per_block(self, monkeypatch):
         calls = count_fft_calls(monkeypatch)
-        x = rand_map(np.random.default_rng(29), 5, 6, 7)
-        for per_block, starts in ((1, range(5)), (2, (0, 2, 4)), (3, (0, 3)), (5, (0,)), (9, (0,))):
-            with channel_blocks(per_block, x.shape):
-                seen = run_counted(calls, x)
-                assert seen == [((min(per_block, 5 - s), 6, 4), slice(s, min(s + per_block, 5)))
-                                for s in starts]
-                assert calls == fft_pairs(len(starts))
-                # an fn that is not per-channel gets the whole map at any block size
-                assert run_counted(calls, x, per_channel=False) == [((5, 6, 4), None)]
-                assert calls == fft_pairs(1)
+        x = rand_map(np.random.default_rng(29), 7, 6, 7)
+        # n = ceil(7 / per_block) blocks, rounded up to a multiple of min(workers, n),
+        # of ceil(7 / n) channels each; the last block takes what is left.
+        # Block sizes at 1, 2 and 3 workers:
+        sizes = {1: ([1] * 7,) * 3, 2: ([2, 2, 2, 1],) * 3, 3: ([3, 3, 1], [2, 2, 2, 1], [3, 3, 1]),
+                 4: ([4, 3],) * 3, 7: ([7],) * 3, 9: ([7],) * 3}
+        for per_block, by_workers in sizes.items():
+            for n, blocks in enumerate(by_workers, start=1):
+                starts = np.cumsum([0] + blocks)
+                with channel_blocks(per_block, x.shape), workers(n):
+                    threads = set()
+                    seen = run_counted(calls, x, on_thread=threads.add)
+                    # blocks may run in any order, on as many threads as there are workers
+                    assert sorted(seen, key=lambda call: call[1].start) == [
+                        ((size, 6, 4), slice(start, start + size)) for start, size in zip(starts, blocks)]
+                    assert len(threads) == min(n, len(blocks))
+                    assert calls == fft_pairs(len(blocks))
+                    # an fn that is not per-channel gets the whole map at any block size
+                    assert run_counted(calls, x, per_channel=False) == [((7, 6, 4), None)]
+                    assert calls == fft_pairs(1)
 
     @settings(max_examples=150, deadline=None)
     @given(shape=planes, seed=map_seeds, snap=st.booleans())
@@ -508,7 +587,8 @@ def pinned_map(shape, seed, snap):
 class TestBitwiseAgainstRfft2Core:
     """The two-pass core gives the bits of the rfft2/irfft2 core it replaced, errors included.
 
-    So do the public transforms when amp_map runs them in blocks of 1, 2 or 3 channels.
+    So do the public transforms when amp_map runs them in blocks of 1, 2 or 3 channels on
+    1, 2 or 3 threads.
     """
 
     def check(self, shape, seed, snap):
@@ -520,8 +600,9 @@ class TestBitwiseAgainstRfft2Core:
             want = outcome(amp_map_reference, x, fn)
             assert outcome(amp_map, x, fn) == want, name
             for per_block in (1, 2, 3):
-                with channel_blocks(per_block, shape):
-                    assert outcome(op, x) == want, (name, per_block)
+                for n in (1, 2, 3):
+                    with channel_blocks(per_block, shape), workers(n):
+                        assert outcome(op, x) == want, (name, per_block, n)
             assert (outcome(amp_map_jvp, x, direction, fn, dfn)
                     == outcome(amp_map_jvp_reference, x, direction, fn, dfn)), name
 

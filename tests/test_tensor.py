@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import channel_blocks, outcome
+from conftest import channel_blocks, outcome, workers
 from freqadapt import (
     AdapterWeights,
     AttentionParams,
@@ -188,10 +188,11 @@ class TestAdoption:
             with pytest.raises(ValueError, match="FeatureMap values must be finite"):
                 amp_map(x, lambda a: a + bad)
             for per_block in (1, 2, 3):
-                with channel_blocks(per_block, x.shape):
-                    for fn in (lambda a, channels: a + bad, last_channel):
-                        with pytest.raises(ValueError, match="FeatureMap values must be finite"):
-                            amp_map(x, fn, per_channel=True)
+                for n in (1, 2, 3):
+                    with channel_blocks(per_block, x.shape), workers(n):
+                        for fn in (lambda a, channels: a + bad, last_channel):
+                            with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+                                amp_map(x, fn, per_channel=True)
 
 
 class TestConv2d:
