@@ -8,11 +8,14 @@ unambiguous:
   channel on its own). :func:`amp_map` with a per-channel ``fn`` batches
   over blocks of consecutive channels whose half spectrum fills about
   512 KB, so a block stays in cache from the forward transform to the
-  inverse; every other transform is one call over all channels;
-* the blocks of a map that spans two or more run on up to as many
-  threads as the process may use CPUs, so a per-channel ``fn`` may be
-  called concurrently on disjoint blocks; the bits do not depend on the
-  thread count;
+  inverse, and cuts a map of at least 256 KB into at least one block per
+  CPU; every other transform is one call over all channels;
+* the blocks of a multi-block map run on the calling thread and on up
+  to one helper thread per further CPU the process may use, so a
+  per-channel ``fn`` may be called concurrently on disjoint blocks; the
+  bits do not depend on the thread count. The helpers are daemon
+  threads, started on the first multi-block map and reused after it; a
+  forked child starts its own;
 * the forward transform is unnormalized (DC bin = sum of spatial values),
   the inverse carries the 1/(H*W) factor;
 * the shipped code works on the half spectrum, plain (C, H, W//2+1)
@@ -41,8 +44,10 @@ unambiguous:
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
+import queue
 import threading
 from typing import Callable
 
@@ -56,9 +61,14 @@ AMP_EPS = 1e-24
 ORACLE_MAX_PLANE = 4096  # H*W guard for the quadratic-time oracle
 
 # Half-spectrum bytes per block of a per-channel amp_map. With 2 MB of L2
-# per core, a block's spectrum and the rescale's temporaries stay in
-# cache; a 256x14x14 map (458 KB) stays whole, where splitting cost time.
+# per core, a block's spectrum and the rescale's temporaries stay in cache.
 _BLOCK_BYTES = 512 * 1024
+# A per-channel map of at least this much half spectrum is cut into at
+# least one block per CPU. Splitting a 256x14x14 map (458 KB) in two, one
+# block per CPU with the second on a reused helper thread, cut its time;
+# splitting it cost time only in 64-channel blocks on one thread, or with
+# a thread started per call.
+_SPLIT_BYTES = _BLOCK_BYTES // 2
 
 
 def fft2(x: FeatureMap) -> np.ndarray:
@@ -236,6 +246,52 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+# Helper threads for multi-block maps: daemon threads, started on first need
+# and then kept, each serving the tasks of its own queue. A forked child
+# starts its own (see _forget_helpers).
+_queues: list[queue.SimpleQueue] = []
+_queues_lock = threading.Lock()
+_local = threading.local()  # _local.helper is set on helper threads
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """A helper's loop: run each task of ``tasks``; a task stores what it raises."""
+    _local.helper = True
+    while True:
+        tasks.get()()
+
+
+def _helpers(k: int) -> list[queue.SimpleQueue]:
+    """The task queues of ``k`` helper threads, starting those not yet running."""
+    with _queues_lock:
+        while len(_queues) < k:
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), daemon=True,
+                             name=f"freqadapt-amp-{len(_queues) + 1}").start()
+            _queues.append(tasks)
+        return _queues[:k]
+
+
+def _forget_helpers() -> None:
+    """In a forked child: drop the parent's helpers, which did not survive the fork."""
+    global _queues_lock
+    _queues.clear()
+    _queues_lock = threading.Lock()  # the parent may have held it while forking
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _threads() -> int:
+    """Threads the blocks of one amp_map may run on: :func:`_workers`, or 1 on a helper thread.
+
+    A helper runs the blocks of an amp_map called from an ``fn`` itself,
+    so it never waits on a task queued behind its own.
+    """
+    return 1 if getattr(_local, "helper", False) else _workers()
+
+
 def _amp_block(data: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
                out: np.ndarray) -> tuple[float, float]:
     """amp_map's pipeline on the channels ``data``, written into ``out``.
@@ -251,16 +307,17 @@ def _amp_block(data: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
 
 def _amp_blocks(data: np.ndarray, fn: Callable[..., np.ndarray], out: np.ndarray,
                 n: int) -> tuple[float, float]:
-    """:func:`_amp_block` on ``n`` or so blocks of consecutive channels, on up to _workers() threads.
+    """:func:`_amp_block` on ``n`` or so blocks of consecutive channels, on up to _threads() threads.
 
     ``n`` is rounded up to a multiple of the threads, so each runs as many
     blocks of ceil(C / n) channels. The caller's thread runs the first
-    share and helpers the rest. Returns the largest residue and the
-    output scale over all blocks, reduced in block order once all have
-    run; if blocks raised, the first of them in block order raises here.
+    share and helper threads the rest. Returns the largest residue and
+    the output scale over all blocks, reduced in block order once all
+    have run; if blocks raised, the first of them in block order raises
+    here.
     """
     c = data.shape[0]
-    workers = min(_workers(), n)
+    workers = min(_threads(), n)
     step = -(-c // (-(-n // workers) * workers))
     blocks = [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
     workers = min(workers, len(blocks))
@@ -276,16 +333,23 @@ def _amp_blocks(data: np.ndarray, fn: Callable[..., np.ndarray], out: np.ndarray
                 found[i] = exc
                 return
 
-    # each helper runs in a copy of the caller's context, so numpy's errstate
-    # (a context variable) holds on it as it does on the caller
-    helpers = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(run, bounds[k], bounds[k + 1]))
-               for k in range(1, workers)]
-    for helper in helpers:
-        helper.start()
+    def task(context, first, last, done):
+        try:
+            context.run(run, first, last)
+        finally:
+            done.release()
+
+    waits = []
+    for k, tasks in enumerate(_helpers(workers - 1), start=1):
+        done = threading.Lock()
+        done.acquire()
+        # each task runs in a copy of the caller's context, so numpy's errstate
+        # (a context variable) holds on the helper as it does on the caller
+        tasks.put(functools.partial(task, contextvars.copy_context(), bounds[k], bounds[k + 1], done))
+        waits.append(done)
     run(bounds[0], bounds[1])
-    for helper in helpers:
-        helper.join()
+    for done in waits:
+        done.acquire()
     for result in found:
         if isinstance(result, BaseException):
             raise result
@@ -315,17 +379,23 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     ``per_channel``: it is then called as fn(a, channels) on blocks of
     consecutive channels, ``channels`` the slice of x's channels that
     ``a`` holds. A block's half spectrum fills about ``_BLOCK_BYTES``, so
-    it stays in cache from the forward transform to the inverse. The
-    blocks of a map that spans two or more run on up to as many threads
-    as the process may use CPUs, so ``fn`` may be called concurrently on
-    disjoint blocks; the result is bitwise that of one block on one
-    thread, whatever the thread count, and a failing block raises as the
-    first failing block in channel order would. Any other ``fn`` gets the
-    whole map, as one block on the calling thread.
+    it stays in cache from the forward transform to the inverse, and a
+    map of at least ``_SPLIT_BYTES`` (half a block) is cut into at least
+    as many blocks as the process may use CPUs. The blocks run on the
+    calling thread and on up to one helper thread per further CPU, so
+    ``fn`` may be called concurrently on disjoint blocks; the result is
+    bitwise that of one block on one thread, whatever the thread count,
+    and a failing block raises as the first failing block in channel
+    order would. Called on a helper thread (from an ``fn``), amp_map
+    runs all its blocks there. A map of one block, and any ``fn``
+    without ``per_channel``, runs as one block on the calling thread.
     """
     c, h, w = x.shape
     out = np.empty(x.shape)
-    n = min(c, -(-c * h * (w // 2 + 1) * 16 // _BLOCK_BYTES)) if per_channel else 1
+    n = 1
+    if per_channel:
+        size = c * h * (w // 2 + 1) * 16
+        n = min(c, max(-(-size // _BLOCK_BYTES), _threads() if size >= _SPLIT_BYTES else 1))
     if n == 1:
         residue, scale = _amp_block(x.data, (lambda a: fn(a, slice(0, c))) if per_channel else fn, out)
     else:

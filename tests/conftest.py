@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import threading
 from unittest import mock
 
 import mpmath as mp
 import numpy as np
 
+import freqadapt
 from freqadapt import spectral
 from freqadapt.errors import SymmetryViolationError
 from freqadapt.spectral import _radius_grid, _rescale, _unit_phasors
@@ -148,6 +152,15 @@ def channel_blocks(n, shape):
 def workers(n):
     """Patch how many threads amp_map runs the blocks of a multi-block map on."""
     return mock.patch.object(spectral, "_workers", lambda: n)
+
+
+def run_python(script, timeout=60):
+    """Run ``script`` in a fresh interpreter that imports this freqadapt; it must exit 0 within ``timeout`` s."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freqadapt.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 FFT_NAMES = ("rfft", "irfft", "fft", "ifft", "rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn")

@@ -1,4 +1,7 @@
+import os
 import threading
+import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from conftest import (
     count_fft_calls,
     outcome,
     rfft2_reference,
+    run_python,
     workers,
 )
 from freqadapt import (
@@ -27,6 +31,7 @@ from freqadapt import (
     heatmap,
     ifft2,
     spectral_normalize,
+    spectral,
     style_transform,
 )
 from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
@@ -364,26 +369,51 @@ class TestAmpMap:
                 assert caught.value is raised[failing[0]], (failing, n)
 
     def test_one_block_maps_start_no_thread(self, monkeypatch):
-        started = []
-        thread = threading.Thread
+        handed = []
+        helpers = spectral._helpers
 
-        def counted(*args, **kwargs):
-            started.append(kwargs)
-            return thread(*args, **kwargs)
+        def counted(k):
+            if k:
+                handed.append(k)
+            return helpers(k)
 
-        monkeypatch.setattr(threading, "Thread", counted)
+        monkeypatch.setattr(spectral, "_helpers", counted)
         rng = np.random.default_rng(34)
-        with workers(2):
-            for shape in ((16, 32, 32), (3, 9, 9)):
-                x = rand_map(rng, *shape)
-                style_transform(x, rng.uniform(-1.0, 1.0, shape[0]), rng.uniform(0.1, 2.0, shape[0]))
-            for scope in NORM_SCOPES:
-                spectral_normalize(rand_map(rng, 256, 14, 14), scope)
-            assert started == []
-            # a map of four blocks does start a helper
+        big = rand_map(rng, 256, 14, 14)
+        for n in (1, 2):
+            with workers(n):
+                for shape in ((16, 32, 32), (3, 9, 9)):
+                    x = rand_map(rng, *shape)
+                    style_transform(x, rng.uniform(-1.0, 1.0, shape[0]), rng.uniform(0.1, 2.0, shape[0]))
+                spectral_normalize(big, "tensor")
+        with workers(1):
+            spectral_normalize(big, "channel")
+            # one worker runs a map of four blocks on the calling thread too
             x = rand_map(rng, 64, 56, 56)
             style_transform(x, rng.uniform(-1.0, 1.0, 64), rng.uniform(0.1, 2.0, 64))
-            assert len(started) == 1
+        assert handed == []
+        # a map above half a block is split, one block per worker
+        with workers(2):
+            spectral_normalize(big, "channel")
+        assert handed == [1]
+
+    def test_helpers_are_started_once_per_process(self):
+        # in a fresh process, 5 multi-block calls at 2 workers then 5 at 3 start
+        # one helper and then one more: w - 1 threads in all
+        script = """
+import threading
+import numpy as np
+from unittest import mock
+from freqadapt import FeatureMap, spectral, spectral_normalize
+x = FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (256, 14, 14)))
+for n in (2, 3):
+    with mock.patch.object(spectral, "_workers", lambda: n):
+        for _ in range(5):
+            spectral_normalize(x)
+    print(sorted(t.name for t in threading.enumerate() if t is not threading.main_thread()))
+"""
+        proc = run_python(script)
+        assert proc.stdout.split("\n")[:2] == ["['freqadapt-amp-1']", "['freqadapt-amp-1', 'freqadapt-amp-2']"]
 
     def test_signed_zero_bins_keep_decompose_phase(self):
         # all four signed zeros: decompose gives +-0 + 0j phase 0 and -0 +- 0j phase pi
@@ -501,11 +531,19 @@ class TestHalfSpectrum:
         for c, h, w in ((2, 6, 6), (3, 5, 7), (1, 4, 1), (2, 1, 2), (1, 1, 1), (16, 32, 32),
                         (256, 14, 14)):
             x = rand_map(rng, c, h, w)
-            # a map that fits in one block: one real forward/inverse pair and no full grid
-            assert run_counted(calls, x) == [((c, h, w // 2 + 1), slice(0, c))]
+            # a map that fits in one block: one real forward/inverse pair and no full grid.
+            # On one worker, a map above half a block (256x14x14, 458 KB) is not split
+            with workers(1):
+                assert run_counted(calls, x) == [((c, h, w // 2 + 1), slice(0, c))]
             assert calls == fft_pairs(1)
             assert run_counted(calls, x, per_channel=False) == [((c, h, w // 2 + 1), None)]
             assert calls == fft_pairs(1)
+        # on two workers it is cut into one block per worker
+        with workers(2):
+            seen = run_counted(calls, x)
+        assert sorted(seen, key=lambda call: call[1].start) == [
+            ((128, 14, 8), slice(0, 128)), ((128, 14, 8), slice(128, 256))]
+        assert calls == fft_pairs(2)
 
     def test_amp_map_runs_one_fft_pair_per_block(self, monkeypatch):
         calls = count_fft_calls(monkeypatch)
@@ -615,6 +653,179 @@ class TestBitwiseAgainstRfft2Core:
     @pytest.mark.parametrize("shape", [(64, 56, 56), (256, 14, 14)])
     def test_backbone_shapes(self, shape):
         self.check(shape, 5, False)
+
+
+def standardize_whole(x):
+    """Channel-scope standardization as one block: the reference a split map must match."""
+    weight = mirror_weights(x.width)
+    return outcome(amp_map_reference, x, lambda a: _standardize(a, "channel", weight))
+
+
+def split_outcomes(x, block_sizes=(None, 1, 2, 3)):
+    """(per_block, workers, outcome) of channel-scope spectral_normalize(x) under each block size and 1-3 workers.
+
+    ``per_block`` None keeps the shipped block size.
+    """
+    for per_block in block_sizes:
+        for n in (1, 2, 3):
+            blocks = nullcontext() if per_block is None else channel_blocks(per_block, x.shape)
+            with blocks, workers(n):
+                yield per_block, n, outcome(spectral_normalize, x, "channel")
+
+
+class TestSplitNormalization:
+    """Channel-scope spectral_normalize in channel blocks on 1-3 threads gives the one-block bits."""
+
+    @pytest.mark.parametrize("seed", [0, 123456789])
+    def test_cross_modal_slot(self, seed):
+        x = pinned_map((256, 14, 14), seed, False)
+        want = standardize_whole(x)
+        for per_block, n, got in split_outcomes(x, (None, 64)):
+            assert got == want, (per_block, n)
+
+    def test_degenerate_channel_in_a_later_block(self):
+        data = np.random.default_rng(30).uniform(-1.0, 1.0, size=(5, 6, 6))
+        data[3] = 0.0  # every amplitude at the epsilon floor: std 0
+        x = FeatureMap(data)
+        want = standardize_whole(x)
+        assert want[0] is DegenerateSpectrumError and "in group 3 " in want[1]
+        for per_block, n, got in split_outcomes(x, (1, 2, 3, 5)):
+            assert got == want, (per_block, n)
+
+    def test_nan_block_before_a_degenerate_block(self):
+        # channel 0 overflows the forward transform, so its amplitude is inf and its
+        # standardized amplitude NaN, which no sigma check catches; channel 2 is zero,
+        # so its amplitude is flat. The whole map raises for channel 2, and so must
+        # the block that holds it
+        data = np.random.default_rng(35).uniform(-1.0, 1.0, size=(4, 6, 6))
+        data[0] *= 1e308
+        data[2] = 0.0
+        x = FeatureMap(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = standardize_whole(x)
+            assert want[0] is DegenerateSpectrumError and "in group 2 " in want[1]
+            for per_block, n, got in split_outcomes(x, (1, 2)):
+                assert got == want, (per_block, n)
+            # without the flat channel the NaN reaches the output
+            data[2] = np.random.default_rng(36).uniform(-1.0, 1.0, size=(6, 6))
+            x = FeatureMap(data)
+            want = standardize_whole(x)
+            assert want == (ValueError, "FeatureMap values must be finite")
+            for per_block, n, got in split_outcomes(x, (1, 2)):
+                assert got == want, (per_block, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 9)).flatmap(
+               lambda cn: st.sampled_from([(cn[0], 1, cn[1]), (cn[0], cn[1], 1)])),
+           seed=map_seeds, snap=st.booleans())
+    def test_line_planes(self, shape, seed, snap):
+        x = pinned_map(shape, seed, snap)
+        want = standardize_whole(x)
+        for per_block, n, got in split_outcomes(x):
+            assert got == want, (per_block, n)
+
+
+class TestHelperThreads:
+    """The helper threads of multi-block maps: lifetime, fork, reentry, concurrent callers."""
+
+    def test_process_exits_with_helpers_running(self):
+        # a helper that kept the interpreter alive would time this out
+        start = time.perf_counter()
+        run_python("""
+import numpy as np
+from freqadapt import FeatureMap, spectral_normalize
+spectral_normalize(FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (256, 14, 14))))
+""", timeout=60)
+        assert time.perf_counter() - start < 30.0
+
+    def test_forked_child_starts_its_own_helpers(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        run_python("""
+import os, sys, warnings
+import numpy as np
+from unittest import mock
+from freqadapt import FeatureMap, spectral, spectral_normalize, style_transform
+warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+x = FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (256, 14, 14)))
+y = FeatureMap(np.random.default_rng(1).uniform(-1.0, 1.0, (64, 56, 56)))
+mu, sigma = np.linspace(-1.0, 1.0, 64), np.linspace(0.1, 2.0, 64)
+with mock.patch.object(spectral, "_workers", lambda: 2):
+    want = spectral_normalize(x).data.tobytes(), style_transform(y, mu, sigma).data.tobytes()
+    pid = os.fork()
+    if pid == 0:
+        got = spectral_normalize(x).data.tobytes(), style_transform(y, mu, sigma).data.tobytes()
+        os._exit(0 if got == want else 3)
+    _, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
+""", timeout=60)
+
+    def test_amp_map_called_on_a_helper_runs_inline(self):
+        # the fn of the helper's block calls a multi-block amp_map, whose blocks would
+        # otherwise queue behind the task the helper is running
+        run_python("""
+import threading
+import numpy as np
+from unittest import mock
+from freqadapt import FeatureMap, spectral, spectral_normalize
+x = FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (256, 14, 14)))
+want = spectral_normalize(x).data.tobytes()
+inner = []
+
+def fn(a, channels):
+    if threading.current_thread() is not threading.main_thread():
+        inner.append(spectral_normalize(x).data.tobytes())
+    return a
+
+with mock.patch.object(spectral, "_workers", lambda: 2):
+    spectral.amp_map(x, fn, per_channel=True)
+assert inner == [want], len(inner)
+""", timeout=60)
+
+    def test_concurrent_callers_get_single_thread_bits(self):
+        rng = np.random.default_rng(37)
+        style_in = rand_map(rng, 64, 56, 56)
+        mu, sigma = rng.uniform(-1.0, 1.0, 64), rng.uniform(0.1, 2.0, 64)
+        norm_in = rand_map(rng, 256, 14, 14)
+        calls = {"style": lambda: style_transform(style_in, mu, sigma),
+                 "normalize": lambda: spectral_normalize(norm_in)}
+        with workers(1):
+            want = {name: call().data.tobytes() for name, call in calls.items()}
+        got = {name: [] for name in calls}
+
+        def repeat(name):
+            for _ in range(6):
+                got[name].append(calls[name]().data.tobytes())
+
+        with workers(2):
+            threads = [threading.Thread(target=repeat, args=(name,), daemon=True) for name in calls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {name: [bits] * 6 for name, bits in want.items()}
+
+    def test_keyboard_interrupt_on_a_helper_leaves_it_serving(self):
+        x = rand_map(np.random.default_rng(38), 4, 6, 6)
+
+        def fn(a, channels):  # 2 workers: the helper runs blocks 2 and 3
+            if channels.start == 3:
+                raise KeyboardInterrupt
+            return a
+
+        with channel_blocks(1, x.shape), workers(2):
+            with pytest.raises(KeyboardInterrupt):
+                amp_map(x, fn, per_channel=True)
+            want = outcome(amp_map, x, lambda a, channels: 2.0 * a, True)
+            got = []
+            # a helper whose loop had died would leave this waiting for ever
+            thread = threading.Thread(daemon=True, target=lambda: got.append(
+                outcome(amp_map, x, lambda a, channels: 2.0 * a, True)))
+            thread.start()
+            thread.join(timeout=60)
+        assert got == [want]
+        assert want == outcome(amp_map_reference, x, lambda a: 2.0 * a)
 
 
 class TestHeatmap:
