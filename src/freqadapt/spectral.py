@@ -8,8 +8,9 @@ unambiguous:
   channel on its own). :func:`amp_map` with a per-channel ``fn`` batches
   over blocks of consecutive channels whose half spectrum fills about
   512 KB, so a block stays in cache from the forward transform to the
-  inverse, and cuts a map of at least 256 KB into at least one block per
-  CPU; every other transform is one call over all channels;
+  inverse, and cuts a map of more than 256 KB into one block per CPU,
+  but into no more blocks than it holds 256 KB parts; every other
+  transform is one call over all channels;
 * the blocks of a multi-block map run on the calling thread and on up
   to one helper thread per further CPU the process may use, so a
   per-channel ``fn`` may be called concurrently on disjoint blocks; the
@@ -63,11 +64,12 @@ ORACLE_MAX_PLANE = 4096  # H*W guard for the quadratic-time oracle
 # Half-spectrum bytes per block of a per-channel amp_map. With 2 MB of L2
 # per core, a block's spectrum and the rescale's temporaries stay in cache.
 _BLOCK_BYTES = 512 * 1024
-# A per-channel map of at least this much half spectrum is cut into at
-# least one block per CPU. Splitting a 256x14x14 map (458 KB) in two, one
-# block per CPU with the second on a reused helper thread, cut its time;
-# splitting it cost time only in 64-channel blocks on one thread, or with
-# a thread started per call.
+# A per-channel map of more than this much half spectrum is cut into one
+# block per CPU, but into no more than ceil(bytes / _SPLIT_BYTES) blocks.
+# Handing a block to a helper thread and back costs about 0.3 ms on a
+# 2-vCPU VM. Cut in two there, maps of 408 and 448 KB (256x14x14) ran
+# 19-34% faster, 272 KB as fast, 204-224 KB 3-28% slower and 136 KB
+# (16x32x32) 60% slower. Cuts over more than two CPUs are unmeasured.
 _SPLIT_BYTES = _BLOCK_BYTES // 2
 
 
@@ -380,8 +382,9 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     consecutive channels, ``channels`` the slice of x's channels that
     ``a`` holds. A block's half spectrum fills about ``_BLOCK_BYTES``, so
     it stays in cache from the forward transform to the inverse, and a
-    map of at least ``_SPLIT_BYTES`` (half a block) is cut into at least
-    as many blocks as the process may use CPUs. The blocks run on the
+    map of more than ``_SPLIT_BYTES`` (half a block) is cut into at least
+    as many blocks as the process may use CPUs, but into no more than
+    ceil(bytes / ``_SPLIT_BYTES``) for that. The blocks run on the
     calling thread and on up to one helper thread per further CPU, so
     ``fn`` may be called concurrently on disjoint blocks; the result is
     bitwise that of one block on one thread, whatever the thread count,
@@ -395,7 +398,7 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     n = 1
     if per_channel:
         size = c * h * (w // 2 + 1) * 16
-        n = min(c, max(-(-size // _BLOCK_BYTES), _threads() if size >= _SPLIT_BYTES else 1))
+        n = min(c, max(-(-size // _BLOCK_BYTES), min(_threads(), -(-size // _SPLIT_BYTES))))
     if n == 1:
         residue, scale = _amp_block(x.data, (lambda a: fn(a, slice(0, c))) if per_channel else fn, out)
     else:

@@ -397,15 +397,39 @@ class TestAmpMap:
             spectral_normalize(big, "channel")
         assert handed == [1]
 
+    def test_split_is_capped_by_block_size(self):
+        # above half a block a map is cut into one block per worker, but into no more
+        # than ceil(bytes / _SPLIT_BYTES) blocks: 64x56x56 (1.6 MB) into at most 7 and
+        # 256x14x14 (448 KB) into 2, however many CPUs there are
+        rng = np.random.default_rng(39)
+        want = {(16, 32, 32): {2: [16], 3: [16], 64: [16]},
+                (256, 14, 14): {2: [128, 128], 3: [128, 128], 64: [128, 128]},
+                (64, 56, 56): {2: [16] * 4, 3: [11] * 5 + [9], 64: [10] * 6 + [4]}}
+        for shape, by_workers in want.items():
+            x = rand_map(rng, *shape)
+            for n, sizes in by_workers.items():
+                seen = []
+
+                def fn(a, channels):
+                    seen.append(channels)
+                    return a
+
+                with workers(n):
+                    amp_map(x, fn, per_channel=True)
+                seen.sort(key=lambda channels: channels.start)
+                assert [ch.stop - ch.start for ch in seen] == sizes, (shape, n)
+                assert len(seen) <= -(-np.prod(shape[:2]) * (shape[2] // 2 + 1) * 16 // spectral._SPLIT_BYTES)
+
     def test_helpers_are_started_once_per_process(self):
         # in a fresh process, 5 multi-block calls at 2 workers then 5 at 3 start
-        # one helper and then one more: w - 1 threads in all
+        # one helper and then one more: w - 1 threads in all. A 384x14x14 map (672 KB)
+        # holds three 256 KB parts, so 3 workers cut it in three
         script = """
 import threading
 import numpy as np
 from unittest import mock
 from freqadapt import FeatureMap, spectral, spectral_normalize
-x = FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (256, 14, 14)))
+x = FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (384, 14, 14)))
 for n in (2, 3):
     with mock.patch.object(spectral, "_workers", lambda: n):
         for _ in range(5):
