@@ -56,12 +56,10 @@ from .rng import SplitMix64, mix_seed
 from .spectral import (
     AMP_EPS,
     amp_map,
-    compose,
     decompose,
     dft2_oracle,
     fft2,
     heatmap,
-    ifft2,
 )
 from .style import (
     SCALE_MODES,

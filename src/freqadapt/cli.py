@@ -189,8 +189,8 @@ def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
 
 def _read_config_file(path: str) -> dict:
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise TensorFileError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(lines, 1):

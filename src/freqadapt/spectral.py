@@ -32,8 +32,8 @@ unambiguous:
   before the forward transform, so each spectrum buffer (one per block)
   is allocated once
   (``np.fft`` takes ``out=`` from numpy 2.0 on, the package's floor);
-* the full-grid :func:`fft2`, :func:`ifft2`, :func:`dft2_oracle`,
-  :func:`decompose` and :func:`compose` are references, on plain arrays;
+* the full-grid :func:`fft2`, :func:`dft2_oracle` and :func:`decompose`
+  are references, on plain arrays;
 * amplitude is sqrt(re^2 + im^2 + 1e-24); the epsilon keeps the gradient
   of amplitude defined at zero bins and perturbs any bin with magnitude
   above 1e-6 by less than 1e-12;
@@ -81,25 +81,6 @@ def fft2(x: FeatureMap) -> np.ndarray:
     return np.fft.fft2(x.data, axes=(1, 2))
 
 
-def ifft2(z: np.ndarray) -> tuple[FeatureMap, float]:
-    """Full-grid inverse with 1/(H*W) normalization, the reference for :func:`_irfft2`.
-
-    Returns the real part together with the max absolute imaginary
-    residue. A residue above 1e-6 of the output magnitude means the
-    spectrum was not conjugate-symmetric and raises
-    :class:`SymmetryViolationError`.
-    """
-    full = np.fft.ifft2(z, axes=(1, 2))
-    real = full.real
-    residue = float(np.abs(full.imag).max())
-    limit = 1e-6 * float(np.abs(real).max())
-    if residue > limit:
-        raise SymmetryViolationError(
-            f"imaginary residue {residue:.3e} exceeds {limit:.3e}; spectrum is not conjugate-symmetric"
-        )
-    return FeatureMap(real), residue
-
-
 def dft2_oracle(x: FeatureMap) -> np.ndarray:
     """Direct double-sum 2D DFT, the quadratic-time correctness oracle.
 
@@ -129,15 +110,6 @@ def decompose(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phase = np.arctan2(z.imag, z.real)
     phase = np.where(phase == -np.pi, np.pi, phase)  # keep phase in (-pi, pi]
     return amp, phase
-
-
-def compose(amplitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """The spectrum amplitude * exp(i * phase).
-
-    Negative amplitudes are legal and exact: they are the same spectrum as
-    |amplitude| with the phase flipped by pi.
-    """
-    return amplitude * np.cos(phase) + 1j * (amplitude * np.sin(phase))
 
 
 def _unit_phasors(z: np.ndarray) -> np.ndarray:
@@ -370,7 +342,7 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     mirrored bins follow by conjugate symmetry, so the result is real by
     construction. Each bin keeps its phase as z/|z|, and for an ``fn``
     that treats mirrored bins alike the result equals the full-grid
-    reference ifft2(compose(fn(amp), phase)), with (amp, phase) =
+    inverse transform of fn(amp) * exp(i * phase), with (amp, phase) =
     decompose(fft2(x)), up to rounding. An
     ``fn`` that breaks the symmetry of a self-mirrored column (v = 0, and
     v = W/2 when W is even) by more than 1e-8 of the output magnitude,

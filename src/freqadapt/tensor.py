@@ -108,17 +108,45 @@ class Matrix(_Checked):
         return self.data.shape[1]
 
 
+def _tap_sum(data: np.ndarray, c_out: int, weights: np.ndarray, product: np.ufunc) -> np.ndarray:
+    """The (c_out, H, W) sum over the k x k taps of a same-size convolution of ``data``.
+
+    The (C, H, W) map is zero-padded by p = (k - 1) / 2 once into a
+    (C, H + 2p + 1, W + 2p) buffer and flattened per channel, k the last
+    axis of ``weights``. Tap (dy, dx) is then
+    product(weights[..., dy, dx], window, out=tap) on the (C, H*(W + 2p))
+    window starting at dy*(W + 2p) + dx, a view with no copy; the spare row
+    keeps the last tap's window in bounds. The taps are summed in (dy, dx)
+    order. Each output row carries 2p junk columns, which wrapped around a
+    padded row edge, and the returned view leaves them out. ``data`` is
+    released once padded, so a temporary map the caller passes in is freed
+    before the taps run and at most three map-sized buffers are alive.
+    """
+    c, h, w = data.shape
+    k = weights.shape[-1]
+    p = (k - 1) // 2
+    wp = w + 2 * p
+    padded = np.zeros((c, h + 2 * p + 1, wp))
+    padded[:, p:p + h, p:p + w] = data
+    del data
+    flat = padded.reshape(c, -1)
+    n = h * wp
+    out = np.zeros((c_out, n))
+    tap = np.empty_like(out)
+    for dy in range(k):
+        for dx in range(k):
+            s = dy * wp + dx
+            product(weights[..., dy, dx], flat[:, s:s + n], out=tap)
+            out += tap
+    return out.reshape(c_out, h, wp)[:, :, :w]
+
+
 def conv2d(x: FeatureMap, kernel) -> FeatureMap:
     """Same-size 2D convolution with zero padding.
 
     ``kernel`` has axes [c_out, c_in, k, k] with k odd; the map is padded
-    by p = (k - 1) / 2 so the spatial extent is preserved. The map is
-    zero-padded once into a (c_in, H + 2p + 1, W + 2p) buffer and flattened
-    per channel. Tap (dy, dx) is then one [c_out, c_in] x [c_in, H*(W + 2p)]
-    product on the window starting at dy*(W + 2p) + dx, a view with no copy;
-    the spare row keeps the last tap's window in bounds. Each output row
-    carries 2p junk columns, which wrapped around a padded row edge, and
-    they are sliced off at the end.
+    by p = (k - 1) / 2 so the spatial extent is preserved. Tap (dy, dx) is
+    one [c_out, c_in] x [c_in, H*(W + 2p)] product in :func:`_tap_sum`.
     """
     kern = np.asarray(kernel, dtype=np.float64)
     if kern.ndim != 4 or kern.shape[2] != kern.shape[3]:
@@ -132,21 +160,7 @@ def conv2d(x: FeatureMap, kernel) -> FeatureMap:
         )
     if not np.all(np.isfinite(kern)):
         raise ValueError("kernel values must be finite")
-    c, h, w = x.shape
-    p = (k - 1) // 2
-    wp = w + 2 * p
-    padded = np.zeros((c, h + 2 * p + 1, wp))
-    padded[:, p:p + h, p:p + w] = x.data
-    flat = padded.reshape(c, -1)
-    n = h * wp
-    out = np.zeros((kern.shape[0], n))
-    tap = np.empty_like(out)
-    for dy in range(k):
-        for dx in range(k):
-            s = dy * wp + dx
-            np.matmul(kern[:, :, dy, dx], flat[:, s:s + n], out=tap)
-            out += tap
-    return FeatureMap(out.reshape(-1, h, wp)[:, :, :w])
+    return FeatureMap(_tap_sum(x.data, kern.shape[0], kern, np.matmul))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

@@ -46,6 +46,59 @@ def smooth_reference(channels, height, width, seed):
     return FeatureMap(out)
 
 
+# The full-grid inverse and the polar compose: references for the
+# half-spectrum core, with no caller in the package.
+
+
+def ifft2_reference(z: np.ndarray) -> tuple[FeatureMap, float]:
+    """Full-grid inverse with 1/(H*W) normalization, the reference for ``spectral._irfft2``.
+
+    Returns the real part together with the max absolute imaginary
+    residue. A residue above 1e-6 of the output magnitude means the
+    spectrum was not conjugate-symmetric and raises
+    :class:`SymmetryViolationError`.
+    """
+    full = np.fft.ifft2(z, axes=(1, 2))
+    real = full.real
+    residue = float(np.abs(full.imag).max())
+    limit = 1e-6 * float(np.abs(real).max())
+    if residue > limit:
+        raise SymmetryViolationError(
+            f"imaginary residue {residue:.3e} exceeds {limit:.3e}; spectrum is not conjugate-symmetric"
+        )
+    return FeatureMap(real), residue
+
+
+def compose_reference(amplitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The spectrum amplitude * exp(i * phase).
+
+    Negative amplitudes are legal and exact: they are the same spectrum as
+    |amplitude| with the phase flipped by pi.
+    """
+    return amplitude * np.cos(phase) + 1j * (amplitude * np.sin(phase))
+
+
+def conv2d_reference(x, kernel):
+    """``conv2d``'s padded-tap loop as it ran inline, kept verbatim as its bitwise reference."""
+    kern = np.asarray(kernel, dtype=np.float64)
+    c, h, w = x.shape
+    k = kern.shape[2]
+    p = (k - 1) // 2
+    wp = w + 2 * p
+    padded = np.zeros((c, h + 2 * p + 1, wp))
+    padded[:, p:p + h, p:p + w] = x.data
+    flat = padded.reshape(c, -1)
+    n = h * wp
+    out = np.zeros((kern.shape[0], n))
+    tap = np.empty_like(out)
+    for dy in range(k):
+        for dx in range(k):
+            s = dy * wp + dx
+            np.matmul(kern[:, :, dy, dx], flat[:, s:s + n], out=tap)
+            out += tap
+    return FeatureMap(out.reshape(-1, h, wp)[:, :, :w])
+
+
 def idft2_reference(z):
     """Inverse DFT via conjugate transform matrices; independent of the fft path."""
     c, h, w = z.shape

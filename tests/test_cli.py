@@ -290,6 +290,12 @@ class TestConfigFile:
     def test_missing_config_exit_3(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "nope.cfg")) == 3
 
+    def test_undecodable_config_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\xfe\n")
+        assert run("verify", "--config", str(cfg)) == 3
+        assert f"error: cannot read config {cfg}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_stack_stage_assignment_from_config(self, tmp_path):
         src = tmp_path / "in.ftns"
         run("gen", "--kind", "smooth", "--shape", "3,8,8", "--seed", "5", "--out", str(src))

