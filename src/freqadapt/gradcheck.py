@@ -50,8 +50,6 @@ PROBE_MIN_BIN = 1e-2
 _REL_FLOOR = 1e-8
 _PROBE_ATTEMPTS = 200
 
-GRADCHECK_OPS = ("silu", "amp_normalize", "cross_attention", "style", "crossmodal")
-
 
 @dataclass(frozen=True)
 class GradReport:
@@ -263,6 +261,8 @@ _PROBES = {
     "style": _probe_style,
     "crossmodal": _probe_crossmodal,
 }
+# The ops in order; an op's index tags its probe streams (7000 + index)
+GRADCHECK_OPS = tuple(_PROBES)
 
 
 def _rel_err(a: float, b: float) -> float:

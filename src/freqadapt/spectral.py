@@ -5,18 +5,15 @@ unambiguous:
 
 * transforms act on the H x W plane of each channel independently,
   batched over the channel axis (bitwise equal to transforming each
-  channel on its own). :func:`amp_map` with a per-channel ``fn`` batches
-  over blocks of consecutive channels whose half spectrum fills about
-  512 KB, so a block stays in cache from the forward transform to the
-  inverse, and cuts a map of more than 256 KB into one block per CPU,
-  but into no more blocks than it holds 256 KB parts; every other
-  transform is one call over all channels;
-* the blocks of a multi-block map run on the calling thread and on up
-  to one helper thread per further CPU the process may use, so a
-  per-channel ``fn`` may be called concurrently on disjoint blocks; the
-  bits do not depend on the thread count. The helpers are daemon
-  threads, started on the first multi-block map and reused after it; a
-  forked child starts its own;
+  channel on its own). :func:`amp_map` with a per-channel ``fn`` runs
+  over blocks of consecutive channels; every other transform is one
+  call over all channels;
+* the blocks of a multi-block map may run on several threads, so a
+  per-channel ``fn`` may be called concurrently on disjoint blocks. The
+  bits do not depend on the thread count, the caller's ``np.errstate``
+  holds on the helper threads, and if blocks fail, the first failing
+  block in channel order raises. :func:`amp_map` describes the block
+  plan and the hand-off;
 * the forward transform is unnormalized (DC bin = sum of spatial values),
   the inverse carries the 1/(H*W) factor;
 * the shipped code works on the half spectrum, plain (C, H, W//2+1)
@@ -45,7 +42,6 @@ unambiguous:
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 import queue
@@ -229,10 +225,15 @@ _local = threading.local()  # _local.helper is set on helper threads
 
 
 def _serve(tasks: queue.SimpleQueue) -> None:
-    """A helper's loop: run each task of ``tasks``; a task stores what it raises."""
+    """A helper's loop: run each share of ``tasks`` in its context and hand back (index, outcome).
+
+    A task is (context, share, k, handed); share(k) returns what its
+    blocks raised instead of raising it, so the loop never ends.
+    """
     _local.helper = True
     while True:
-        tasks.get()()
+        context, share, k, handed = tasks.get()
+        handed.put((k, context.run(share, k)))
 
 
 def _helpers(k: int) -> list[queue.SimpleQueue]:
@@ -280,54 +281,38 @@ def _amp_block(data: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
 
 
 def _amp_blocks(data: np.ndarray, fn: Callable[..., np.ndarray], out: np.ndarray,
-                n: int) -> tuple[float, float]:
-    """:func:`_amp_block` on ``n`` or so blocks of consecutive channels, on up to _threads() threads.
+                n: int, threads: int) -> tuple[float, float]:
+    """:func:`_amp_block` on ``n`` or so blocks of consecutive channels, on up to ``threads`` threads.
 
-    ``n`` is rounded up to a multiple of the threads, so each runs as many
-    blocks of ceil(C / n) channels. The caller's thread runs the first
-    share and helper threads the rest. Returns the largest residue and
-    the output scale over all blocks, reduced in block order once all
-    have run; if blocks raised, the first of them in block order raises
-    here.
+    The block plan and the hand-off are described in :func:`amp_map`.
+    Returns the largest residue and the output scale over all blocks.
     """
     c = data.shape[0]
-    workers = min(_threads(), n)
+    workers = min(threads, n)
     step = -(-c // (-(-n // workers) * workers))
     blocks = [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
     workers = min(workers, len(blocks))
     bounds = [k * len(blocks) // workers for k in range(workers + 1)]
-    found: list = [None] * len(blocks)  # per block: (residue, scale) or what it raised
 
-    def run(first, last):
-        for i in range(first, last):
-            channels = blocks[i]
-            try:
-                found[i] = _amp_block(data[channels], lambda a: fn(a, channels), out[channels])
-            except BaseException as exc:
-                found[i] = exc
-                return
-
-    def task(context, first, last, done):
+    def share(k):
+        """The (residue, scale) of each block of share ``k``, or what its first failing block raised."""
         try:
-            context.run(run, first, last)
-        finally:
-            done.release()
+            return [_amp_block(data[channels], lambda a: fn(a, channels), out[channels])
+                    for channels in blocks[bounds[k]:bounds[k + 1]]]
+        except BaseException as exc:
+            return exc
 
-    waits = []
+    handed = queue.SimpleQueue()
     for k, tasks in enumerate(_helpers(workers - 1), start=1):
-        done = threading.Lock()
-        done.acquire()
-        # each task runs in a copy of the caller's context, so numpy's errstate
+        # each share runs in a copy of the caller's context, so numpy's errstate
         # (a context variable) holds on the helper as it does on the caller
-        tasks.put(functools.partial(task, contextvars.copy_context(), bounds[k], bounds[k + 1], done))
-        waits.append(done)
-    run(bounds[0], bounds[1])
-    for done in waits:
-        done.acquire()
-    for result in found:
-        if isinstance(result, BaseException):
-            raise result
-    residues, scales = zip(*found)
+        tasks.put((contextvars.copy_context(), share, k, handed))
+    outcomes = {0: share(0)}
+    outcomes.update(handed.get() for _ in range(workers - 1))
+    for k in range(workers):
+        if isinstance(outcomes[k], BaseException):
+            raise outcomes[k]
+    residues, scales = zip(*(found for k in range(workers) for found in outcomes[k]))
     # max may drop a NaN residue, which cannot change the outcome: it comes
     # from a non-finite self-mirrored bin, which the inverse spreads into
     # out, so scale is NaN or inf, no residue exceeds it, and _adopt raises
@@ -352,29 +337,47 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     An ``fn`` that acts on each channel alone is passed with
     ``per_channel``: it is then called as fn(a, channels) on blocks of
     consecutive channels, ``channels`` the slice of x's channels that
-    ``a`` holds. A block's half spectrum fills about ``_BLOCK_BYTES``, so
-    it stays in cache from the forward transform to the inverse, and a
-    map of more than ``_SPLIT_BYTES`` (half a block) is cut into at least
-    as many blocks as the process may use CPUs, but into no more than
-    ceil(bytes / ``_SPLIT_BYTES``) for that. The blocks run on the
-    calling thread and on up to one helper thread per further CPU, so
-    ``fn`` may be called concurrently on disjoint blocks; the result is
-    bitwise that of one block on one thread, whatever the thread count,
-    and a failing block raises as the first failing block in channel
-    order would. Called on a helper thread (from an ``fn``), amp_map
-    runs all its blocks there. A map of one block, and any ``fn``
-    without ``per_channel``, runs as one block on the calling thread.
+    ``a`` holds. A map of one block, and any ``fn`` without
+    ``per_channel``, runs as one block on the calling thread.
+
+    The block plan. A block's half spectrum fills about ``_BLOCK_BYTES``,
+    so it stays in cache from the forward transform to the inverse. The
+    thread count is the number of CPUs the process may use, or 1 on a
+    helper thread. A map of ``n`` blocks' worth of half spectrum is cut
+    into ``n`` blocks of ceil(C / n) channels. Above ``_SPLIT_BYTES``
+    (half a block), ``n`` is at least the thread count or
+    ceil(bytes / ``_SPLIT_BYTES``), whichever is fewer. ``n`` is then
+    rounded up to a multiple of the threads used, and each thread runs
+    one share, a run of consecutive blocks; shares differ by at most one
+    block (64x56x56 on two CPUs: four blocks of 16 channels, two per
+    thread).
+
+    The hand-off. The calling thread runs the first share. Each other
+    share goes on the task queue of its own helper thread and runs there
+    in a copy of the caller's ``contextvars`` context, so a
+    ``np.errstate`` set by the caller holds on the helper. A share
+    returns its blocks' (residue, scale), or what its first failing
+    block raised, and the helper puts that on a queue made for the call.
+    The caller takes every share's outcome before it raises or reduces,
+    so no block of the call still runs when it returns. If blocks fail,
+    the first failing block in channel order raises. So ``fn`` may be
+    called concurrently on disjoint blocks, and the result is bitwise
+    that of one block on one thread, whatever the thread count. The
+    helpers are daemon threads, started on the first multi-block map and
+    reused after it; a forked child starts its own. Called on a helper
+    thread (from an ``fn``), amp_map runs all its blocks there.
     """
     c, h, w = x.shape
     out = np.empty(x.shape)
     n = 1
     if per_channel:
+        threads = _threads()
         size = c * h * (w // 2 + 1) * 16
-        n = min(c, max(-(-size // _BLOCK_BYTES), min(_threads(), -(-size // _SPLIT_BYTES))))
+        n = min(c, max(-(-size // _BLOCK_BYTES), min(threads, -(-size // _SPLIT_BYTES))))
     if n == 1:
         residue, scale = _amp_block(x.data, (lambda a: fn(a, slice(0, c))) if per_channel else fn, out)
     else:
-        residue, scale = _amp_blocks(x.data, fn, out, n)
+        residue, scale = _amp_blocks(x.data, fn, out, n, threads)
     if residue > 1e-8 * scale:
         raise SymmetryViolationError(
             f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"

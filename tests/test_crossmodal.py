@@ -10,6 +10,7 @@ from conftest import (
     idft2_reference,
     ifft2_reference,
     phase_gap_mod_pi,
+    workers,
 )
 from freqadapt import (
     AttentionParams,
@@ -303,6 +304,22 @@ class TestCrossmodalForward:
         b = crossmodal_forward(x, text, p)
         assert a.shape == x.shape
         assert np.array_equal(a.data, b.data)
+
+
+class TestUnknownScope:
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (256, 14, 14)])
+    def test_unknown_scope_is_rejected(self, shape):
+        # the 256x14x14 map runs as two blocks on two threads, and both reject the scope
+        x = FeatureMap(np.random.default_rng(65).uniform(-1, 1, size=shape))
+        text = gen_text_tokens(3, 5, 22)
+        p = AttentionParams.seeded(shape[0], 5, 8, 23)
+        want = "scope must be one of ('channel', 'tensor'), got 'global'"
+        with workers(2):
+            for call in (lambda: spectral_normalize(x, "global"),
+                         lambda: crossmodal_forward(x, text, p, scope="global")):
+                with pytest.raises(ValueError) as caught:
+                    call()
+                assert str(caught.value) == want
 
 
 class TestHighFreqShift:

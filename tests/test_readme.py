@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,3 +57,25 @@ def test_numpy_floor_takes_fft_out():
     floor = re.search(r'"numpy>=([\d.]+)"', PYPROJECT.read_text()).group(1)
     assert int(floor.split(".")[0]) >= 2
     assert f"numpy>={floor}" in README.read_text()
+
+
+def cli_examples():
+    """The argument lists of the ``freqadapt ...`` lines in the README's CLI code block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("freqadapt ")]
+
+
+def test_cli_examples_work(tmp_path, monkeypatch):
+    from freqadapt.cli import build_parser, main
+
+    examples = cli_examples()
+    assert [argv[0] for argv in examples] == ["gen", "apply", "apply", "apply", "heatmap", "verify", "gradcheck"]
+    for argv in examples:
+        build_parser().parse_args(argv)
+    # verify and gradcheck take seconds, so they are only parsed
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        if argv[0] in ("gen", "apply", "heatmap"):
+            assert main(argv) == 0, argv
+    assert {path.name for path in tmp_path.iterdir()} == {
+        "feats.ftns", "styled.ftns", "enhanced.ftns", "stacked.ftns", "spectrum.pgm", "spectrum.csv"}

@@ -368,6 +368,25 @@ class TestAmpMap:
                         amp_map(x, fn, per_channel=True)
                 assert caught.value is raised[failing[0]], (failing, n)
 
+    def test_raises_only_after_every_share_has_finished(self):
+        # channel 0, in the caller's share, fails at once while the helper's share
+        # (channels 2 and 3) still runs; amp_map must collect that share before raising
+        x = rand_map(np.random.default_rng(40), 4, 6, 6)
+        finished = []
+
+        def fn(a, channels):
+            if channels.start == 0:
+                raise ValueError("block 0")
+            if channels.start >= 2:
+                time.sleep(0.1)
+                finished.append(channels.start)
+            return a
+
+        with channel_blocks(1, x.shape), workers(2):
+            with pytest.raises(ValueError, match="block 0"):
+                amp_map(x, fn, per_channel=True)
+        assert sorted(finished) == [2, 3]
+
     def test_one_block_maps_start_no_thread(self, monkeypatch):
         handed = []
         helpers = spectral._helpers
