@@ -129,10 +129,22 @@ def _attend(x: FeatureMap, xt: Matrix, p: AttentionParams) -> FeatureMap:
 
 
 def _group_mean(v: np.ndarray, scope: str, weight) -> np.ndarray:
-    """Mean of each normalization group, bin (c, u, v) counted ``weight[v]`` times."""
+    """Mean of each normalization group, bin (c, u, v) counted ``weight[v]`` times.
+
+    The group size is the sum of the weight's own entries times the size
+    of the axes it broadcasts along, not a sum of the broadcast weights:
+    the same value, exactly, since the weights are small integers.
+    """
     axes = (1, 2) if scope == "channel" else (0, 1, 2)
-    w = np.broadcast_to(weight, v.shape)
-    return (w * v).sum(axis=axes, keepdims=True) / w.sum(axis=axes, keepdims=True)
+    w = np.asarray(weight)
+    w = w.reshape((1,) * (v.ndim - w.ndim) + w.shape)
+    size = w.sum(axis=axes, keepdims=True) * math.prod(v.shape[a] for a in axes if w.shape[a] == 1)
+    return (weight * v).sum(axis=axes, keepdims=True) / size
+
+
+def _check_scope(scope: str) -> None:
+    if scope not in NORM_SCOPES:
+        raise ValueError(f"scope must be one of {NORM_SCOPES}, got {scope!r}")
 
 
 def _standardize(a: np.ndarray, scope: str, weight=1.0, first: int = 0) -> np.ndarray:
@@ -144,8 +156,7 @@ def _standardize(a: np.ndarray, scope: str, weight=1.0, first: int = 0) -> np.nd
     index of a's first group in the whole map, so that an error names a
     group of a channel block by its index in the map.
     """
-    if scope not in NORM_SCOPES:
-        raise ValueError(f"scope must be one of {NORM_SCOPES}, got {scope!r}")
+    _check_scope(scope)
     out = a - _group_mean(a, scope, weight)
     sd = np.sqrt(_group_mean(out * out, scope, weight))
     if np.any(sd <= _SIGMA_FLOOR):
@@ -165,8 +176,10 @@ def spectral_normalize(x: FeatureMap, scope: str = "channel") -> FeatureMap:
     energy across frequencies without moving structure. Scope "channel"
     standardizes each channel alone, so :func:`amp_map` may split the map
     into channel blocks and run them on several threads; scope "tensor"
-    takes its statistics over all channels, so it runs as one block.
+    takes its statistics over all channels, so it runs as one block. The
+    scope is checked before any transform.
     """
+    _check_scope(scope)
     weight = mirror_weights(x.width)
     if scope == "tensor":
         return amp_map(x, lambda a: _standardize(a, scope, weight))

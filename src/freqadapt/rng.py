@@ -19,7 +19,10 @@ golden tests pin their exact output streams:
 The array samplers are numpy-vectorized and bitwise equal to the scalar
 streams: the same values, and the same state afterwards. They finalize
 their uint64 words in place and scale the results in place, so a draw
-allocates a few arrays, not one per arithmetic step.
+allocates a few arrays, not one per arithmetic step. ``gamma_array``
+vectorizes the words and the polar normals only: a Marsaglia-Tsang
+rejection takes a variable number of words, so a scalar walk consumes
+them in order.
 """
 
 from __future__ import annotations
@@ -163,3 +166,91 @@ class SplitMix64:
             r *= scale
             done += kept.size
         return vals
+
+    def _polar_window(self, n: int) -> tuple[list, list, list]:
+        """The next n uniforms, and the polar candidate of each word offset, as lists.
+
+        Offset i pairs words i and i + 1: ``accepted[i]`` says whether
+        ``normal()`` would accept them and ``normals[i]`` is the variate
+        it would return, computed as :meth:`normal_array` computes it.
+        Only accepted offsets go through the log.
+        """
+        uv = self._uniforms(n)
+        words = uv.tolist()
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv[:-1], uv[1:]
+        s = u * u
+        s += v * v
+        ok = (0.0 < s) & (s < 1.0)
+        r = np.zeros_like(s)
+        np.log(s, out=r, where=ok)
+        r *= -2.0
+        np.divide(r, s, out=r, where=ok)
+        np.sqrt(r, out=r)
+        r *= u
+        return words, ok.tolist(), r.tolist()
+
+    def gamma_array(self, shapes) -> np.ndarray:
+        """Bitwise equal to ``[self.gamma(a) for a in shapes]``, state included.
+
+        A rejection uses a variable number of words, so the words are
+        drawn as a window, with the polar candidate of every offset (see
+        :meth:`_polar_window`). A walk then runs the scalar method over
+        them in order: 2 words per polar try, 1 per squeeze uniform and 1
+        per boost uniform below shape 1, with the scalar arithmetic on
+        the same types. A component that runs past the window is walked
+        again over a window twice as long, drawn from the same start, and
+        the state is rewound to just after the last word used. Every
+        shape is checked before any word is drawn.
+        """
+        shapes = list(shapes)
+        for shape in shapes:
+            if not shape > 0.0:
+                raise ValueError(f"gamma shape must be > 0, got {shape}")
+        start = self._state
+        size = 4 * len(shapes) + 8  # about 3.7 words per component at shape 1
+        window = self._polar_window(size)
+        vals, pos = [], 0
+        for shape in shapes:
+            while True:
+                try:
+                    val, pos_after = _gamma_walk(shape, pos, *window)
+                    break
+                except IndexError:  # the component ran past the window
+                    size *= 2
+                    self._state = start
+                    window = self._polar_window(size)
+            vals.append(val)
+            pos = pos_after
+        self._state = (start + pos * _GOLDEN) & _MASK64
+        return np.array(vals, dtype=np.float64)
+
+
+def _gamma_walk(shape, pos: int, words: list, accepted: list, normals: list):
+    """``gamma(shape)`` on the words of a window from offset ``pos``: (variate, offset after).
+
+    The steps of :meth:`SplitMix64.gamma`, with each uniform and polar
+    normal read from the window. Raises IndexError at its end.
+    """
+    boost = 1.0
+    if shape < 1.0:
+        boost = words[pos] ** (1.0 / shape)
+        pos += 1
+        shape = shape + 1.0
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        while not accepted[pos]:
+            pos += 2
+        x = normals[pos]
+        pos += 2
+        v = 1.0 + c * x
+        if v <= 0.0:
+            continue
+        v = v * v * v
+        u = words[pos]
+        pos += 1
+        if (u < 1.0 - 0.0331 * x * x * x * x or u == 0.0
+                or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v))):
+            return d * v * boost, pos

@@ -234,6 +234,7 @@ def _serve(tasks: queue.SimpleQueue) -> None:
     while True:
         context, share, k, handed = tasks.get()
         handed.put((k, context.run(share, k)))
+        del context, share, handed  # hold no array of the call while waiting for the next
 
 
 def _helpers(k: int) -> list[queue.SimpleQueue]:
@@ -309,10 +310,17 @@ def _amp_blocks(data: np.ndarray, fn: Callable[..., np.ndarray], out: np.ndarray
         tasks.put((contextvars.copy_context(), share, k, handed))
     outcomes = {0: share(0)}
     outcomes.update(handed.get() for _ in range(workers - 1))
-    for k in range(workers):
-        if isinstance(outcomes[k], BaseException):
-            raise outcomes[k]
-    residues, scales = zip(*(found for k in range(workers) for found in outcomes[k]))
+    shares = [outcomes.pop(k) for k in range(workers)]
+    for found in shares:
+        if isinstance(found, BaseException):
+            # the traceback will hold this frame, so the frame lets go of the
+            # error: a cycle would keep the failing block's arrays alive until gc
+            shares.clear()
+            try:
+                raise found
+            finally:
+                del found
+    residues, scales = zip(*(block for found in shares for block in found))
     # max may drop a NaN residue, which cannot change the outcome: it comes
     # from a non-finite self-mirrored bin, which the inverse spreads into
     # out, so scale is NaN or inf, no residue exceeds it, and _adopt raises
@@ -337,8 +345,11 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     An ``fn`` that acts on each channel alone is passed with
     ``per_channel``: it is then called as fn(a, channels) on blocks of
     consecutive channels, ``channels`` the slice of x's channels that
-    ``a`` holds. A map of one block, and any ``fn`` without
-    ``per_channel``, runs as one block on the calling thread.
+    ``a`` holds. It may read ``x.data[channels]`` too, as the style pass
+    does for its channel statistics: that work then runs on the block's
+    thread while the block is in cache. A map of one block, and any
+    ``fn`` without ``per_channel``, runs as one block on the calling
+    thread.
 
     The block plan. A block's half spectrum fills about ``_BLOCK_BYTES``,
     so it stays in cache from the forward transform to the inverse. The

@@ -7,6 +7,7 @@ from conftest import (
     attention_oracle_mp,
     band_split_reference,
     compose_reference,
+    count_fft_calls,
     idft2_reference,
     ifft2_reference,
     phase_gap_mod_pi,
@@ -28,7 +29,7 @@ from freqadapt import (
     spectral_normalize,
     unflatten_tokens,
 )
-from freqadapt.crossmodal import NORM_SCOPES, _standardize
+from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
 from freqadapt.spectral import _rfft2, _unit_phasors, mirror_weights
 from freqadapt.synth import gen_features, gen_text_tokens
 
@@ -158,6 +159,19 @@ def weighted_mean_std(a, weight, axes):
 
 class TestAmpNormalize:
     """Amplitude standardization as spectral_normalize runs it."""
+
+    @pytest.mark.parametrize("shape", [(3, 8, 5), (1, 1, 1), (4, 7, 4), (128, 14, 8)])
+    def test_group_mean_divides_by_the_exact_group_size(self, shape):
+        # the summed broadcast weights it once divided by are exact integers, so
+        # the group size computed from the shape gives the same bits
+        a = np.random.default_rng(66).uniform(0.0, 3.0, size=shape)
+        widths = {max(2 * shape[2] - 2, 1), 2 * shape[2] - 1}  # the even and odd W of a half spectrum
+        weights = [mirror_weights(width) for width in widths]
+        for weight in (1.0, *weights, np.broadcast_to(weights[0], shape)):
+            for scope, axes in (("channel", (1, 2)), ("tensor", (0, 1, 2))):
+                w = np.broadcast_to(weight, a.shape)
+                want = (w * a).sum(axis=axes, keepdims=True) / w.sum(axis=axes, keepdims=True)
+                assert _group_mean(a, scope, weight).tobytes() == want.tobytes(), (np.shape(weight), scope)
 
     def test_hand_values(self):
         amp = np.array([2.0, 4.0, 6.0, 8.0]).reshape(1, 2, 2)
@@ -308,18 +322,21 @@ class TestCrossmodalForward:
 
 class TestUnknownScope:
     @pytest.mark.parametrize("shape", [(3, 8, 8), (256, 14, 14)])
-    def test_unknown_scope_is_rejected(self, shape):
-        # the 256x14x14 map runs as two blocks on two threads, and both reject the scope
+    def test_unknown_scope_is_rejected(self, monkeypatch, shape):
+        # the 256x14x14 map would run as two blocks on two threads; the scope is
+        # rejected before either block's forward transform
         x = FeatureMap(np.random.default_rng(65).uniform(-1, 1, size=shape))
         text = gen_text_tokens(3, 5, 22)
         p = AttentionParams.seeded(shape[0], 5, 8, 23)
         want = "scope must be one of ('channel', 'tensor'), got 'global'"
+        calls = count_fft_calls(monkeypatch)
         with workers(2):
             for call in (lambda: spectral_normalize(x, "global"),
                          lambda: crossmodal_forward(x, text, p, scope="global")):
                 with pytest.raises(ValueError) as caught:
                     call()
                 assert str(caught.value) == want
+        assert calls["rfft"] == 0 and not any(calls.values())
 
 
 class TestHighFreqShift:

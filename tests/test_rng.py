@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,19 @@ def scalar_normals(rng, n, scale):
     return np.array([scale * rng.normal() for _ in range(n)], dtype=np.float64)
 
 
+def scalar_gammas(rng, shapes):
+    return np.array([rng.gamma(a) for a in shapes], dtype=np.float64)
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+gamma_shapes = st.one_of(
+    st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+    st.just(1.0),
+    st.floats(min_value=1.0, max_value=1e3),
+)
 
 
 class TestArraySamplersMatchScalarStreams:
@@ -72,6 +84,48 @@ class TestArraySamplersMatchScalarStreams:
         monkeypatch.setattr("freqadapt.rng.math.log", no_math_log)
         vals = SplitMix64(11).normal_array(30000)
         assert vals.shape == (30000,) and np.all(np.isfinite(vals))
+
+
+class TestGammaArray:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1]), seeds),
+           shapes=st.lists(gamma_shapes, min_size=1, max_size=300),
+           as_array=st.booleans())
+    def test_matches_the_scalar_stream(self, seed, shapes, as_array):
+        if as_array:  # sample_dirichlet passes an array: its elements are numpy floats
+            shapes = np.asarray(shapes)
+        vec, twin = SplitMix64(seed), SplitMix64(seed)
+        assert same_bits(vec.gamma_array(shapes), scalar_gammas(twin, shapes))
+        assert vec._state == twin._state
+        assert vec.next_u64() == twin.next_u64()
+
+    def test_window_extends(self, monkeypatch):
+        # below shape 1 a component takes about 4.7 words, more than the 4 per
+        # component the first window holds, so 300 of them run past it
+        windows = []
+        draw = SplitMix64._polar_window
+
+        def counted(self, n):
+            windows.append(n)
+            return draw(self, n)
+
+        monkeypatch.setattr(SplitMix64, "_polar_window", counted)
+        shapes = np.full(300, 0.5)
+        vec, twin = SplitMix64(17), SplitMix64(17)
+        assert same_bits(vec.gamma_array(shapes), scalar_gammas(twin, shapes))
+        assert vec._state == twin._state
+        assert windows[:2] == [1208, 2416]
+
+    def test_bad_shape_is_rejected_before_any_draw(self):
+        rng = SplitMix64(5)
+        with pytest.raises(ValueError, match="gamma shape must be > 0, got 0.0"):
+            rng.gamma_array([1.0, 2.0, 0.0])
+        assert rng._state == 5
+
+    def test_empty_draw_leaves_the_state(self):
+        rng = SplitMix64(5)
+        assert same_bits(rng.gamma_array([]), np.array([], dtype=np.float64))
+        assert rng._state == 5
 
 
 class TestFinalize:

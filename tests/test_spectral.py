@@ -1,6 +1,8 @@
+import gc
 import os
 import threading
 import time
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
@@ -367,6 +369,37 @@ class TestAmpMap:
                     with pytest.raises(ValueError) as caught:
                         amp_map(x, fn, per_channel=True)
                 assert caught.value is raised[failing[0]], (failing, n)
+
+    @pytest.mark.parametrize("failing", [0, 3])
+    def test_failing_map_frees_its_blocks_without_the_cyclic_collector(self, failing):
+        # the re-raised error's traceback holds _amp_blocks' frame; if that frame still
+        # held the error, the cycle would keep the failing block's arrays alive until
+        # gc ran. 2 workers: channel 0 fails on the calling thread, which then skips
+        # channel 1; channel 3 fails on the helper, after all the others ran
+        x = rand_map(np.random.default_rng(41), 4, 6, 6)
+        seen = []
+
+        def fn(a, channels):
+            seen.append(weakref.ref(a))
+            if channels.start == failing:
+                raise ValueError(f"block {failing}")
+            return a
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with channel_blocks(1, x.shape), workers(2):
+                try:
+                    amp_map(x, fn, per_channel=True)
+                except ValueError as exc:
+                    assert str(exc) == f"block {failing}"
+                else:
+                    pytest.fail("amp_map did not raise")
+            alive = [ref() is not None for ref in seen]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(alive) == (3 if failing == 0 else 4) and not any(alive), alive
 
     def test_raises_only_after_every_share_has_finished(self):
         # channel 0, in the caller's share, fails at once while the helper's share

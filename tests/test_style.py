@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    channel_blocks,
     channel_stats_reference,
     compose_reference,
+    count_fft_calls,
     idft2_reference,
     ifft2_reference,
     outcome,
     phase_gap_mod_pi,
+    workers,
 )
 from freqadapt import (
     FeatureMap,
@@ -25,8 +28,10 @@ from freqadapt import (
     style_diversify,
     style_transform,
 )
-from freqadapt.rng import mix_seed
-from freqadapt.style import _style_coefficients
+from freqadapt import style
+from freqadapt.errors import ShapeMismatchError
+from freqadapt.rng import SplitMix64, mix_seed
+from freqadapt.style import _GAMMA_WINDOW, _style_coefficients
 
 
 def style_reference(x, alpha, seed):
@@ -127,6 +132,15 @@ class TestSampleDirichlet:
         b = sample_dirichlet([1.0, 2.0, 3.0], 5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("k", [1, _GAMMA_WINDOW - 1, _GAMMA_WINDOW, 64, 257])
+    def test_both_gamma_paths_give_the_scalar_draws(self, k):
+        rng = np.random.default_rng(k)
+        for alpha in (np.ones(k), rng.uniform(0.05, 3.0, k)):
+            for seed in (0, 9, 2**64 - 1):
+                gen = SplitMix64(seed)
+                draws = np.array([gen.gamma(a) for a in alpha])
+                assert sample_dirichlet(alpha, seed).tobytes() == (draws / draws.sum()).tobytes()
+
 
 class TestStyleCoefficients:
     def test_raw_vs_times_c(self):
@@ -142,6 +156,18 @@ class TestStyleCoefficients:
         x = FeatureMap(np.ones((2, 3, 3)))
         with pytest.raises(ValueError, match="scale_mode"):
             style_diversify(x, np.ones(2), 0, scale_mode="bogus")
+
+    @pytest.mark.parametrize("args, error, match", [
+        ((np.ones(64), 0, "bogus"), ValueError, "scale_mode must be one of"),
+        ((np.ones(63), 0, "times_C"), ShapeMismatchError, "alpha must have length 64"),
+        ((np.full(64, 1e-300), 0, "times_C"), ValueError, "every gamma draw underflowed"),
+    ])
+    def test_bad_weights_raise_before_any_transform(self, monkeypatch, args, error, match):
+        calls = count_fft_calls(monkeypatch)
+        x = FeatureMap(np.random.default_rng(41).uniform(-1, 1, size=(64, 56, 56)))
+        with workers(2), pytest.raises(error, match=match):
+            style_diversify(x, *args)
+        assert not any(calls.values())
 
 
 class TestStyleDiversify:
@@ -204,6 +230,34 @@ class TestStyleDiversify:
         want = ifft2_reference(compose_reference(fused, phase))[0]
         got = style_transform(x, mu, sigma)
         assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+
+    @pytest.mark.parametrize("shape", [(7, 6, 5), (4, 9, 8), (1, 3, 3)])
+    def test_blocks_match_the_whole_map_coefficients(self, shape):
+        # the statistics taken per block give the bits of the whole-map ones
+        rng = np.random.default_rng(42)
+        x = FeatureMap(rng.uniform(-1, 1, size=shape) * 10.0 ** rng.integers(-3, 3))
+        for seed in (0, 5):
+            for mode in ("times_C", "raw"):
+                alpha = rng.uniform(0.2, 3.0, shape[0])
+                want = style_transform(x, *_style_coefficients(x, alpha, seed, mode)).data.tobytes()
+                for per_block in (1, 2, 3):
+                    for n in (1, 2, 3):
+                        with channel_blocks(per_block, shape), workers(n):
+                            got = style_diversify(x, alpha, seed, mode)
+                        assert got.data.tobytes() == want, (seed, mode, per_block, n)
+
+    def test_blocks_take_statistics_without_the_public_name(self, monkeypatch):
+        # perfbench wraps style.channel_stats with a tracer that assumes one thread,
+        # so the blocks must reach the statistics through the private core
+        x = FeatureMap(np.random.default_rng(43).uniform(-1, 1, size=(64, 56, 56)))
+        want = style_diversify(x, np.ones(64), 3).data.tobytes()
+
+        def no_channel_stats(x):
+            raise AssertionError("style_diversify called channel_stats")
+
+        monkeypatch.setattr(style, "channel_stats", no_channel_stats)
+        with workers(2):
+            assert style_diversify(x, np.ones(64), 3).data.tobytes() == want
 
     def test_style_transform_scalar_broadcast(self):
         rng = np.random.default_rng(40)
