@@ -12,10 +12,16 @@ double-precision numpy:
 Both slot into a small residual adapter block with multi-kernel
 convolutions and a per-stage placement config. Everything is pure,
 deterministic given explicit seeds, and ships with direct-DFT oracles,
-Jacobian-vector products checked against central differences, and a CLI
-(``freqadapt``) for synthetic data, transforms, heatmaps and the
-verification suites.
+Jacobian-vector products checked against Ridders' extrapolation of
+central differences, and a CLI (``freqadapt``) for synthetic data,
+transforms, heatmaps and the verification suites.
+
+The verification names (:mod:`~freqadapt.verify` and
+:mod:`~freqadapt.gradcheck`) load on first use, so a process that only
+runs the transforms never imports those modules.
 """
+
+import importlib
 
 from .adapter import (
     STAGE_KINDS,
@@ -42,16 +48,6 @@ from .errors import (
     SymmetryViolationError,
     TensorFileError,
 )
-from .gradcheck import (
-    GRADCHECK_OPS,
-    GradReport,
-    fd_directional,
-    jvp_cross_attention,
-    jvp_crossmodal,
-    jvp_silu,
-    jvp_style_transform,
-    run_gradcheck,
-)
 from .rng import SplitMix64, mix_seed
 from .spectral import (
     AMP_EPS,
@@ -71,6 +67,31 @@ from .style import (
 from .synth import FEATURE_KINDS, gen_features, gen_text_tokens
 from .tensor import FeatureMap, Matrix, conv2d, silu, softmax_rows
 from .tensorfile import read_tensor, write_tensor
-from .verify import SUITE_NAMES, CheckResult, run_suite
 
 __version__ = "0.1.0"
+
+# exports served by __getattr__, each from the module that defines it
+_LAZY = {
+    **dict.fromkeys(("GRADCHECK_OPS", "GradReport", "fd_directional", "jvp_cross_attention",
+                     "jvp_crossmodal", "jvp_silu", "jvp_style_transform", "run_gradcheck"),
+                    "gradcheck"),
+    **dict.fromkeys(("SUITE_NAMES", "CheckResult", "run_suite"), "verify"),
+}
+
+# the public names imported above, less the submodules and importlib, and the lazy ones
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, type(importlib))]
+                 + list(_LAZY))
+
+
+def __getattr__(name: str):
+    """A verification export, imported from its module on first use (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

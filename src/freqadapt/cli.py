@@ -8,15 +8,19 @@ given its flags. Flags override config-file values, which override the
 defaults. Config files hold one ``key = value`` per line with ``#``
 comments; later keys override earlier ones and unknown keys are
 rejected.
+
+A command's arguments are set up the first time that command is parsed,
+and ``verify`` and ``gradcheck`` import their modules when they run, so
+``gen``, ``apply`` and ``heatmap`` never load the verification code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv as csv_module
 import functools
 import math
 import sys
+import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -30,14 +34,12 @@ from .crossmodal import (
     high_freq_shift,
 )
 from .errors import DegenerateSpectrumError, ShapeMismatchError, TensorFileError
-from .gradcheck import GRAD_TOL, GRADCHECK_OPS, run_gradcheck
 from .rng import mix_seed
 from .spectral import heatmap
 from .style import SCALE_MODES, style_diversify, style_transform
 from .synth import FEATURE_KINDS, gen_features, gen_text_tokens
 from .tensor import FeatureMap, Matrix
 from .tensorfile import read_tensor, write_tensor
-from .verify import SUITE_NAMES, run_suite
 
 _TEXT_TAG = 11
 _ATTN_TAG = 12
@@ -84,6 +86,8 @@ def _parse_stage(text: str) -> dict[int, str]:
 
 
 def _parse_ops(text: str) -> tuple[str, ...]:
+    from .gradcheck import GRADCHECK_OPS
+
     ops = tuple(o.strip() for o in text.split(","))
     for op in ops:
         if op not in GRADCHECK_OPS:
@@ -126,8 +130,22 @@ class _Param(NamedTuple):
     help: str
 
 
+def _suite_param() -> _Param:
+    from .verify import SUITE_NAMES
+
+    return _Param(_one_of("suite", SUITE_NAMES), "all", "|".join(SUITE_NAMES),
+                  "verification suite")
+
+
+def _ops_param() -> _Param:
+    from .gradcheck import GRADCHECK_OPS
+
+    return _Param(_parse_ops, GRADCHECK_OPS, "op1,op2,...", "gradcheck ops")
+
+
 # every command parameter, declared once: a config key, and the long flag
-# --key (underscores as dashes) on each command that lists it in _COMMAND_KEYS
+# --key (underscores as dashes) on each command that lists it in _COMMAND_KEYS;
+# a function stands for a parameter built from the verification modules (_param)
 _PARAMS = {
     "seed": _Param(_parse_seed, 0, "N", "64-bit seed"),
     "alpha": _Param(_parse_alpha, None, "A1,A2,...",
@@ -147,9 +165,8 @@ _PARAMS = {
     "csv": _Param(str, None, "FILE", "full-precision CSV output"),
     "probes": _Param(_number("probes", int, lambda v: v >= 1, ">= 1"), 50, "N",
                      "gradcheck probes"),
-    "ops": _Param(_parse_ops, GRADCHECK_OPS, "op1,op2,...", "gradcheck ops"),
-    "suite": _Param(_one_of("suite", SUITE_NAMES), "all", "|".join(SUITE_NAMES),
-                    "verification suite"),
+    "ops": _ops_param,
+    "suite": _suite_param,
     "norm_scope": _Param(_one_of("norm_scope", NORM_SCOPES), "channel", "|".join(NORM_SCOPES),
                          "crossmodal amplitude standardization scope"),
     "scale_mode": _Param(_one_of("scale_mode", SCALE_MODES), "times_C", "|".join(SCALE_MODES),
@@ -164,6 +181,12 @@ _COMMAND_KEYS = {
     "verify": ("seed", "suite", "probes"),
     "gradcheck": ("seed", "ops", "probes", "csv"),
 }
+
+
+def _param(key: str) -> _Param:
+    """The parameter ``key`` of ``_PARAMS``, built there and then if it is a verification one."""
+    param = _PARAMS[key]
+    return param() if callable(param) else param
 
 
 def _flag(key: str) -> str:
@@ -204,15 +227,15 @@ def _read_config_file(path: str) -> dict:
         if key not in _PARAMS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _PARAMS[key].parse(value.strip())  # later keys override earlier ones
+            values[key] = _param(key).parse(value.strip())  # later keys override earlier ones
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Every parameter's value: the defaults, then the config file, then the flags given."""
-    cfg = {key: param.default for key, param in _PARAMS.items()}
+    """Parameter values: the command's defaults, then the config file, then the flags given."""
+    cfg = {key: _param(key).default for key in _COMMAND_KEYS[args.command]}
     if args.config:
         cfg.update(_read_config_file(args.config))
     cfg.update((key, value) for key, value in vars(args).items() if key in _PARAMS)
@@ -326,6 +349,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     cfg = _merge_config(args)
     results = run_suite(cfg["suite"], seed=cfg["seed"], probes=cfg["probes"])
     for r in results:
@@ -336,6 +361,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    import csv
+
+    from .gradcheck import GRAD_TOL, run_gradcheck
+
     cfg = _merge_config(args)
     reports = run_gradcheck(cfg["ops"], seed=cfg["seed"], probes=cfg["probes"])
     print(f"{'op':<18} {'probes':>6} {'max_rel_err':>12} {'best_step':>10} {'converged':>10}")
@@ -346,7 +375,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         )
     if cfg["csv"] is not None:
         with open(cfg["csv"], "w", newline="") as fh:
-            writer = csv_module.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["op_name", "max_rel_err", "num_probes", "step", "converged_fraction"])
             for r in reports:
                 writer.writerow([r.op_name, repr(r.max_rel_err), r.num_probes,
@@ -357,18 +386,52 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, which adds the command's arguments the first time it parses."""
+
+    def __init__(self, *, command: str, **kwargs):
+        super().__init__(**kwargs)
+        self._command = command  # None once the arguments are in
+        self._adding = threading.Lock()
+
+    def parse_known_args(self, args=None, namespace=None):
+        with self._adding:
+            if self._command is not None:
+                self._add_arguments(self._command)
+                self._command = None
+        return super().parse_known_args(args, namespace)
+
+    def _add_arguments(self, command: str) -> None:
+        if command == "apply":
+            self.add_argument("transform", choices=("style", "crossmodal", "plain", "stack"))
+            self.add_argument("--identity-hook", action="store_true",
+                              help="style only: force the identity affine map (verification hook)")
+        self.add_argument("--config", metavar="FILE", help="key = value config file")
+        for key in _COMMAND_KEYS[command]:
+            param = _param(key)
+            help_text = param.help
+            if param.default is not None:
+                help_text += f" (default {_show(param.default)})"
+            # unset flags stay out of the namespace, so only given flags override the file
+            self.add_argument(_flag(key), dest=key, type=_flag_type(param.parse),
+                              default=argparse.SUPPRESS, metavar=param.metavar, help=help_text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
-    Parsing keeps no state in the parser: each call fills a fresh
-    namespace, so one parser serves every ``main`` call in a process.
+    Each command's arguments are added the first time that command is
+    parsed (:class:`_CommandParser`), so a process sets up only the
+    commands it runs. Parsing keeps no other state in the parser: each
+    call fills a fresh namespace, so one parser serves every ``main``
+    call in a process.
     """
     parser = argparse.ArgumentParser(
         prog="freqadapt",
         description="Frequency-domain feature adapters on synthetic feature maps",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     commands = (
         ("gen", cmd_gen, "generate a synthetic feature map"),
         ("apply", cmd_apply, "apply a transform to a tensor file"),
@@ -377,21 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("gradcheck", cmd_gradcheck, "finite-difference gradient report"),
     )
     for name, func, help_text in commands:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        if name == "apply":
-            p.add_argument("transform", choices=("style", "crossmodal", "plain", "stack"))
-            p.add_argument("--identity-hook", action="store_true",
-                           help="style only: force the identity affine map (verification hook)")
-        p.add_argument("--config", metavar="FILE", help="key = value config file")
-        for key in _COMMAND_KEYS[name]:
-            param = _PARAMS[key]
-            help_text = param.help
-            if param.default is not None:
-                help_text += f" (default {_show(param.default)})"
-            # unset flags stay out of the namespace, so only given flags override the file
-            p.add_argument(_flag(key), dest=key, type=_flag_type(param.parse),
-                           default=argparse.SUPPRESS, metavar=param.metavar, help=help_text)
+        sub.add_parser(name, help=help_text, command=name).set_defaults(func=func)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Analytic directional derivatives checked against central differences.
+"""Analytic directional derivatives checked against Ridders' extrapolation of central differences.
 
 Each transform gets a hand-derived Jacobian-vector product (JVP); the two
 amplitude-spectrum JVPs run on :func:`~freqadapt.spectral.amp_map_jvp`

@@ -393,7 +393,7 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
         raise SymmetryViolationError(
             f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"
         )
-    return FeatureMap._adopt(out)
+    return FeatureMap._adopt(out, scale)  # a finite scale stands for the finiteness scan
 
 
 def amp_map_jvp(

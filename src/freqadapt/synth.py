@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import SplitMix64
+from .spectral import _BLOCK_BYTES
 from .tensor import FeatureMap, Matrix, _tap_sum
 
 FEATURE_KINDS = ("noise", "smooth", "checker")
@@ -30,8 +31,11 @@ def gen_features(kind: str, channels: int, height: int, width: int, seed: int) -
     smooth  -- the same noise convolved with a 5x5 Gaussian (sigma 1.0,
                zero-padded), i.e. a low-passed map, on conv2d's tap loop
                (:func:`~freqadapt.tensor._tap_sum`) with one product per
-               tap over all channels at once, so the map is bitwise equal
-               to a per-channel conv2d;
+               tap, so the map is bitwise equal to a per-channel conv2d.
+               It runs on blocks of consecutive channels whose padded
+               buffer fits ``spectral._BLOCK_BYTES``, so a block's taps
+               stay in cache; the blocks draw the noise in turn, which
+               continues one row-major stream;
     checker -- the (-1)^(h+w) Nyquist checkerboard.
     """
     if min(channels, height, width) < 1:
@@ -41,8 +45,18 @@ def gen_features(kind: str, channels: int, height: int, width: int, seed: int) -
         flat = rng.uniform_array(channels * height * width, low=-1.0, high=1.0)
         return FeatureMap(flat.reshape(channels, height, width))
     if kind == "smooth":
-        return FeatureMap(_tap_sum(gen_features("noise", channels, height, width, seed).data,
-                                   channels, _gaussian_kernel_5x5(), np.multiply))
+        kernel = _gaussian_kernel_5x5()
+        rng = SplitMix64(seed)
+        out = np.empty((channels, height, width))
+        # channels per block: _tap_sum pads each plane to (H + 5) x (W + 4) for a 5x5 kernel
+        step = max(1, _BLOCK_BYTES // (8 * (height + 5) * (width + 4)))
+        for c0 in range(0, channels, step):
+            n = min(step, channels - c0)
+            # the noise is a temporary, so _tap_sum frees it once padded
+            out[c0:c0 + n] = _tap_sum(
+                rng.uniform_array(n * height * width, low=-1.0, high=1.0).reshape(n, height, width),
+                n, kernel, np.multiply)
+        return FeatureMap._adopt(out)
     if kind == "checker":
         h_idx = np.arange(height)[:, None]
         w_idx = np.arange(width)[None, :]

@@ -12,22 +12,27 @@ computed and holds the only reference to is adopted as it is
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeMismatchError
 
 
-def _frozen(arr: np.ndarray, rank: int, name: str) -> np.ndarray:
+def _frozen(arr: np.ndarray, rank: int, name: str, scale: float | None = None) -> np.ndarray:
     """``arr`` marked read-only after the checks for rank, size and finiteness.
 
     Raises ShapeMismatchError on a rank other than ``rank`` and ValueError
-    on an empty axis or a non-finite value.
+    on an empty axis or a non-finite value. A caller that has already
+    taken ``scale`` = max|arr| passes it, and the finiteness check reads
+    it instead of scanning ``arr``: a NaN carries into the max and an
+    infinity makes it infinite, so the scale is finite only if ``arr`` is.
     """
     if arr.ndim != rank:
         raise ShapeMismatchError(f"{name} needs {rank} axes, got shape {arr.shape}")
     if min(arr.shape) < 1:
         raise ValueError(f"{name} axes must be >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not (np.all(np.isfinite(arr)) if scale is None else math.isfinite(scale)):
         raise ValueError(f"{name} values must be finite")
     arr.flags.writeable = False
     return arr
@@ -52,18 +57,19 @@ class _Checked:
         self.data = _checked(data, self._rank, type(self).__name__)
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray):
+    def _adopt(cls, arr: np.ndarray, scale: float | None = None):
         """Wrap an array the library has just computed, without copying it.
 
         ``arr`` is frozen in place after the checks the constructor runs,
-        so the caller must hold no other reference it writes through. A
-        view, an array that does not own its buffer, or one that is not
-        C-ordered float64 goes through the copying constructor instead.
+        so the caller must hold no other reference it writes through;
+        ``scale``, if given, is max|arr| (see :func:`_frozen`). A view, an
+        array that does not own its buffer, or one that is not C-ordered
+        float64 goes through the copying constructor instead.
         """
         if arr.dtype != np.float64 or not (arr.flags.owndata and arr.flags.c_contiguous):
             return cls(arr)
         obj = cls.__new__(cls)
-        obj.data = _frozen(arr, cls._rank, cls.__name__)
+        obj.data = _frozen(arr, cls._rank, cls.__name__, scale)
         return obj
 
     @property

@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import count_fft_calls
+from conftest import count_fft_calls, run_python
 from freqadapt import FeatureMap, read_tensor, style_diversify, write_tensor
-from freqadapt.cli import _COMMAND_KEYS, _PARAMS, _flag, _merge_config, build_parser, main
+from freqadapt.cli import _COMMAND_KEYS, _PARAMS, _flag, _merge_config, _param, build_parser, main
 from freqadapt.synth import gen_features
 
 
@@ -337,12 +337,12 @@ class TestParameterTable:
         from_flag = _merge_config(parse_with(key, _flag(key), GOOD[key]))
         from_file = _merge_config(parse_with(key, "--config", str(cfg)))
         assert from_flag == from_file
-        assert from_flag[key] != _PARAMS[key].default
+        assert from_flag[key] != _param(key).default
 
     @pytest.mark.parametrize("key", sorted(BAD))
     def test_rejected_flag_shows_the_reason(self, capsys, key):
         with pytest.raises(ValueError) as reason:
-            _PARAMS[key].parse(BAD[key])
+            _param(key).parse(BAD[key])
         with pytest.raises(SystemExit) as exc:
             parse_with(key, _flag(key), BAD[key])
         assert exc.value.code == 2
@@ -438,24 +438,25 @@ class TestVerifyAndGradcheck:
         assert "PASS" in out and "FAIL" not in out
 
     def test_verify_failure_exits_1(self, capsys, monkeypatch):
-        from freqadapt import cli
+        from freqadapt import verify
         from freqadapt.verify import CheckResult
 
+        # cmd_verify looks run_suite up in verify when it runs
         monkeypatch.setattr(
-            cli, "run_suite",
+            verify, "run_suite",
             lambda name, seed=0, probes=50: [CheckResult("stub", False, "forced failure")],
         )
         assert run("verify", "--suite", "spectral") == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_tolerance_is_exclusive_in_both_commands(self, capsys, monkeypatch):
-        from freqadapt import cli, verify
+        from freqadapt import gradcheck, verify
         from freqadapt.gradcheck import GradReport
 
         def at_tolerance(ops, seed=0, probes=50):
             return [GradReport(op, 1e-5, probes, 1e-5, 1.0) for op in ops]
 
-        monkeypatch.setattr(cli, "run_gradcheck", at_tolerance)
+        monkeypatch.setattr(gradcheck, "run_gradcheck", at_tolerance)
         monkeypatch.setattr(verify, "run_gradcheck", at_tolerance)
         assert run("gradcheck", "--ops", "silu") == 1
         assert run("verify", "--suite", "grad") == 1
@@ -479,3 +480,35 @@ class TestVerifyAndGradcheck:
         )
         assert proc.returncode == 0
         assert read_tensor(out).ravel().tolist() == [1.0, -1.0, -1.0, 1.0]
+
+
+class TestImportPath:
+    def test_apply_never_imports_the_verification_modules(self, tmp_path):
+        # verify and gradcheck load only for the commands and names that use them
+        src, dst = tmp_path / "in.ftns", tmp_path / "out.ftns"
+        run_python(f"""
+import sys
+
+def loaded():
+    return {{"freqadapt.verify", "freqadapt.gradcheck"}} & set(sys.modules)
+
+import freqadapt
+assert not loaded(), ("import freqadapt", loaded())
+import freqadapt.cli
+assert not loaded(), ("import freqadapt.cli", loaded())
+from freqadapt.cli import main
+assert main(["gen", "--kind", "smooth", "--shape", "3,8,8", "--out", {str(src)!r}]) == 0
+assert main(["apply", "stack", "--in", {str(src)!r}, "--out", {str(dst)!r}]) == 0
+assert not loaded(), ("apply stack", loaded())
+
+lazy = set(dir(freqadapt)) - set(vars(freqadapt))
+assert lazy and lazy <= set(freqadapt.__all__), lazy
+for name in freqadapt.__all__:
+    assert name in dir(freqadapt), name
+    value = getattr(freqadapt, name)
+    if name in lazy:
+        assert any(getattr(module, name, None) is value
+                   for module in (freqadapt.verify, freqadapt.gradcheck)), name
+assert loaded() == {{"freqadapt.verify", "freqadapt.gradcheck"}}
+assert not hasattr(freqadapt, "no_such_export")
+""")

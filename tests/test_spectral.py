@@ -351,6 +351,20 @@ class TestAmpMap:
             with pytest.raises(ValueError, match="FeatureMap values must be finite"):
                 amp_map(x, bad_in_channel_3, per_channel=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_later_block_fails_the_finiteness_check(self, bad):
+        # amp_map adopts its output on the strength of the blocks' max|out| alone: a
+        # non-finite value in any block must still fail as the finiteness scan would
+        x = rand_map(np.random.default_rng(34), 6, 8, 8)
+
+        def bad_in_last_block(a, channels):
+            return a * bad if channels.stop == 6 else a
+
+        for n in (1, 2, 3):
+            with channel_blocks(2, x.shape), workers(n), np.errstate(invalid="ignore", over="ignore"):
+                assert outcome(amp_map, x, bad_in_last_block, True) == \
+                    (ValueError, "FeatureMap values must be finite"), n
+
     def test_first_failing_block_raises_its_own_error(self):
         x = rand_map(np.random.default_rng(33), 4, 6, 6)
         for failing in ((1, 3), (3,), (0, 1, 2, 3)):

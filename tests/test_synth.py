@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import freqadapt.spectral
 import freqadapt.synth
 import freqadapt.tensor
 from conftest import smooth_reference
@@ -21,6 +22,28 @@ class TestSmooth:
     def test_bitwise_equal_to_per_channel_conv2d(self, shape, seed):
         got = gen_features("smooth", *shape, seed)
         assert got.data.tobytes() == smooth_reference(*shape, seed).data.tobytes()
+
+    # planes whose padded (H + 5) x (W + 4) buffer lets only a few channels into a block:
+    # even, odd and mixed sides, and sides of 1
+    @pytest.mark.parametrize("height, width", [(126, 126), (127, 125), (128, 121), (1, 3121),
+                                               (3120, 1)])
+    def test_bitwise_equal_across_channel_blocks(self, monkeypatch, height, width):
+        step = freqadapt.spectral._BLOCK_BYTES // (8 * (height + 5) * (width + 4))
+        assert 2 <= step <= 5
+        blocks = []
+        real = freqadapt.synth._tap_sum
+
+        def recorded(data, *args):
+            blocks.append(data.shape[0])
+            return real(data, *args)
+
+        monkeypatch.setattr(freqadapt.synth, "_tap_sum", recorded)
+        for channels in (step - 1, step, step + 1, 2 * step + 1):
+            blocks.clear()
+            got = gen_features("smooth", channels, height, width, 21)
+            assert blocks == [step] * (channels // step) + [channels % step] * (channels % step > 0)
+            want = smooth_reference(channels, height, width, 21)
+            assert got.data.tobytes() == want.data.tobytes(), (channels, height, width)
 
     @pytest.mark.parametrize("shape, seed", [((16, 32, 32), 3), ((64, 56, 56), 11),
                                              ((256, 14, 14), 2**64 - 1)])
