@@ -24,16 +24,6 @@ from .tensor import FeatureMap
 
 SCALE_MODES = ("times_C", "raw")
 
-# Dirichlet draws of at least this many components use SplitMix64.gamma_array.
-# Its window costs a fixed ~45 us, and each component then costs ~2.4 us
-# against ~8 us on the scalar path. Median us per draw, alpha = 1, scalar
-# vs window, 1,500 interleaved draws per count on a 2-vCPU Xeon VM:
-# 1: 9.1 vs 51.9, 4: 32.4 vs 59.7, 8: 65.1 vs 71.2, 9: 72.5 vs 73.5,
-# 10: 79.9 vs 75.4, 12: 93.8 vs 78.5, 16: 126 vs 90, 32: 249 vs 127,
-# 64: 508 vs 205. The style checks of ``verify`` draw 1-3 components.
-_GAMMA_WINDOW = 10
-
-
 def _stats(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel (mean, population std) of a (C, H, W) array.
 
@@ -58,23 +48,24 @@ def channel_stats(x: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
 def sample_dirichlet(alpha, seed: int) -> np.ndarray:
     """Draw simplex weights from Dirichlet(alpha), deterministically.
 
-    Each component is an independent Gamma(alpha_i, 1) variate from a
-    single SplitMix64 stream seeded with ``seed``, normalized by the sum.
-    From ``_GAMMA_WINDOW`` components on, the stream is drawn with
-    :meth:`~freqadapt.rng.SplitMix64.gamma_array`, which gives the scalar
-    stream's bits.
+    Each component is an independent Gamma(alpha_i, 1) variate from one
+    :meth:`~freqadapt.rng.SplitMix64.gamma_array` call on a SplitMix64
+    stream seeded with ``seed``, normalized by the sum. Draws that all
+    underflow to 0, or sum past the largest double, raise ValueError.
     """
     avec = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if avec.ndim != 1 or avec.size < 1:
         raise ValueError("alpha must be a non-empty vector")
-    if not np.all(np.isfinite(avec)) or np.any(avec <= 0):
+    if not ((avec > 0.0).all() and (avec < np.inf).all()):  # NaN fails both
         raise ValueError("all Dirichlet concentrations must be finite and > 0")
-    rng = SplitMix64(seed)
-    if avec.size >= _GAMMA_WINDOW:
-        draws = rng.gamma_array(avec)
-    else:
-        draws = np.array([rng.gamma(a) for a in avec])
-    total = draws.sum()
+    draws = SplitMix64(seed).gamma_array(avec)
+    with np.errstate(over="ignore"):
+        total = draws.sum()
+    if not total < np.inf:
+        raise ValueError(
+            f"Dirichlet concentrations {avec.tolist()} are too large: the gamma draws "
+            "sum past the largest double, so the weights cannot be normalized"
+        )
     if not total > 0.0:
         raise ValueError(
             f"Dirichlet concentrations {avec.tolist()} are too small: every gamma draw "

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -44,6 +45,28 @@ def smooth_reference(channels, height, width, seed):
     for c in range(channels):
         out[c] = conv2d(FeatureMap(base.data[c : c + 1]), kernel).data[0]
     return FeatureMap(out)
+
+
+def gamma_reference(rng, shape):
+    """``SplitMix64.gamma`` as it ran before its method was shared with ``gamma_array``, kept verbatim."""
+    if not shape > 0.0:
+        raise ValueError(f"gamma shape must be > 0, got {shape}")
+    if shape < 1.0:
+        boost = rng.uniform() ** (1.0 / shape)
+        return gamma_reference(rng, shape + 1.0) * boost
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = rng.normal()
+        v = 1.0 + c * x
+        if v <= 0.0:
+            continue
+        v = v * v * v
+        u = rng.uniform()
+        if u < 1.0 - 0.0331 * x * x * x * x:
+            return d * v
+        if u == 0.0 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+            return d * v
 
 
 # The full-grid inverse and the polar compose: references for the

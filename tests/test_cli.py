@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_fft_calls, run_python
+import freqadapt
 from freqadapt import FeatureMap, read_tensor, style_diversify, write_tensor
 from freqadapt.cli import _COMMAND_KEYS, _PARAMS, _flag, _merge_config, _param, build_parser, main
 from freqadapt.synth import gen_features
@@ -100,6 +102,21 @@ class TestApply:
         assert run("apply", transform, "--in", str(src), "--out", str(tmp_path / "o"),
                    "--alpha", "1e-300,1e-300,1e-300") == 2
         assert "concentrations [1e-300, 1e-300, 1e-300]" in capsys.readouterr().err
+
+    def test_overflowing_alpha_exit_2_with_one_line(self, tmp_path):
+        # a fresh process, so any numpy warning would reach stderr rather than a filter
+        src, dst = self.setup_input(tmp_path), tmp_path / "o.ftns"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freqadapt.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqadapt", "apply", "style", "--in", str(src), "--out", str(dst),
+             "--alpha", "1e308,1e308,1e308"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: Dirichlet concentrations [1e+308, 1e+308, 1e+308] are too large: the gamma "
+            "draws sum past the largest double, so the weights cannot be normalized"]
+        assert not dst.exists()
 
     def test_stack_scalar_alpha_broadcasts(self, tmp_path):
         src = self.setup_input(tmp_path)

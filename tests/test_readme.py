@@ -53,6 +53,14 @@ def test_config_keys_match_parsers():
     assert set(re.findall(r"`(\w+)`", listed)) == set(_PARAMS)
 
 
+def test_gamma_window_crossover_matches_rng():
+    from freqadapt.rng import _GAMMA_WINDOW
+
+    section = README.read_text().split("## Determinism and golden values", 1)[1].split("\n## ", 1)[0]
+    bullet = section.split("* `gamma_array(shapes)`", 1)[1].split("\n* ", 1)[0]
+    assert re.findall(r"from (\d+) components on", " ".join(bullet.split())) == [str(_GAMMA_WINDOW)]
+
+
 def test_numpy_floor_takes_fft_out():
     # the spectral core passes out= to np.fft.fft/ifft/irfft, which numpy 1.x rejects
     floor = re.search(r'"numpy>=([\d.]+)"', PYPROJECT.read_text()).group(1)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freqadapt.rng import SplitMix64, _finalize
+from conftest import gamma_reference
+from freqadapt.rng import _GAMMA_WINDOW, SplitMix64, _finalize
+from freqadapt.style import sample_dirichlet
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 counts = st.integers(min_value=0, max_value=5000)
@@ -20,7 +22,20 @@ def scalar_normals(rng, n, scale):
 
 
 def scalar_gammas(rng, shapes):
-    return np.array([rng.gamma(a) for a in shapes], dtype=np.float64)
+    return np.array([gamma_reference(rng, a) for a in shapes], dtype=np.float64)
+
+
+def count_windows(monkeypatch):
+    """Record the size of every ``_polar_window`` draw; returns the live list."""
+    windows = []
+    draw = SplitMix64._polar_window
+
+    def counted(self, n):
+        windows.append(n)
+        return draw(self, n)
+
+    monkeypatch.setattr(SplitMix64, "_polar_window", counted)
+    return windows
 
 
 def same_bits(a, b):
@@ -86,6 +101,18 @@ class TestArraySamplersMatchScalarStreams:
         assert vals.shape == (30000,) and np.all(np.isfinite(vals))
 
 
+class TestGamma:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1]), seeds), shape=gamma_shapes,
+           as_numpy=st.booleans())
+    def test_matches_the_reference(self, seed, shape, as_numpy):
+        if as_numpy:
+            shape = np.float64(shape)
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert same_bits(np.array([rng.gamma(shape)]), np.array([gamma_reference(ref, shape)]))
+        assert rng._state == ref._state
+
+
 class TestGammaArray:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1]), seeds),
@@ -99,17 +126,29 @@ class TestGammaArray:
         assert vec._state == twin._state
         assert vec.next_u64() == twin.next_u64()
 
+    @pytest.mark.parametrize("k", [1, _GAMMA_WINDOW - 1, _GAMMA_WINDOW, _GAMMA_WINDOW + 1, 64])
+    @pytest.mark.parametrize("shape", [0.05, 0.5, 1.0, 7.3, 900.0])
+    def test_both_sides_of_the_crossover_match_the_reference(self, k, shape):
+        for seed in (0, 9, 2**64 - 1):
+            shapes = np.full(k, shape)
+            vec, ref = SplitMix64(seed), SplitMix64(seed)
+            assert same_bits(vec.gamma_array(shapes), scalar_gammas(ref, shapes))
+            assert vec._state == ref._state
+
+    @pytest.mark.parametrize("draw", [lambda a: SplitMix64(3).gamma_array(a),
+                                      lambda a: sample_dirichlet(a, 3)],
+                             ids=["gamma_array", "sample_dirichlet"])
+    def test_the_window_starts_at_the_crossover(self, monkeypatch, draw):
+        windows = count_windows(monkeypatch)
+        draw(np.ones(_GAMMA_WINDOW - 1))
+        assert windows == []
+        draw(np.ones(_GAMMA_WINDOW))
+        assert len(windows) == 1
+
     def test_window_extends(self, monkeypatch):
         # below shape 1 a component takes about 4.7 words, more than the 4 per
         # component the first window holds, so 300 of them run past it
-        windows = []
-        draw = SplitMix64._polar_window
-
-        def counted(self, n):
-            windows.append(n)
-            return draw(self, n)
-
-        monkeypatch.setattr(SplitMix64, "_polar_window", counted)
+        windows = count_windows(monkeypatch)
         shapes = np.full(300, 0.5)
         vec, twin = SplitMix64(17), SplitMix64(17)
         assert same_bits(vec.gamma_array(shapes), scalar_gammas(twin, shapes))

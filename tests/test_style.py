@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -30,8 +31,8 @@ from freqadapt import (
 )
 from freqadapt import style
 from freqadapt.errors import ShapeMismatchError
-from freqadapt.rng import SplitMix64, mix_seed
-from freqadapt.style import _GAMMA_WINDOW, _style_coefficients
+from freqadapt.rng import _GAMMA_WINDOW, SplitMix64, mix_seed
+from freqadapt.style import _style_coefficients
 
 
 def style_reference(x, alpha, seed):
@@ -122,10 +123,31 @@ class TestSampleDirichlet:
         with pytest.raises(ValueError):
             sample_dirichlet([-1.0], 0)
 
+    @pytest.mark.parametrize("alpha", [[np.nan, 1.0], [1.0, np.inf], [-np.inf]])
+    def test_rejects_non_finite(self, alpha):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            sample_dirichlet(alpha, 0)
+
     def test_underflowing_concentrations_name_themselves(self):
         # every Gamma(1e-300) draw underflows to 0, so there is no simplex point to return
         with pytest.raises(ValueError, match=r"concentrations \[1e-300, 1e-300, 1e-300\]"):
             sample_dirichlet([1e-300] * 3, 0)
+
+    @pytest.mark.parametrize("alpha", [[1e307] * 30, [1e308] * 3])
+    def test_overflowing_concentrations_name_themselves(self, alpha):
+        # the gamma draws are finite, but their sum is inf, so there is no simplex point either
+        with pytest.raises(ValueError, match=re.escape(f"concentrations {alpha} are too large")):
+            sample_dirichlet(alpha, 1)
+
+    def test_denormal_concentrations_underflow_without_warnings(self):
+        # 1 / 5e-324 is inf; the suite turns any numpy warning on the way into an error
+        with pytest.raises(ValueError, match="every gamma draw underflowed"):
+            sample_dirichlet([5e-324] * 3, 0)
+
+    def test_huge_concentration_with_a_finite_sum_draws_without_warnings(self):
+        # 9 * d overflows to inf inside the method, which then returns d
+        w = sample_dirichlet([2e307, 1.0], 0)
+        assert np.all(np.isfinite(w)) and w.sum() == 1.0 and w[0] == 1.0
 
     def test_determinism(self):
         a = sample_dirichlet([1.0, 2.0, 3.0], 5)
