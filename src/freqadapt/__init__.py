@@ -44,6 +44,7 @@ from .crossmodal import (
 )
 from .errors import (
     DegenerateSpectrumError,
+    NonFiniteResultError,
     ShapeMismatchError,
     SymmetryViolationError,
     TensorFileError,

@@ -1,7 +1,8 @@
 """Command-line harness: generate, transform, inspect, verify.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or shape error, 3 I/O or parse error, 4 degenerate input.
+and for an error the code :data:`EXIT_CODES` gives its class; argparse
+exits 2 on a usage error of its own.
 
 All randomness flows from ``--seed``; every command is deterministic
 given its flags. Flags override config-file values, which override the
@@ -33,7 +34,8 @@ from .crossmodal import (
     crossmodal_forward,
     high_freq_shift,
 )
-from .errors import DegenerateSpectrumError, ShapeMismatchError, TensorFileError
+from .errors import (DegenerateSpectrumError, NonFiniteResultError, ShapeMismatchError,
+                     TensorFileError)
 from .rng import mix_seed
 from .spectral import heatmap
 from .style import SCALE_MODES, style_diversify, style_transform
@@ -43,6 +45,18 @@ from .tensorfile import read_tensor, write_tensor
 
 _TEXT_TAG = 11
 _ATTN_TAG = 12
+
+# The exit code of each error a command may raise: the first class the error
+# is an instance of decides, so a subclass comes before its base. Any other
+# exception is a bug and escapes main with its traceback.
+EXIT_CODES = {
+    TensorFileError: 3,  # a file that cannot be read or parsed
+    DegenerateSpectrumError: 4,  # a zero-spread amplitude group
+    NonFiniteResultError: 5,  # a result that cannot be represented in float64
+    ValueError: 2,  # a bad parameter or shape
+    OSError: 3,  # a file that cannot be opened or written
+    MemoryError: 5,  # an array that cannot be represented on this machine
+}
 
 
 def _parse_alpha(text: str) -> tuple[float, ...]:
@@ -243,7 +257,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _load(path: str, kind):
-    """Read a tensor file as ``kind``: a wrong rank exits 2, empty or non-finite values exit 3."""
+    """Read a tensor file as ``kind``.
+
+    A wrong rank raises ShapeMismatchError; any other ValueError of the
+    payload, an empty axis or a non-finite value, becomes TensorFileError.
+    """
     arr = read_tensor(path)
     try:
         return kind._adopt(arr)
@@ -445,7 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code; usage errors exit 2 from argparse.
+    """Run one command and return its exit code; argparse raises SystemExit on a usage error.
+
+    An error of a class in :data:`EXIT_CODES` prints one ``error:`` line
+    on stderr and returns that class's code. The command runs with numpy's
+    overflow, invalid and divide warnings off, for this call only: they
+    change no value, and a computed map or matrix that is not finite still
+    fails the finiteness check it is adopted through
+    (:class:`NonFiniteResultError`).
 
     The parser is built once per process and binds each subcommand's
     ``cmd_*`` function when it is built, so patching a ``cmd_*`` name later
@@ -455,19 +480,11 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except TensorFileError as exc:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateSpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

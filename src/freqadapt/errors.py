@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
 All of them derive from ValueError so generic callers can treat any of
-them as an invalid-input condition, while the CLI maps each class to a
-distinct exit code.
+them as an invalid-input condition. The CLI maps error classes to exit
+codes in one table, :data:`freqadapt.cli.EXIT_CODES`; several classes
+may share a code.
 """
 
 
@@ -24,3 +25,12 @@ class DegenerateSpectrumError(ValueError):
 
 class TensorFileError(ValueError):
     """A tensor file is malformed or truncated."""
+
+
+class NonFiniteResultError(ValueError):
+    """A computed array holds a NaN or an infinity: the result cannot be represented in float64.
+
+    Raised when the library adopts an array it has computed
+    (:meth:`freqadapt.tensor._Checked._adopt`), e.g. a transform of a
+    finite but huge map that overflows.
+    """

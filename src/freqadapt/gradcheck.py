@@ -115,7 +115,7 @@ def _ridders(diffs: list[float], ratio: float) -> tuple[float, int]:
 
 def jvp_silu(x: FeatureMap, direction: FeatureMap) -> FeatureMap:
     s = _sigmoid(x.data)
-    return FeatureMap((s + x.data * s * (1.0 - s)) * direction.data)
+    return FeatureMap._adopt((s + x.data * s * (1.0 - s)) * direction.data)
 
 
 def jvp_style_transform(x: FeatureMap, direction: FeatureMap, mu, sigma) -> FeatureMap:
@@ -146,8 +146,8 @@ def _attention_and_jvp(xv: Matrix, direction: Matrix, xt: Matrix,
     k, v, attn = _attention_terms(xv, xt, p)
     ds = np.linalg.multi_dot([direction.data, p.wq, k.T]) / math.sqrt(p.d_k)
     d_attn = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
-    return (Matrix(np.linalg.multi_dot([attn, v, p.wo])),
-            Matrix(np.linalg.multi_dot([d_attn, v, p.wo])))
+    return (Matrix._adopt(np.linalg.multi_dot([attn, v, p.wo])),
+            Matrix._adopt(np.linalg.multi_dot([d_attn, v, p.wo])))
 
 
 def jvp_cross_attention(

@@ -455,4 +455,4 @@ def heatmap(x: FeatureMap) -> Matrix:
     finite for huge maps and keeps its structure for tiny ones.
     """
     avg = np.log1p(np.abs(fft2(x))).mean(axis=0)
-    return Matrix(np.fft.fftshift(avg))
+    return Matrix._adopt(np.fft.fftshift(avg))

@@ -5,9 +5,10 @@ array the library stores, in these containers and in the adapter and
 attention weights, is checked once by :func:`_frozen` and marked
 read-only, so values are safe to share across threads. The public
 constructors copy their input in first (:func:`_checked`), so mutating
-the source afterwards changes nothing; an array the library has just
-computed and holds the only reference to is adopted as it is
-(:meth:`_Checked._adopt`), after the same checks.
+the source afterwards changes nothing, and a non-finite input raises
+ValueError. Every array the library computes reaches a container through
+:meth:`_Checked._adopt`, after the same checks, and a non-finite result
+raises :class:`~freqadapt.errors.NonFiniteResultError`.
 """
 
 from __future__ import annotations
@@ -16,24 +17,26 @@ import math
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import NonFiniteResultError, ShapeMismatchError
 
 
-def _frozen(arr: np.ndarray, rank: int, name: str, scale: float | None = None) -> np.ndarray:
+def _frozen(arr: np.ndarray, rank: int, name: str, scale: float | None = None,
+            non_finite: type[ValueError] = ValueError) -> np.ndarray:
     """``arr`` marked read-only after the checks for rank, size and finiteness.
 
-    Raises ShapeMismatchError on a rank other than ``rank`` and ValueError
-    on an empty axis or a non-finite value. A caller that has already
-    taken ``scale`` = max|arr| passes it, and the finiteness check reads
-    it instead of scanning ``arr``: a NaN carries into the max and an
-    infinity makes it infinite, so the scale is finite only if ``arr`` is.
+    Raises ShapeMismatchError on a rank other than ``rank``, ValueError on
+    an empty axis and ``non_finite`` on a non-finite value. A caller that
+    has already taken ``scale`` = max|arr| passes it, and the finiteness
+    check reads it instead of scanning ``arr``: a NaN carries into the max
+    and an infinity makes it infinite, so the scale is finite only if
+    ``arr`` is.
     """
     if arr.ndim != rank:
         raise ShapeMismatchError(f"{name} needs {rank} axes, got shape {arr.shape}")
     if min(arr.shape) < 1:
         raise ValueError(f"{name} axes must be >= 1, got shape {arr.shape}")
     if not (np.all(np.isfinite(arr)) if scale is None else math.isfinite(scale)):
-        raise ValueError(f"{name} values must be finite")
+        raise non_finite(f"{name} values must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -64,12 +67,13 @@ class _Checked:
         so the caller must hold no other reference it writes through;
         ``scale``, if given, is max|arr| (see :func:`_frozen`). A view, an
         array that does not own its buffer, or one that is not C-ordered
-        float64 goes through the copying constructor instead.
+        float64 is copied first, as the constructor copies. A non-finite
+        value raises :class:`~freqadapt.errors.NonFiniteResultError`.
         """
         if arr.dtype != np.float64 or not (arr.flags.owndata and arr.flags.c_contiguous):
-            return cls(arr)
+            arr = np.array(arr, dtype=np.float64, order="C")
         obj = cls.__new__(cls)
-        obj.data = _frozen(arr, cls._rank, cls.__name__, scale)
+        obj.data = _frozen(arr, cls._rank, cls.__name__, scale, NonFiniteResultError)
         return obj
 
     @property
@@ -166,7 +170,7 @@ def conv2d(x: FeatureMap, kernel) -> FeatureMap:
         )
     if not np.all(np.isfinite(kern)):
         raise ValueError("kernel values must be finite")
-    return FeatureMap(_tap_sum(x.data, kern.shape[0], kern, np.matmul))
+    return FeatureMap._adopt(_tap_sum(x.data, kern.shape[0], kern, np.matmul))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

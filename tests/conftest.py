@@ -168,7 +168,7 @@ def rfft2_reference(x):
 
 
 def _irfft2_reference(z, shape):
-    return FeatureMap(np.fft.irfft2(z, s=shape[1:], axes=(1, 2)))
+    return FeatureMap._adopt(np.fft.irfft2(z, s=shape[1:], axes=(1, 2)))
 
 
 def _mirror_residue_reference(z, width):

@@ -46,6 +46,15 @@ class TestGen:
     def test_missing_required(self):
         assert run("gen", "--kind", "noise") == 2
 
+    def test_unallocatable_shape_exit_5(self, tmp_path, capsys):
+        # 7.11 PiB of draws: numpy refuses the allocation at once, before touching memory
+        out = tmp_path / "x.ftns"
+        assert run("gen", "--kind", "noise", "--shape", "100000,100000,100000", "--seed", "1",
+                   "--out", str(out)) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_kind_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("gen", "--kind", "plaid", "--shape", "1,2,2", "--out", str(tmp_path / "x"))
@@ -155,14 +164,30 @@ class TestApply:
         shift = capsys.readouterr().out.split("hf_shift@0.25=")[1].split()[0]
         assert np.isfinite(float(shift))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_style_overflow_on_huge_map_exit_2(self, tmp_path, capsys):
+    def test_style_overflow_on_huge_map_exit_5(self, tmp_path, capsys):
         # channel_stats squares deviations above about 1.3e154 to inf, and the
-        # style output then fails the finiteness check of the map it is adopted as
-        src = tmp_path / "huge.ftns"
+        # style output then fails the finiteness check of the map it is adopted as;
+        # main's errstate keeps numpy's overflow warnings out of the run
+        src, dst = tmp_path / "huge.ftns", tmp_path / "o.ftns"
         write_tensor(src, 1e155 * gen_features("noise", 3, 8, 8, 0).data)
-        assert run("apply", "style", "--in", str(src), "--out", str(tmp_path / "o.ftns")) == 2
-        assert "FeatureMap values must be finite" in capsys.readouterr().err
+        before = np.geterr()
+        assert run("apply", "style", "--in", str(src), "--out", str(dst)) == 5
+        assert capsys.readouterr().err == "error: FeatureMap values must be finite\n"
+        assert not dst.exists()
+        assert np.geterr() == before  # the errstate ends with the call
+
+    def test_unrepresentable_result_one_line_in_a_fresh_process(self, tmp_path):
+        # a fresh process, so a numpy warning would reach stderr rather than a filter
+        src, dst = tmp_path / "huge.ftns", tmp_path / "o.ftns"
+        write_tensor(src, 1e155 * gen_features("smooth", 3, 8, 8, 0).data)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freqadapt.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "freqadapt", "apply", "style", "--in", str(src), "--out", str(dst)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr.splitlines() == ["error: FeatureMap values must be finite"]
+        assert not dst.exists()
 
     def test_parse_failure_exit_3(self, tmp_path):
         bad = tmp_path / "bad.ftns"

@@ -53,6 +53,14 @@ def test_config_keys_match_parsers():
     assert set(re.findall(r"`(\w+)`", listed)) == set(_PARAMS)
 
 
+def test_exit_code_table_matches_cli():
+    from freqadapt.cli import EXIT_CODES
+
+    section = README.read_text().split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    listed = [int(code) for code in re.findall(r"^\| (\d+) \|", section, flags=re.M)]
+    assert sorted(listed) == sorted({0, 1, *EXIT_CODES.values()})
+
+
 def test_gamma_window_crossover_matches_rng():
     from freqadapt.rng import _GAMMA_WINDOW
 

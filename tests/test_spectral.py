@@ -26,6 +26,7 @@ from conftest import (
 from freqadapt import (
     DegenerateSpectrumError,
     FeatureMap,
+    NonFiniteResultError,
     SymmetryViolationError,
     amp_map,
     decompose,
@@ -328,7 +329,7 @@ class TestAmpMap:
         # finiteness error wins over the asymmetry of channel 0
         for channel, bump, nan_in, error in ((1, 3.6e-11, None, None),
                                              (0, 1e-5, None, SymmetryViolationError),
-                                             (0, 1e-5, 1, ValueError)):
+                                             (0, 1e-5, 1, NonFiniteResultError)):
             fn = lopsided(channel, bump, nan_in)
             want = outcome(amp_map_reference, x, lambda a: fn(a, slice(0, 2)))
             assert (want[0] if isinstance(want, tuple) else None) is error
@@ -348,7 +349,7 @@ class TestAmpMap:
             return a + np.where(np.arange(channels.start, channels.stop) == 3, bad, 0.0)[:, None, None]
 
         with channel_blocks(1, x.shape), workers(2), np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+            with pytest.raises(NonFiniteResultError, match="FeatureMap values must be finite"):
                 amp_map(x, bad_in_channel_3, per_channel=True)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -363,7 +364,7 @@ class TestAmpMap:
         for n in (1, 2, 3):
             with channel_blocks(2, x.shape), workers(n), np.errstate(invalid="ignore", over="ignore"):
                 assert outcome(amp_map, x, bad_in_last_block, True) == \
-                    (ValueError, "FeatureMap values must be finite"), n
+                    (NonFiniteResultError, "FeatureMap values must be finite"), n
 
     def test_first_failing_block_raises_its_own_error(self):
         x = rand_map(np.random.default_rng(33), 4, 6, 6)
@@ -800,7 +801,7 @@ class TestSplitNormalization:
             data[2] = np.random.default_rng(36).uniform(-1.0, 1.0, size=(6, 6))
             x = FeatureMap(data)
             want = standardize_whole(x)
-            assert want == (ValueError, "FeatureMap values must be finite")
+            assert want == (NonFiniteResultError, "FeatureMap values must be finite")
             for per_block, n, got in split_outcomes(x, (1, 2)):
                 assert got == want, (per_block, n)
 

@@ -12,6 +12,7 @@ from freqadapt import (
     AttentionParams,
     FeatureMap,
     Matrix,
+    NonFiniteResultError,
     ShapeMismatchError,
     adapter_forward,
     amp_map,
@@ -153,11 +154,14 @@ class TestAdoption:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_like_the_constructor(self, bad):
+        # the same text, but a computed array that is not finite is a result the
+        # library cannot represent, while the constructor rejects its input
         arr = self.fresh()
         arr[1, 2, 3] = bad
-        want = outcome(FeatureMap, arr)
-        assert want == (ValueError, "FeatureMap values must be finite")
-        assert outcome(FeatureMap._adopt, arr) == want
+        assert outcome(FeatureMap, arr) == (ValueError, "FeatureMap values must be finite")
+        for adopted in (arr, arr[:, ::2]):  # adopted in place, and copied first
+            assert outcome(FeatureMap._adopt, adopted) == \
+                (NonFiniteResultError, "FeatureMap values must be finite")
 
     def test_rejects_bad_shapes_like_the_constructor(self):
         for arr in (self.fresh((3, 4)), self.fresh((1, 2, 3, 4)), self.fresh((2, 0, 4))):
@@ -185,13 +189,14 @@ class TestAdoption:
             return a + np.where(np.arange(channels.start, channels.stop) == 4, bad, 0.0)[:, None, None]
 
         with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+            with pytest.raises(NonFiniteResultError, match="FeatureMap values must be finite"):
                 amp_map(x, lambda a: a + bad)
             for per_block in (1, 2, 3):
                 for n in (1, 2, 3):
                     with channel_blocks(per_block, x.shape), workers(n):
                         for fn in (lambda a, channels: a + bad, last_channel):
-                            with pytest.raises(ValueError, match="FeatureMap values must be finite"):
+                            with pytest.raises(NonFiniteResultError,
+                                               match="FeatureMap values must be finite"):
                                 amp_map(x, fn, per_channel=True)
 
 
