@@ -175,8 +175,8 @@ def spectral_normalize(x: FeatureMap, scope: str = "channel") -> FeatureMap:
     Every bin keeps its phase (see :func:`amp_map`), so this redistributes
     energy across frequencies without moving structure. Scope "channel"
     standardizes each channel alone, so :func:`amp_map` may split the map
-    into channel blocks and run them on several threads; scope "tensor"
-    takes its statistics over all channels, so it runs as one block. The
+    into channel blocks; scope "tensor" takes its statistics over all
+    channels, so it runs as one block. The
     scope is checked before any transform.
     """
     _check_scope(scope)
@@ -200,10 +200,18 @@ def _high_fraction(x: FeatureMap, radial_cut: float) -> float:
     """High-band share of the power spectrum, on half-spectrum amplitudes scaled to peak 1.
 
     Scaling by the peak keeps the squares finite for huge maps and keeps
-    AMP_EPS from swamping tiny ones, so the share is scale-invariant.
+    AMP_EPS from swamping tiny ones, so the share is scale-invariant. A
+    transform that overflows (max|x| near the largest float) is redone on
+    x * 2**-e, e the exponent of max|x|: a power of two scales exactly, so
+    the share is the one the transform would have given without overflow.
     """
-    m = np.abs(_rfft2(x.data))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone below
+        m = np.abs(_rfft2(x.data))
     peak = m.max()
+    if not np.isfinite(peak):
+        e = np.frexp(max(x.data.max(), -x.data.min()))[1]
+        m = np.abs(_rfft2(np.ldexp(x.data, -e)))
+        peak = m.max()
     if peak > 0.0:
         m /= peak
     m *= m

@@ -6,14 +6,9 @@ unambiguous:
 * transforms act on the H x W plane of each channel independently,
   batched over the channel axis (bitwise equal to transforming each
   channel on its own). :func:`amp_map` with a per-channel ``fn`` runs
-  over blocks of consecutive channels; every other transform is one
-  call over all channels;
-* the blocks of a multi-block map may run on several threads, so a
-  per-channel ``fn`` may be called concurrently on disjoint blocks. The
-  bits do not depend on the thread count, the caller's ``np.errstate``
-  holds on the helper threads, and if blocks fail, the first failing
-  block in channel order raises. :func:`amp_map` describes the block
-  plan and the hand-off;
+  over blocks of consecutive channels, in channel order on the calling
+  thread, so the first failing block raises; every other transform is
+  one call over all channels;
 * the forward transform is unnormalized (DC bin = sum of spatial values),
   the inverse carries the 1/(H*W) factor;
 * the shipped code works on the half spectrum, plain (C, H, W//2+1)
@@ -26,8 +21,9 @@ unambiguous:
   complex pass along H into the real pass's output, and :func:`_irfft2`
   runs the inverse complex pass in place on the spectrum it consumes and
   the real pass into an output buffer that :func:`amp_map` allocates
-  before the forward transform, so each spectrum buffer (one per block)
-  is allocated once
+  before the forward transform. :func:`amp_map` allocates one spectrum
+  buffer per call, sized for its largest block, and each block's
+  forward transform writes into a prefix of it
   (``np.fft`` takes ``out=`` from numpy 2.0 on, the package's floor);
 * the full-grid :func:`fft2`, :func:`dft2_oracle` and :func:`decompose`
   are references, on plain arrays;
@@ -41,11 +37,7 @@ unambiguous:
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import queue
-import threading
 from typing import Callable
 
 import numpy as np
@@ -60,13 +52,6 @@ ORACLE_MAX_PLANE = 4096  # H*W guard for the quadratic-time oracle
 # Half-spectrum bytes per block of a per-channel amp_map. With 2 MB of L2
 # per core, a block's spectrum and the rescale's temporaries stay in cache.
 _BLOCK_BYTES = 512 * 1024
-# A per-channel map of more than this much half spectrum is cut into one
-# block per CPU, but into no more than ceil(bytes / _SPLIT_BYTES) blocks.
-# Handing a block to a helper thread and back costs about 0.3 ms on a
-# 2-vCPU VM. Cut in two there, maps of 408 and 448 KB (256x14x14) ran
-# 19-34% faster, 272 KB as fast, 204-224 KB 3-28% slower and 136 KB
-# (16x32x32) 60% slower. Cuts over more than two CPUs are unmeasured.
-_SPLIT_BYTES = _BLOCK_BYTES // 2
 
 
 def fft2(x: FeatureMap) -> np.ndarray:
@@ -150,7 +135,7 @@ def _self_mirrored(n: int) -> slice:
     return slice(None, None, n // 2) if n % 2 == 0 else slice(0, 1)
 
 
-def _rfft2(data: np.ndarray) -> np.ndarray:
+def _rfft2(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum (C, H, W//2+1) of the unnormalized forward transform of a (C, H, W) array.
 
     Two 1-D passes, the real one along W and then the complex one along
@@ -161,8 +146,9 @@ def _rfft2(data: np.ndarray) -> np.ndarray:
     phase unrelated to its mirror's. So on those columns rows u > H/2
     are set to the conjugate of rows H - u, and the bins that are their
     own mirror (rows 0 and H/2) to their real part: exactly symmetric.
+    ``out``, if given, is the complex array the spectrum is written into.
     """
-    z = np.fft.rfft(data, axis=2)
+    z = np.fft.rfft(data, axis=2, out=out)
     np.fft.fft(z, axis=1, out=z)
     h = z.shape[1]
     cols = z[:, :, _self_mirrored(data.shape[2])]
@@ -208,125 +194,6 @@ def _mirror_residue(z: np.ndarray, width: int) -> float:
     return float(np.abs(cols - np.conj(mirror)).max()) / (h * width)
 
 
-def _workers() -> int:
-    """Threads the blocks of one amp_map may run on: the CPUs this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Helper threads for multi-block maps: daemon threads, started on first need
-# and then kept, each serving the tasks of its own queue. A forked child
-# starts its own (see _forget_helpers).
-_queues: list[queue.SimpleQueue] = []
-_queues_lock = threading.Lock()
-_local = threading.local()  # _local.helper is set on helper threads
-
-
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """A helper's loop: run each share of ``tasks`` in its context and hand back (index, outcome).
-
-    A task is (context, share, k, handed); share(k) returns what its
-    blocks raised instead of raising it, so the loop never ends.
-    """
-    _local.helper = True
-    while True:
-        context, share, k, handed = tasks.get()
-        handed.put((k, context.run(share, k)))
-        del context, share, handed  # hold no array of the call while waiting for the next
-
-
-def _helpers(k: int) -> list[queue.SimpleQueue]:
-    """The task queues of ``k`` helper threads, starting those not yet running."""
-    with _queues_lock:
-        while len(_queues) < k:
-            tasks = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(tasks,), daemon=True,
-                             name=f"freqadapt-amp-{len(_queues) + 1}").start()
-            _queues.append(tasks)
-        return _queues[:k]
-
-
-def _forget_helpers() -> None:
-    """In a forked child: drop the parent's helpers, which did not survive the fork."""
-    global _queues_lock
-    _queues.clear()
-    _queues_lock = threading.Lock()  # the parent may have held it while forking
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _threads() -> int:
-    """Threads the blocks of one amp_map may run on: :func:`_workers`, or 1 on a helper thread.
-
-    A helper runs the blocks of an amp_map called from an ``fn`` itself,
-    so it never waits on a task queued behind its own.
-    """
-    return 1 if getattr(_local, "helper", False) else _workers()
-
-
-def _amp_block(data: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
-               out: np.ndarray) -> tuple[float, float]:
-    """amp_map's pipeline on the channels ``data``, written into ``out``.
-
-    Returns the block's :func:`_mirror_residue` and its output scale
-    max|out|, taken while the block is still in cache.
-    """
-    z = _rescale(_rfft2(data), fn)
-    residue = _mirror_residue(z, data.shape[2])
-    _irfft2(z, out)
-    return residue, float(max(out.max(), -out.min()))
-
-
-def _amp_blocks(data: np.ndarray, fn: Callable[..., np.ndarray], out: np.ndarray,
-                n: int, threads: int) -> tuple[float, float]:
-    """:func:`_amp_block` on ``n`` or so blocks of consecutive channels, on up to ``threads`` threads.
-
-    The block plan and the hand-off are described in :func:`amp_map`.
-    Returns the largest residue and the output scale over all blocks.
-    """
-    c = data.shape[0]
-    workers = min(threads, n)
-    step = -(-c // (-(-n // workers) * workers))
-    blocks = [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
-    workers = min(workers, len(blocks))
-    bounds = [k * len(blocks) // workers for k in range(workers + 1)]
-
-    def share(k):
-        """The (residue, scale) of each block of share ``k``, or what its first failing block raised."""
-        try:
-            return [_amp_block(data[channels], lambda a: fn(a, channels), out[channels])
-                    for channels in blocks[bounds[k]:bounds[k + 1]]]
-        except BaseException as exc:
-            return exc
-
-    handed = queue.SimpleQueue()
-    for k, tasks in enumerate(_helpers(workers - 1), start=1):
-        # each share runs in a copy of the caller's context, so numpy's errstate
-        # (a context variable) holds on the helper as it does on the caller
-        tasks.put((contextvars.copy_context(), share, k, handed))
-    outcomes = {0: share(0)}
-    outcomes.update(handed.get() for _ in range(workers - 1))
-    shares = [outcomes.pop(k) for k in range(workers)]
-    for found in shares:
-        if isinstance(found, BaseException):
-            # the traceback will hold this frame, so the frame lets go of the
-            # error: a cycle would keep the failing block's arrays alive until gc
-            shares.clear()
-            try:
-                raise found
-            finally:
-                del found
-    residues, scales = zip(*(block for found in shares for block in found))
-    # max may drop a NaN residue, which cannot change the outcome: it comes
-    # from a non-finite self-mirrored bin, which the inverse spreads into
-    # out, so scale is NaN or inf, no residue exceeds it, and _adopt raises
-    return max(0.0, *residues), float(np.max(scales))  # np.max keeps a NaN scale
-
-
 def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = False) -> FeatureMap:
     """Rewrite a map's amplitude spectrum with ``fn`` and reconstruct it.
 
@@ -346,49 +213,38 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     ``per_channel``: it is then called as fn(a, channels) on blocks of
     consecutive channels, ``channels`` the slice of x's channels that
     ``a`` holds. It may read ``x.data[channels]`` too, as the style pass
-    does for its channel statistics: that work then runs on the block's
-    thread while the block is in cache. A map of one block, and any
-    ``fn`` without ``per_channel``, runs as one block on the calling
-    thread.
+    does for its channel statistics: that work then runs while the block
+    is in cache. Any ``fn`` without ``per_channel`` runs as one block on
+    the whole map.
 
     The block plan. A block's half spectrum fills about ``_BLOCK_BYTES``,
-    so it stays in cache from the forward transform to the inverse. The
-    thread count is the number of CPUs the process may use, or 1 on a
-    helper thread. A map of ``n`` blocks' worth of half spectrum is cut
-    into ``n`` blocks of ceil(C / n) channels. Above ``_SPLIT_BYTES``
-    (half a block), ``n`` is at least the thread count or
-    ceil(bytes / ``_SPLIT_BYTES``), whichever is fewer. ``n`` is then
-    rounded up to a multiple of the threads used, and each thread runs
-    one share, a run of consecutive blocks; shares differ by at most one
-    block (64x56x56 on two CPUs: four blocks of 16 channels, two per
-    thread).
-
-    The hand-off. The calling thread runs the first share. Each other
-    share goes on the task queue of its own helper thread and runs there
-    in a copy of the caller's ``contextvars`` context, so a
-    ``np.errstate`` set by the caller holds on the helper. A share
-    returns its blocks' (residue, scale), or what its first failing
-    block raised, and the helper puts that on a queue made for the call.
-    The caller takes every share's outcome before it raises or reduces,
-    so no block of the call still runs when it returns. If blocks fail,
-    the first failing block in channel order raises. So ``fn`` may be
-    called concurrently on disjoint blocks, and the result is bitwise
-    that of one block on one thread, whatever the thread count. The
-    helpers are daemon threads, started on the first multi-block map and
-    reused after it; a forked child starts its own. Called on a helper
-    thread (from an ``fn``), amp_map runs all its blocks there.
+    so it stays in cache from the forward transform to the inverse. A map
+    of ``n`` blocks' worth of half spectrum is cut into blocks of
+    ceil(C / n) channels, the last taking what is left (64x56x56: four
+    blocks of 16 channels; 256x14x14 fits in one). The blocks run in
+    channel order on the calling thread, so the first failing block
+    raises, and the bits are those of the map as one block. The call
+    allocates one spectrum buffer, sized for its largest block, and each
+    block's forward transform writes into a prefix of it.
     """
     c, h, w = x.shape
     out = np.empty(x.shape)
-    n = 1
+    step = c
     if per_channel:
-        threads = _threads()
-        size = c * h * (w // 2 + 1) * 16
-        n = min(c, max(-(-size // _BLOCK_BYTES), min(threads, -(-size // _SPLIT_BYTES))))
-    if n == 1:
-        residue, scale = _amp_block(x.data, (lambda a: fn(a, slice(0, c))) if per_channel else fn, out)
-    else:
-        residue, scale = _amp_blocks(x.data, fn, out, n, threads)
+        step = -(-c // min(c, -(-c * h * (w // 2 + 1) * 16 // _BLOCK_BYTES)))
+    spectrum = np.empty((step, h, w // 2 + 1), dtype=np.complex128)
+    residue, scales = 0.0, []
+    for c0 in range(0, c, step):
+        channels = slice(c0, min(c0 + step, c))
+        z = _rescale(_rfft2(x.data[channels], spectrum[:channels.stop - c0]),
+                     (lambda a: fn(a, channels)) if per_channel else fn)
+        # max drops a NaN residue, which cannot change the outcome: it comes
+        # from a non-finite self-mirrored bin, which the inverse spreads into
+        # out, so scale is NaN or inf, no residue exceeds it, and _adopt raises
+        residue = max(residue, _mirror_residue(z, w))
+        block = _irfft2(z, out[channels])
+        scales.append(max(block.max(), -block.min()))  # while the block is in cache
+    scale = float(np.max(scales))  # np.max keeps a NaN scale
     if residue > 1e-8 * scale:
         raise SymmetryViolationError(
             f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"

@@ -133,11 +133,10 @@ def style_diversify(x: FeatureMap, alpha, seed: int, scale_mode: str = "times_C"
     Deterministic given (x, alpha, seed, scale_mode), and bitwise equal to
     ``style_transform(x, *_style_coefficients(x, alpha, seed, scale_mode))``.
     The weights are validated and drawn before any transform. The
-    statistics of each channel block are taken inside the block, on the
-    thread that runs it and while the block is in cache (see
-    :func:`amp_map`). For a fixed affine map, e.g. the identity
-    ``(0, 1)`` used as a verification hook, call :func:`style_transform`
-    directly.
+    statistics of each channel block are taken inside the block, while
+    the block is in cache (see :func:`amp_map`). For a fixed affine map,
+    e.g. the identity ``(0, 1)`` used as a verification hook, call
+    :func:`style_transform` directly.
     """
     w = _style_weights(x.channels, alpha, seed, scale_mode)
     data = x.data

@@ -174,14 +174,22 @@ def conv2d(x: FeatureMap, kernel) -> FeatureMap:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # exp(-|v|) never overflows; for v < 0 it is exactly exp(v)
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(-|v|) never overflows; for v < 0 it is exactly exp(v). One division
+    # gives 1 / (1 + e) for v >= 0 and e / (1 + e) below
+    e = np.abs(v)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.where(v >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def silu(x: FeatureMap) -> FeatureMap:
     """Elementwise x * sigmoid(x)."""
-    return FeatureMap._adopt(x.data * _sigmoid(x.data))
+    s = _sigmoid(x.data)
+    s *= x.data
+    return FeatureMap._adopt(s)
 
 
 def softmax_rows(m: Matrix) -> Matrix:

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from unittest import mock
 
 import mpmath as mp
@@ -225,11 +224,6 @@ def channel_blocks(n, shape):
     return mock.patch.object(spectral, "_BLOCK_BYTES", n * shape[1] * (shape[2] // 2 + 1) * 16)
 
 
-def workers(n):
-    """Patch how many threads amp_map runs the blocks of a multi-block map on."""
-    return mock.patch.object(spectral, "_workers", lambda: n)
-
-
 def run_python(script, timeout=60):
     """Run ``script`` in a fresh interpreter that imports this freqadapt; it must exit 0 within ``timeout`` s."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freqadapt.__file__)))
@@ -245,14 +239,12 @@ FFT_NAMES = ("rfft", "irfft", "fft", "ifft", "rfft2", "irfft2", "fft2", "ifft2",
 def count_fft_calls(monkeypatch):
     """Count calls to the 1-D, 2D and n-D transforms of np.fft; returns the live name -> count dict."""
     calls = dict.fromkeys(FFT_NAMES, 0)
-    lock = threading.Lock()  # amp_map may run blocks on several threads
 
     def counted(name):
         original = getattr(np.fft, name)
 
         def wrapper(*args, **kwargs):
-            with lock:
-                calls[name] += 1
+            calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper

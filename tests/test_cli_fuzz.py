@@ -11,10 +11,11 @@ the class of the error the command raised.
 import contextlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from freqadapt.cli import _PARAMS, EXIT_CODES, build_parser, main
@@ -48,8 +49,8 @@ def table_code(error: type[BaseException]) -> int | None:
     return next((code for cls, code in EXIT_CODES.items() if issubclass(error, cls)), None)
 
 
-def run_contract(workdir, command, payload: bytes, config: bytes | None = None) -> int:
-    """Run ``command`` on ``payload`` through ``main``, check the contract, and return the code."""
+def run_contract(workdir, command, payload: bytes, config: bytes | None = None) -> tuple[int, str]:
+    """Run ``command`` on ``payload`` through ``main``, check the contract, and return the code and stdout."""
     src = workdir / "in.ftns"
     src.write_bytes(payload)
     out = workdir / ("out.csv" if command == ("heatmap",) else "out.ftns")
@@ -79,7 +80,7 @@ def run_contract(workdir, command, payload: bytes, config: bytes | None = None) 
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert not out.exists()
     event(f"exit {code}")  # the spread of codes, shown by --hypothesis-show-statistics
-    return code
+    return code, stdout.getvalue()
 
 
 def mutated(base: bytes, mutation) -> bytes:
@@ -108,7 +109,7 @@ mutations = st.one_of(
 @given(command=commands, mutation=mutations)
 def test_mutated_tensor_files(workdir, command, mutation):
     payload = mutated(tensor_bytes(workdir, BASE), mutation)
-    code = run_contract(workdir, command, payload)
+    code, _ = run_contract(workdir, command, payload)
     if mutation[0] in ("truncate", "dim"):
         assert code == 3  # the header no longer matches the payload
 
@@ -160,10 +161,17 @@ def test_config_files(workdir, command, config):
        scale=st.integers(-300, 308).map(lambda e: min(10.0 ** e, 1.5e308)) | st.just(0.0),
        bad=st.none() | st.sampled_from([math.nan, math.inf, -math.inf]),
        at=st.tuples(st.integers(0, 2), st.integers(0, 7), st.integers(0, 7)))
+# a transform of these maps overflows: the high-band shift must still print finite
+@example(command=("apply", "plain"), scale=1.5e308, bad=None, at=(0, 0, 0))
+@example(command=("apply", "crossmodal"), scale=1e308, bad=None, at=(0, 0, 0))
 def test_payload_scales(workdir, command, scale, bad, at):
     data = BASE * scale
     if bad is not None:
         data[at] = bad
-    code = run_contract(workdir, command, tensor_bytes(workdir, data))
+    code, stdout = run_contract(workdir, command, tensor_bytes(workdir, data))
     if bad is not None:
         assert code == 3
+    elif code == 0 and command[0] == "apply":
+        # the summary's high-band shift is finite at every scale that exits 0
+        shift = re.search(r"hf_shift@\S+=(\S+) ->", stdout).group(1)
+        assert math.isfinite(float(shift)), stdout

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from conftest import (
     attention_oracle_mp,
     band_split_reference,
+    channel_blocks,
     compose_reference,
     count_fft_calls,
     idft2_reference,
     ifft2_reference,
     phase_gap_mod_pi,
-    workers,
 )
 from freqadapt import (
     AttentionParams,
@@ -29,7 +29,7 @@ from freqadapt import (
     spectral_normalize,
     unflatten_tokens,
 )
-from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
+from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _high_fraction, _standardize
 from freqadapt.spectral import _rfft2, _unit_phasors, mirror_weights
 from freqadapt.synth import gen_features, gen_text_tokens
 
@@ -323,14 +323,14 @@ class TestCrossmodalForward:
 class TestUnknownScope:
     @pytest.mark.parametrize("shape", [(3, 8, 8), (256, 14, 14)])
     def test_unknown_scope_is_rejected(self, monkeypatch, shape):
-        # the 256x14x14 map would run as two blocks on two threads; the scope is
-        # rejected before either block's forward transform
+        # in blocks of 64 channels the 256x14x14 map runs as four blocks; the scope is
+        # rejected before any block's forward transform
         x = FeatureMap(np.random.default_rng(65).uniform(-1, 1, size=shape))
         text = gen_text_tokens(3, 5, 22)
         p = AttentionParams.seeded(shape[0], 5, 8, 23)
         want = "scope must be one of ('channel', 'tensor'), got 'global'"
         calls = count_fft_calls(monkeypatch)
-        with workers(2):
+        with channel_blocks(64, shape):
             for call in (lambda: spectral_normalize(x, "global"),
                          lambda: crossmodal_forward(x, text, p, scope="global")):
                 with pytest.raises(ValueError) as caught:
@@ -382,6 +382,19 @@ class TestHighFreqShift:
         want = high_freq_shift(FeatureMap(a), FeatureMap(b), 0.25)
         got = high_freq_shift(FeatureMap(k * a), FeatureMap(k * b), 0.25)
         assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 7, 5), (16, 32, 32)])
+    def test_finite_when_the_transform_overflows(self, shape):
+        # near the largest float the forward transform overflows; the share is then
+        # taken on the map scaled by 2**-1024, exactly, and matches the unit-scale one
+        noise = gen_features("noise", *shape, 67).data
+        smooth = gen_features("smooth", *shape, 67).data
+        huge = [FeatureMap(m / np.abs(m).max() * 1.5e308) for m in (noise, smooth)]
+        with np.errstate(over="raise", invalid="raise"):
+            got = [_high_fraction(m, 0.25) for m in huge]
+        assert got == [_high_fraction(FeatureMap(np.ldexp(m.data, -1024)), 0.25) for m in huge]
+        want = high_freq_shift(FeatureMap(smooth), FeatureMap(noise), 0.25)
+        assert abs(high_freq_shift(huge[1], huge[0], 0.25) - want) <= 1e-12
 
     def test_shape_mismatch_rejected(self):
         a = FeatureMap(np.zeros((1, 4, 4)))

@@ -69,6 +69,16 @@ def test_gamma_window_crossover_matches_rng():
     assert re.findall(r"from (\d+) components on", " ".join(bullet.split())) == [str(_GAMMA_WINDOW)]
 
 
+def test_block_size_matches_spectral():
+    from freqadapt.spectral import _BLOCK_BYTES
+
+    text = " ".join(README.read_text().split())
+    conventions = text.split("## Numerical conventions", 1)[1].split(" ## ", 1)[0]
+    assert re.findall(r"each about (\d+) KB of half spectrum", conventions) == [str(_BLOCK_BYTES // 1024)]
+    # the smooth generator's channel blocks take the same size
+    assert re.findall(r"padded buffer fits in (\d+) KB", text) == [str(_BLOCK_BYTES // 1024)]
+
+
 def test_numpy_floor_takes_fft_out():
     # the spectral core passes out= to np.fft.fft/ifft/irfft, which numpy 1.x rejects
     floor = re.search(r'"numpy>=([\d.]+)"', PYPROJECT.read_text()).group(1)

@@ -1,7 +1,5 @@
 import gc
-import os
 import threading
-import time
 import weakref
 from contextlib import nullcontext
 
@@ -21,7 +19,6 @@ from conftest import (
     outcome,
     rfft2_reference,
     run_python,
-    workers,
 )
 from freqadapt import (
     DegenerateSpectrumError,
@@ -334,23 +331,8 @@ class TestAmpMap:
             want = outcome(amp_map_reference, x, lambda a: fn(a, slice(0, 2)))
             assert (want[0] if isinstance(want, tuple) else None) is error
             for per_block in (1, 2):
-                for n in (1, 2, 3):
-                    with channel_blocks(per_block, x.shape), workers(n):
-                        assert outcome(amp_map, x, fn, True) == want, (channel, per_block, n)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_block_on_a_helper_keeps_the_callers_errstate(self, bad):
-        # numpy's errstate is a context variable. A helper that did not run in a copy
-        # of the caller's context would warn where the inf meets a zero (0 * inf in the
-        # rescale), and the warning filter would raise that instead
-        x = rand_map(np.random.default_rng(32), 4, 6, 6)
-
-        def bad_in_channel_3(a, channels):
-            return a + np.where(np.arange(channels.start, channels.stop) == 3, bad, 0.0)[:, None, None]
-
-        with channel_blocks(1, x.shape), workers(2), np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(NonFiniteResultError, match="FeatureMap values must be finite"):
-                amp_map(x, bad_in_channel_3, per_channel=True)
+                with channel_blocks(per_block, x.shape):
+                    assert outcome(amp_map, x, fn, True) == want, (channel, per_block)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_later_block_fails_the_finiteness_check(self, bad):
@@ -361,10 +343,9 @@ class TestAmpMap:
         def bad_in_last_block(a, channels):
             return a * bad if channels.stop == 6 else a
 
-        for n in (1, 2, 3):
-            with channel_blocks(2, x.shape), workers(n), np.errstate(invalid="ignore", over="ignore"):
-                assert outcome(amp_map, x, bad_in_last_block, True) == \
-                    (NonFiniteResultError, "FeatureMap values must be finite"), n
+        with channel_blocks(2, x.shape), np.errstate(invalid="ignore", over="ignore"):
+            assert outcome(amp_map, x, bad_in_last_block, True) == \
+                (NonFiniteResultError, "FeatureMap values must be finite")
 
     def test_first_failing_block_raises_its_own_error(self):
         x = rand_map(np.random.default_rng(33), 4, 6, 6)
@@ -377,20 +358,17 @@ class TestAmpMap:
                     raise raised[channels.start]
                 return a
 
-            # 2 workers run blocks 0-1 and 2-3, 3 workers 0, 1 and 2-3
-            for n in (1, 2, 3):
-                raised.clear()
-                with channel_blocks(1, x.shape), workers(n):
-                    with pytest.raises(ValueError) as caught:
-                        amp_map(x, fn, per_channel=True)
-                assert caught.value is raised[failing[0]], (failing, n)
+            # the blocks run in channel order, so no block after the first failing one runs
+            with channel_blocks(1, x.shape):
+                with pytest.raises(ValueError) as caught:
+                    amp_map(x, fn, per_channel=True)
+            assert caught.value is raised[failing[0]] and list(raised) == [failing[0]], failing
 
     @pytest.mark.parametrize("failing", [0, 3])
     def test_failing_map_frees_its_blocks_without_the_cyclic_collector(self, failing):
-        # the re-raised error's traceback holds _amp_blocks' frame; if that frame still
-        # held the error, the cycle would keep the failing block's arrays alive until
-        # gc ran. 2 workers: channel 0 fails on the calling thread, which then skips
-        # channel 1; channel 3 fails on the helper, after all the others ran
+        # the error's traceback holds amp_map's frame; a cycle through that frame would
+        # keep the failing block's arrays alive until gc ran. The blocks after the
+        # failing one never run
         x = rand_map(np.random.default_rng(41), 4, 6, 6)
         seen = []
 
@@ -403,7 +381,7 @@ class TestAmpMap:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            with channel_blocks(1, x.shape), workers(2):
+            with channel_blocks(1, x.shape):
                 try:
                     amp_map(x, fn, per_channel=True)
                 except ValueError as exc:
@@ -414,97 +392,71 @@ class TestAmpMap:
         finally:
             if enabled:
                 gc.enable()
-        assert len(alive) == (3 if failing == 0 else 4) and not any(alive), alive
+        assert len(alive) == failing + 1 and not any(alive), alive
 
-    def test_raises_only_after_every_share_has_finished(self):
-        # channel 0, in the caller's share, fails at once while the helper's share
-        # (channels 2 and 3) still runs; amp_map must collect that share before raising
-        x = rand_map(np.random.default_rng(40), 4, 6, 6)
-        finished = []
+    def test_shorter_last_block_keeps_the_bits(self):
+        # 7 channels in blocks of 3: the last block's forward transform writes into
+        # the first channel of the call's spectrum buffer, which still holds the
+        # first two blocks' spectra
+        rng = np.random.default_rng(40)
+        x = rand_map(rng, 7, 6, 7)
+        mu, sigma = rng.uniform(-1.0, 1.0, 7), rng.uniform(0.1, 2.0, 7)
+        want = outcome(amp_map_reference, x, lambda a: _amp_affine(a, mu, sigma))
+        seen = []
 
         def fn(a, channels):
-            if channels.start == 0:
-                raise ValueError("block 0")
-            if channels.start >= 2:
-                time.sleep(0.1)
-                finished.append(channels.start)
-            return a
+            seen.append(channels)
+            return _amp_affine(a, mu[channels], sigma[channels])
 
-        with channel_blocks(1, x.shape), workers(2):
-            with pytest.raises(ValueError, match="block 0"):
-                amp_map(x, fn, per_channel=True)
-        assert sorted(finished) == [2, 3]
+        with channel_blocks(3, x.shape):
+            assert outcome(amp_map, x, fn, True) == want
+        assert seen == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        for channels in seen:
+            block = x.data[channels]
+            buffer = np.full((3, 6, 4), np.nan, dtype=np.complex128)
+            got = _rfft2(block, buffer[:channels.stop - channels.start])
+            assert np.shares_memory(got, buffer) and got.tobytes() == _rfft2(block).tobytes()
 
-    def test_one_block_maps_start_no_thread(self, monkeypatch):
-        handed = []
-        helpers = spectral._helpers
-
-        def counted(k):
-            if k:
-                handed.append(k)
-            return helpers(k)
-
-        monkeypatch.setattr(spectral, "_helpers", counted)
+    def test_one_block_maps_start_no_thread(self):
+        # every block of every map runs on the calling thread: one-block maps and
+        # maps of several blocks alike
         rng = np.random.default_rng(34)
-        big = rand_map(rng, 256, 14, 14)
-        for n in (1, 2):
-            with workers(n):
-                for shape in ((16, 32, 32), (3, 9, 9)):
-                    x = rand_map(rng, *shape)
-                    style_transform(x, rng.uniform(-1.0, 1.0, shape[0]), rng.uniform(0.1, 2.0, shape[0]))
-                spectral_normalize(big, "tensor")
-        with workers(1):
-            spectral_normalize(big, "channel")
-            # one worker runs a map of four blocks on the calling thread too
-            x = rand_map(rng, 64, 56, 56)
-            style_transform(x, rng.uniform(-1.0, 1.0, 64), rng.uniform(0.1, 2.0, 64))
-        assert handed == []
-        # a map above half a block is split, one block per worker
-        with workers(2):
-            spectral_normalize(big, "channel")
-        assert handed == [1]
-
-    def test_split_is_capped_by_block_size(self):
-        # above half a block a map is cut into one block per worker, but into no more
-        # than ceil(bytes / _SPLIT_BYTES) blocks: 64x56x56 (1.6 MB) into at most 7 and
-        # 256x14x14 (448 KB) into 2, however many CPUs there are
-        rng = np.random.default_rng(39)
-        want = {(16, 32, 32): {2: [16], 3: [16], 64: [16]},
-                (256, 14, 14): {2: [128, 128], 3: [128, 128], 64: [128, 128]},
-                (64, 56, 56): {2: [16] * 4, 3: [11] * 5 + [9], 64: [10] * 6 + [4]}}
-        for shape, by_workers in want.items():
+        threads = set()
+        before = threading.active_count()
+        for shape, per_block in (((16, 32, 32), None), ((3, 9, 9), None), ((256, 14, 14), None),
+                                 ((64, 56, 56), None), ((7, 6, 7), 2)):
             x = rand_map(rng, *shape)
-            for n, sizes in by_workers.items():
-                seen = []
+            blocks = nullcontext() if per_block is None else channel_blocks(per_block, shape)
+            with blocks:
+                run_counted({}, x, on_thread=threads.add)
+                run_counted({}, x, per_channel=False, on_thread=threads.add)
+        assert threads == {threading.current_thread()}
+        assert threading.active_count() == before
 
-                def fn(a, channels):
-                    seen.append(channels)
-                    return a
+    def test_block_plan_at_backbone_shapes(self):
+        # a map of n blocks' worth of half spectrum runs as blocks of ceil(C / n)
+        # channels, in channel order: 64x56x56 (1.6 MB) as four blocks of 16 channels
+        rng = np.random.default_rng(39)
+        want = {(16, 32, 32): [16], (256, 14, 14): [256], (64, 56, 56): [16] * 4}
+        for shape, sizes in want.items():
+            seen = [channels for _, channels in run_counted({}, rand_map(rng, *shape))]
+            assert [ch.stop - ch.start for ch in seen] == sizes, shape
+            assert [ch.start for ch in seen] == list(np.cumsum([0] + sizes[:-1])), shape
 
-                with workers(n):
-                    amp_map(x, fn, per_channel=True)
-                seen.sort(key=lambda channels: channels.start)
-                assert [ch.stop - ch.start for ch in seen] == sizes, (shape, n)
-                assert len(seen) <= -(-np.prod(shape[:2]) * (shape[2] // 2 + 1) * 16 // spectral._SPLIT_BYTES)
-
-    def test_helpers_are_started_once_per_process(self):
-        # in a fresh process, 5 multi-block calls at 2 workers then 5 at 3 start
-        # one helper and then one more: w - 1 threads in all. A 384x14x14 map (672 KB)
-        # holds three 256 KB parts, so 3 workers cut it in three
-        script = """
+    def test_backbone_maps_start_no_thread(self):
+        # in a fresh process, the style pass at 64x56x56 (four blocks) and the
+        # cross-modal stage at 256x14x14 leave the main thread alone
+        proc = run_python("""
 import threading
 import numpy as np
-from unittest import mock
-from freqadapt import FeatureMap, spectral, spectral_normalize
-x = FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (384, 14, 14)))
-for n in (2, 3):
-    with mock.patch.object(spectral, "_workers", lambda: n):
-        for _ in range(5):
-            spectral_normalize(x)
-    print(sorted(t.name for t in threading.enumerate() if t is not threading.main_thread()))
-"""
-        proc = run_python(script)
-        assert proc.stdout.split("\n")[:2] == ["['freqadapt-amp-1']", "['freqadapt-amp-1', 'freqadapt-amp-2']"]
+from freqadapt import AttentionParams, FeatureMap, crossmodal_forward, gen_text_tokens, style_diversify
+rng = np.random.default_rng(0)
+style_diversify(FeatureMap(rng.uniform(-1.0, 1.0, (64, 56, 56))), np.ones(64), 3)
+crossmodal_forward(FeatureMap(rng.uniform(-1.0, 1.0, (256, 14, 14))), gen_text_tokens(8, 64, 1),
+                   AttentionParams.seeded(256, 64, 64, 2))
+print([t.name for t in threading.enumerate()])
+""")
+        assert proc.stdout.split("\n")[0] == "['MainThread']"
 
     def test_signed_zero_bins_keep_decompose_phase(self):
         # all four signed zeros: decompose gives +-0 + 0j phase 0 and -0 +- 0j phase pi
@@ -622,42 +574,28 @@ class TestHalfSpectrum:
         for c, h, w in ((2, 6, 6), (3, 5, 7), (1, 4, 1), (2, 1, 2), (1, 1, 1), (16, 32, 32),
                         (256, 14, 14)):
             x = rand_map(rng, c, h, w)
-            # a map that fits in one block: one real forward/inverse pair and no full grid.
-            # On one worker, a map above half a block (256x14x14, 458 KB) is not split
-            with workers(1):
-                assert run_counted(calls, x) == [((c, h, w // 2 + 1), slice(0, c))]
+            # a map that fits in one block (256x14x14 is 458 KB): one real forward/inverse
+            # pair and no full grid
+            assert run_counted(calls, x) == [((c, h, w // 2 + 1), slice(0, c))]
             assert calls == fft_pairs(1)
             assert run_counted(calls, x, per_channel=False) == [((c, h, w // 2 + 1), None)]
             assert calls == fft_pairs(1)
-        # on two workers it is cut into one block per worker
-        with workers(2):
-            seen = run_counted(calls, x)
-        assert sorted(seen, key=lambda call: call[1].start) == [
-            ((128, 14, 8), slice(0, 128)), ((128, 14, 8), slice(128, 256))]
-        assert calls == fft_pairs(2)
 
     def test_amp_map_runs_one_fft_pair_per_block(self, monkeypatch):
         calls = count_fft_calls(monkeypatch)
         x = rand_map(np.random.default_rng(29), 7, 6, 7)
-        # n = ceil(7 / per_block) blocks, rounded up to a multiple of min(workers, n),
-        # of ceil(7 / n) channels each; the last block takes what is left.
-        # Block sizes at 1, 2 and 3 workers:
-        sizes = {1: ([1] * 7,) * 3, 2: ([2, 2, 2, 1],) * 3, 3: ([3, 3, 1], [2, 2, 2, 1], [3, 3, 1]),
-                 4: ([4, 3],) * 3, 7: ([7],) * 3, 9: ([7],) * 3}
-        for per_block, by_workers in sizes.items():
-            for n, blocks in enumerate(by_workers, start=1):
-                starts = np.cumsum([0] + blocks)
-                with channel_blocks(per_block, x.shape), workers(n):
-                    threads = set()
-                    seen = run_counted(calls, x, on_thread=threads.add)
-                    # blocks may run in any order, on as many threads as there are workers
-                    assert sorted(seen, key=lambda call: call[1].start) == [
-                        ((size, 6, 4), slice(start, start + size)) for start, size in zip(starts, blocks)]
-                    assert len(threads) == min(n, len(blocks))
-                    assert calls == fft_pairs(len(blocks))
-                    # an fn that is not per-channel gets the whole map at any block size
-                    assert run_counted(calls, x, per_channel=False) == [((7, 6, 4), None)]
-                    assert calls == fft_pairs(1)
+        # n = ceil(7 / per_block) blocks of ceil(7 / n) channels each, in channel order;
+        # the last block takes what is left
+        sizes = {1: [1] * 7, 2: [2, 2, 2, 1], 3: [3, 3, 1], 4: [4, 3], 7: [7], 9: [7]}
+        for per_block, blocks in sizes.items():
+            starts = np.cumsum([0] + blocks)
+            with channel_blocks(per_block, x.shape):
+                assert run_counted(calls, x) == [
+                    ((size, 6, 4), slice(start, start + size)) for start, size in zip(starts, blocks)]
+                assert calls == fft_pairs(len(blocks))
+                # an fn that is not per-channel gets the whole map at any block size
+                assert run_counted(calls, x, per_channel=False) == [((7, 6, 4), None)]
+                assert calls == fft_pairs(1)
 
     @settings(max_examples=150, deadline=None)
     @given(shape=planes, seed=map_seeds, snap=st.booleans())
@@ -716,8 +654,7 @@ def pinned_map(shape, seed, snap):
 class TestBitwiseAgainstRfft2Core:
     """The two-pass core gives the bits of the rfft2/irfft2 core it replaced, errors included.
 
-    So do the public transforms when amp_map runs them in blocks of 1, 2 or 3 channels on
-    1, 2 or 3 threads.
+    So do the public transforms when amp_map runs them in blocks of 1, 2 or 3 channels.
     """
 
     def check(self, shape, seed, snap):
@@ -729,9 +666,8 @@ class TestBitwiseAgainstRfft2Core:
             want = outcome(amp_map_reference, x, fn)
             assert outcome(amp_map, x, fn) == want, name
             for per_block in (1, 2, 3):
-                for n in (1, 2, 3):
-                    with channel_blocks(per_block, shape), workers(n):
-                        assert outcome(op, x) == want, (name, per_block, n)
+                with channel_blocks(per_block, shape):
+                    assert outcome(op, x) == want, (name, per_block)
             assert (outcome(amp_map_jvp, x, direction, fn, dfn)
                     == outcome(amp_map_jvp_reference, x, direction, fn, dfn)), name
 
@@ -753,26 +689,24 @@ def standardize_whole(x):
 
 
 def split_outcomes(x, block_sizes=(None, 1, 2, 3)):
-    """(per_block, workers, outcome) of channel-scope spectral_normalize(x) under each block size and 1-3 workers.
+    """(per_block, outcome) of channel-scope spectral_normalize(x) under each block size.
 
     ``per_block`` None keeps the shipped block size.
     """
     for per_block in block_sizes:
-        for n in (1, 2, 3):
-            blocks = nullcontext() if per_block is None else channel_blocks(per_block, x.shape)
-            with blocks, workers(n):
-                yield per_block, n, outcome(spectral_normalize, x, "channel")
+        with nullcontext() if per_block is None else channel_blocks(per_block, x.shape):
+            yield per_block, outcome(spectral_normalize, x, "channel")
 
 
 class TestSplitNormalization:
-    """Channel-scope spectral_normalize in channel blocks on 1-3 threads gives the one-block bits."""
+    """Channel-scope spectral_normalize in channel blocks gives the one-block bits."""
 
     @pytest.mark.parametrize("seed", [0, 123456789])
     def test_cross_modal_slot(self, seed):
         x = pinned_map((256, 14, 14), seed, False)
         want = standardize_whole(x)
-        for per_block, n, got in split_outcomes(x, (None, 64)):
-            assert got == want, (per_block, n)
+        for per_block, got in split_outcomes(x, (None, 64)):
+            assert got == want, per_block
 
     def test_degenerate_channel_in_a_later_block(self):
         data = np.random.default_rng(30).uniform(-1.0, 1.0, size=(5, 6, 6))
@@ -780,8 +714,8 @@ class TestSplitNormalization:
         x = FeatureMap(data)
         want = standardize_whole(x)
         assert want[0] is DegenerateSpectrumError and "in group 3 " in want[1]
-        for per_block, n, got in split_outcomes(x, (1, 2, 3, 5)):
-            assert got == want, (per_block, n)
+        for per_block, got in split_outcomes(x, (1, 2, 3, 5)):
+            assert got == want, per_block
 
     def test_nan_block_before_a_degenerate_block(self):
         # channel 0 overflows the forward transform, so its amplitude is inf and its
@@ -795,15 +729,15 @@ class TestSplitNormalization:
         with np.errstate(over="ignore", invalid="ignore"):
             want = standardize_whole(x)
             assert want[0] is DegenerateSpectrumError and "in group 2 " in want[1]
-            for per_block, n, got in split_outcomes(x, (1, 2)):
-                assert got == want, (per_block, n)
+            for per_block, got in split_outcomes(x, (1, 2)):
+                assert got == want, per_block
             # without the flat channel the NaN reaches the output
             data[2] = np.random.default_rng(36).uniform(-1.0, 1.0, size=(6, 6))
             x = FeatureMap(data)
             want = standardize_whole(x)
             assert want == (NonFiniteResultError, "FeatureMap values must be finite")
-            for per_block, n, got in split_outcomes(x, (1, 2)):
-                assert got == want, (per_block, n)
+            for per_block, got in split_outcomes(x, (1, 2)):
+                assert got == want, per_block
 
     @settings(max_examples=100, deadline=None)
     @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 9)).flatmap(
@@ -812,66 +746,12 @@ class TestSplitNormalization:
     def test_line_planes(self, shape, seed, snap):
         x = pinned_map(shape, seed, snap)
         want = standardize_whole(x)
-        for per_block, n, got in split_outcomes(x):
-            assert got == want, (per_block, n)
+        for per_block, got in split_outcomes(x):
+            assert got == want, per_block
 
 
-class TestHelperThreads:
-    """The helper threads of multi-block maps: lifetime, fork, reentry, concurrent callers."""
-
-    def test_process_exits_with_helpers_running(self):
-        # a helper that kept the interpreter alive would time this out
-        start = time.perf_counter()
-        run_python("""
-import numpy as np
-from freqadapt import FeatureMap, spectral_normalize
-spectral_normalize(FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (256, 14, 14))))
-""", timeout=60)
-        assert time.perf_counter() - start < 30.0
-
-    def test_forked_child_starts_its_own_helpers(self):
-        if not hasattr(os, "fork"):
-            pytest.skip("no os.fork on this platform")
-        run_python("""
-import os, sys, warnings
-import numpy as np
-from unittest import mock
-from freqadapt import FeatureMap, spectral, spectral_normalize, style_transform
-warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-x = FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (256, 14, 14)))
-y = FeatureMap(np.random.default_rng(1).uniform(-1.0, 1.0, (64, 56, 56)))
-mu, sigma = np.linspace(-1.0, 1.0, 64), np.linspace(0.1, 2.0, 64)
-with mock.patch.object(spectral, "_workers", lambda: 2):
-    want = spectral_normalize(x).data.tobytes(), style_transform(y, mu, sigma).data.tobytes()
-    pid = os.fork()
-    if pid == 0:
-        got = spectral_normalize(x).data.tobytes(), style_transform(y, mu, sigma).data.tobytes()
-        os._exit(0 if got == want else 3)
-    _, status = os.waitpid(pid, 0)
-sys.exit(os.waitstatus_to_exitcode(status))
-""", timeout=60)
-
-    def test_amp_map_called_on_a_helper_runs_inline(self):
-        # the fn of the helper's block calls a multi-block amp_map, whose blocks would
-        # otherwise queue behind the task the helper is running
-        run_python("""
-import threading
-import numpy as np
-from unittest import mock
-from freqadapt import FeatureMap, spectral, spectral_normalize
-x = FeatureMap(np.random.default_rng(0).uniform(-1.0, 1.0, (256, 14, 14)))
-want = spectral_normalize(x).data.tobytes()
-inner = []
-
-def fn(a, channels):
-    if threading.current_thread() is not threading.main_thread():
-        inner.append(spectral_normalize(x).data.tobytes())
-    return a
-
-with mock.patch.object(spectral, "_workers", lambda: 2):
-    spectral.amp_map(x, fn, per_channel=True)
-assert inner == [want], len(inner)
-""", timeout=60)
+class TestCallers:
+    """What callers of amp_map may do: call it from several threads, or from an ``fn``."""
 
     def test_concurrent_callers_get_single_thread_bits(self):
         rng = np.random.default_rng(37)
@@ -880,42 +760,36 @@ assert inner == [want], len(inner)
         norm_in = rand_map(rng, 256, 14, 14)
         calls = {"style": lambda: style_transform(style_in, mu, sigma),
                  "normalize": lambda: spectral_normalize(norm_in)}
-        with workers(1):
-            want = {name: call().data.tobytes() for name, call in calls.items()}
+        want = {name: call().data.tobytes() for name, call in calls.items()}
         got = {name: [] for name in calls}
 
         def repeat(name):
             for _ in range(6):
                 got[name].append(calls[name]().data.tobytes())
 
-        with workers(2):
-            threads = [threading.Thread(target=repeat, args=(name,), daemon=True) for name in calls]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+        threads = [threading.Thread(target=repeat, args=(name,), daemon=True) for name in calls]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert got == {name: [bits] * 6 for name, bits in want.items()}
 
-    def test_keyboard_interrupt_on_a_helper_leaves_it_serving(self):
-        x = rand_map(np.random.default_rng(38), 4, 6, 6)
-
-        def fn(a, channels):  # 2 workers: the helper runs blocks 2 and 3
-            if channels.start == 3:
-                raise KeyboardInterrupt
-            return a
-
-        with channel_blocks(1, x.shape), workers(2):
-            with pytest.raises(KeyboardInterrupt):
-                amp_map(x, fn, per_channel=True)
+    def test_amp_map_called_from_fn_gets_its_own_buffer(self):
+        # each block's fn runs a multi-block map of its own while the outer block's
+        # spectrum is live: a spectrum buffer shared between calls would mix them
+        x = rand_map(np.random.default_rng(38), 5, 6, 7)
+        inner = []
+        with channel_blocks(2, x.shape):
+            want_inner = spectral_normalize(x).data.tobytes()
             want = outcome(amp_map, x, lambda a, channels: 2.0 * a, True)
-            got = []
-            # a helper whose loop had died would leave this waiting for ever
-            thread = threading.Thread(daemon=True, target=lambda: got.append(
-                outcome(amp_map, x, lambda a, channels: 2.0 * a, True)))
-            thread.start()
-            thread.join(timeout=60)
-        assert got == [want]
+
+            def fn(a, channels):
+                inner.append(spectral_normalize(x).data.tobytes())
+                return 2.0 * a
+
+            assert outcome(amp_map, x, fn, True) == want
+        assert inner == [want_inner] * 3
         assert want == outcome(amp_map_reference, x, lambda a: 2.0 * a)
 
 

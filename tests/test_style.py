@@ -17,7 +17,6 @@ from conftest import (
     ifft2_reference,
     outcome,
     phase_gap_mod_pi,
-    workers,
 )
 from freqadapt import (
     FeatureMap,
@@ -187,7 +186,7 @@ class TestStyleCoefficients:
     def test_bad_weights_raise_before_any_transform(self, monkeypatch, args, error, match):
         calls = count_fft_calls(monkeypatch)
         x = FeatureMap(np.random.default_rng(41).uniform(-1, 1, size=(64, 56, 56)))
-        with workers(2), pytest.raises(error, match=match):
+        with pytest.raises(error, match=match):
             style_diversify(x, *args)
         assert not any(calls.values())
 
@@ -263,14 +262,13 @@ class TestStyleDiversify:
                 alpha = rng.uniform(0.2, 3.0, shape[0])
                 want = style_transform(x, *_style_coefficients(x, alpha, seed, mode)).data.tobytes()
                 for per_block in (1, 2, 3):
-                    for n in (1, 2, 3):
-                        with channel_blocks(per_block, shape), workers(n):
-                            got = style_diversify(x, alpha, seed, mode)
-                        assert got.data.tobytes() == want, (seed, mode, per_block, n)
+                    with channel_blocks(per_block, shape):
+                        got = style_diversify(x, alpha, seed, mode)
+                    assert got.data.tobytes() == want, (seed, mode, per_block)
 
     def test_blocks_take_statistics_without_the_public_name(self, monkeypatch):
-        # perfbench wraps style.channel_stats with a tracer that assumes one thread,
-        # so the blocks must reach the statistics through the private core
+        # perfbench wraps style.channel_stats with a tracer, which would count one
+        # call per block; the blocks must reach the statistics through the private core
         x = FeatureMap(np.random.default_rng(43).uniform(-1, 1, size=(64, 56, 56)))
         want = style_diversify(x, np.ones(64), 3).data.tobytes()
 
@@ -278,8 +276,7 @@ class TestStyleDiversify:
             raise AssertionError("style_diversify called channel_stats")
 
         monkeypatch.setattr(style, "channel_stats", no_channel_stats)
-        with workers(2):
-            assert style_diversify(x, np.ones(64), 3).data.tobytes() == want
+        assert style_diversify(x, np.ones(64), 3).data.tobytes() == want
 
     def test_style_transform_scalar_broadcast(self):
         rng = np.random.default_rng(40)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import channel_blocks, conv2d_reference, outcome, workers
+from conftest import channel_blocks, conv2d_reference, outcome
 from freqadapt import (
     AdapterWeights,
     AttentionParams,
@@ -192,12 +192,11 @@ class TestAdoption:
             with pytest.raises(NonFiniteResultError, match="FeatureMap values must be finite"):
                 amp_map(x, lambda a: a + bad)
             for per_block in (1, 2, 3):
-                for n in (1, 2, 3):
-                    with channel_blocks(per_block, x.shape), workers(n):
-                        for fn in (lambda a, channels: a + bad, last_channel):
-                            with pytest.raises(NonFiniteResultError,
-                                               match="FeatureMap values must be finite"):
-                                amp_map(x, fn, per_channel=True)
+                with channel_blocks(per_block, x.shape):
+                    for fn in (lambda a, channels: a + bad, last_channel):
+                        with pytest.raises(NonFiniteResultError,
+                                           match="FeatureMap values must be finite"):
+                            amp_map(x, fn, per_channel=True)
 
 
 class TestConv2d:
@@ -293,6 +292,11 @@ class TestSilu:
     def test_large_negative_is_finite(self):
         out = silu(FeatureMap(np.full((1, 1, 1), -745.0)))
         assert abs(out.data[0, 0, 0]) < 1e-300
+
+    def test_bitwise_equals_map_times_masked_sigmoid(self):
+        data = np.random.default_rng(7).normal(scale=4.0, size=(16, 32, 32))
+        data.flat[:len(SIGMOID_EDGES)] = SIGMOID_EDGES
+        assert silu(FeatureMap(data)).data.tobytes() == (data * masked_sigmoid(data)).tobytes()
 
 
 def masked_sigmoid(v):
