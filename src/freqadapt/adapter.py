@@ -25,7 +25,7 @@ from .errors import ShapeMismatchError
 from .rng import SplitMix64, mix_seed
 from .style import style_diversify
 from .synth import gen_text_tokens
-from .tensor import FeatureMap, Matrix, _checked, conv2d, silu
+from .tensor import FeatureMap, Matrix, _checked, _frozen, conv2d, silu
 
 STAGE_KINDS = ("none", "plain", "style", "crossmodal")
 
@@ -34,6 +34,9 @@ _TAG_WEIGHTS = 1
 _TAG_STYLE = 2
 _TAG_TEXT = 3
 _TAG_ATTENTION = 4
+
+# the arrays of an adapter block and their kernel sizes, in the order seeded draws them
+_KERNELS = (("k3", 3), ("k5", 5), ("k7", 7), ("agg", 1), ("proj", 1))
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,13 @@ class AdapterWeights:
     proj: np.ndarray
 
     def __post_init__(self):
+        self._check(_checked)
+
+    def _check(self, freeze: Callable[[np.ndarray, int, str], np.ndarray]) -> None:
+        """Pass each array through ``freeze`` and check the [C, C, k, k] shapes."""
         c = None
-        for name, k in (("k3", 3), ("k5", 5), ("k7", 7), ("agg", 1), ("proj", 1)):
-            arr = _checked(getattr(self, name), 4, name)
+        for name, k in _KERNELS:
+            arr = freeze(getattr(self, name), 4, name)
             c = arr.shape[0] if c is None else c
             if arr.shape != (c, c, k, k):
                 raise ShapeMismatchError(f"{name} must be {(c, c, k, k)}, got {arr.shape}")
@@ -76,15 +83,21 @@ class AdapterWeights:
         """Gaussian weights scaled by 1/(C * k^2) per branch, identity-plus-noise projection."""
         if channels < 1:
             raise ValueError(f"channels must be >= 1, got {channels}")
-        sizes = (3, 5, 7, 1, 1)
-        ends = np.cumsum([channels * channels * k * k for k in sizes])
+        ends = np.cumsum([channels * channels * k * k for _, k in _KERNELS])
         flat = SplitMix64(seed).normal_array(int(ends[-1]))
-        # times the reciprocal, as normal_array(n, scale) scales: dividing rounds differently
-        k3, k5, k7, agg, noise = (
-            (1.0 / (channels * k * k)) * part.reshape(channels, channels, k, k)
-            for k, part in zip(sizes, np.split(flat, ends[:-1])))
-        eye = np.eye(channels)[:, :, None, None]
-        return cls(k3=k3, k5=k5, k7=k7, agg=agg, proj=eye + 0.1 * noise)
+        # each part is scaled in place and frozen as the view of the one draw it is:
+        # the draw is fresh, so the copy __init__ makes is not needed
+        obj = cls.__new__(cls)
+        for (name, k), part in zip(_KERNELS, np.split(flat, ends[:-1])):
+            # times the reciprocal, as normal_array(n, scale) scales: dividing rounds differently
+            part *= 1.0 / (channels * k * k)
+            object.__setattr__(obj, name, part.reshape(channels, channels, k, k))
+        noise = obj.proj
+        noise *= 0.1
+        np.add(np.eye(channels)[:, :, None, None], noise, out=noise)  # eye + 0.1 * noise
+        flat.flags.writeable = False  # so no view of the draw can be made writeable again
+        obj._check(_frozen)
+        return obj
 
 
 def _fused_kernel(w: AdapterWeights) -> np.ndarray:

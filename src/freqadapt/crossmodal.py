@@ -128,18 +128,20 @@ def _attend(x: FeatureMap, xt: Matrix, p: AttentionParams) -> FeatureMap:
     return unflatten_tokens(cross_attention(flatten_tokens(x), xt, p), x.height, x.width)
 
 
-def _group_mean(v: np.ndarray, scope: str, weight) -> np.ndarray:
+def _group_mean(v: np.ndarray, scope: str, weight, out: np.ndarray | None = None) -> np.ndarray:
     """Mean of each normalization group, bin (c, u, v) counted ``weight[v]`` times.
 
     The group size is the sum of the weight's own entries times the size
     of the axes it broadcasts along, not a sum of the broadcast weights:
-    the same value, exactly, since the weights are small integers.
+    the same value, exactly, since the weights are small integers. The
+    weighted bins go to ``out`` if given (``v`` itself, when the caller
+    has no further use for it), else to a new array.
     """
     axes = (1, 2) if scope == "channel" else (0, 1, 2)
     w = np.asarray(weight)
     w = w.reshape((1,) * (v.ndim - w.ndim) + w.shape)
     size = w.sum(axis=axes, keepdims=True) * math.prod(v.shape[a] for a in axes if w.shape[a] == 1)
-    return (weight * v).sum(axis=axes, keepdims=True) / size
+    return np.multiply(weight, v, out=out).sum(axis=axes, keepdims=True) / size
 
 
 def _check_scope(scope: str) -> None:
@@ -158,7 +160,9 @@ def _standardize(a: np.ndarray, scope: str, weight=1.0, first: int = 0) -> np.nd
     """
     _check_scope(scope)
     out = a - _group_mean(a, scope, weight)
-    sd = np.sqrt(_group_mean(out * out, scope, weight))
+    squares = out * out
+    sd = np.sqrt(_group_mean(squares, scope, weight, out=squares))
+    del squares
     if np.any(sd <= _SIGMA_FLOOR):
         bad = int(np.argmax(sd.ravel() <= _SIGMA_FLOOR))
         raise DegenerateSpectrumError(

@@ -24,6 +24,21 @@ def _gaussian_kernel_5x5(sigma: float = 1.0) -> np.ndarray:
     return k / k.sum()
 
 
+def _smooth_block(noise: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The (C, H, W) ``noise`` convolved with the 5x5 ``kernel`` on :func:`_tap_sum`.
+
+    The buffers are fresh, as cached ones would outlive the call. The noise
+    is freed once padded, before the two work buffers are allocated, so at
+    most three block-sized buffers are alive.
+    """
+    n, h, w = noise.shape
+    padded = np.zeros((n, h + 5, w + 4))
+    padded[:, 2:2 + h, 2:2 + w] = noise
+    del noise
+    acc = np.empty((n, h * (w + 4)))
+    return _tap_sum(padded, kernel, np.multiply, acc, np.empty_like(acc))
+
+
 def gen_features(kind: str, channels: int, height: int, width: int, seed: int) -> FeatureMap:
     """Deterministic synthetic feature map.
 
@@ -48,14 +63,13 @@ def gen_features(kind: str, channels: int, height: int, width: int, seed: int) -
         kernel = _gaussian_kernel_5x5()
         rng = SplitMix64(seed)
         out = np.empty((channels, height, width))
-        # channels per block: _tap_sum pads each plane to (H + 5) x (W + 4) for a 5x5 kernel
+        # channels per block: a block's plane is padded to (H + 5) x (W + 4) for a 5x5 kernel
         step = max(1, _BLOCK_BYTES // (8 * (height + 5) * (width + 4)))
         for c0 in range(0, channels, step):
             n = min(step, channels - c0)
-            # the noise is a temporary, so _tap_sum frees it once padded
-            out[c0:c0 + n] = _tap_sum(
+            out[c0:c0 + n] = _smooth_block(
                 rng.uniform_array(n * height * width, low=-1.0, high=1.0).reshape(n, height, width),
-                n, kernel, np.multiply)
+                kernel)
         return FeatureMap._adopt(out)
     if kind == "checker":
         h_idx = np.arange(height)[:, None]

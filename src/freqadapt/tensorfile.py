@@ -14,8 +14,10 @@ bitwise, signed zeros included.
 
 from __future__ import annotations
 
+import math
+import os
+import stat
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -28,21 +30,38 @@ _MAX_NDIM = 32  # sanity bound against corrupted headers
 
 
 def write_tensor(path, arr) -> None:
-    """Write an ndarray (any ndim >= 1) as a tensor file."""
-    data = np.ascontiguousarray(arr, dtype=np.float64)
-    if data.ndim < 1:
-        data = data.reshape(1)
+    """Write an ndarray (any ndim >= 1) as a tensor file.
+
+    The header is written first and then the payload straight from the
+    array's own buffer; only an input that is not C-ordered little-endian
+    float64 is copied first.
+    """
+    data = np.ascontiguousarray(arr, dtype="<f8")  # a 0-d input comes back as shape (1,)
     header = MAGIC + struct.pack("<II", VERSION, data.ndim)
     header += struct.pack(f"<{data.ndim}Q", *data.shape)
-    Path(path).write_bytes(header + data.astype("<f8", copy=False).tobytes(order="C"))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data.data)
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file back into a float64 ndarray."""
+    """Read a tensor file back into a float64 ndarray.
+
+    The payload is read straight into the array returned, a fresh one
+    that owns its buffer. The size of a regular file is checked against
+    its header before that array is allocated.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            return _read(fh, path, info.st_size if stat.S_ISREG(info.st_mode) else None)
     except OSError as exc:
         raise TensorFileError(f"cannot read {path}: {exc}") from exc
+
+
+def _read(fh, path, size: int | None) -> np.ndarray:
+    """The tensor of the open file ``fh`` of ``size`` bytes (None: unknown, as for a pipe)."""
+    raw = fh.read(12)
     if len(raw) < 12:
         raise TensorFileError(f"{path}: truncated header ({len(raw)} bytes)")
     if raw[:4] != MAGIC:
@@ -53,18 +72,23 @@ def read_tensor(path) -> np.ndarray:
     if not 1 <= ndim <= _MAX_NDIM:
         raise TensorFileError(f"{path}: implausible ndim {ndim}")
     header_len = 12 + 8 * ndim
-    if len(raw) < header_len:
+    raw = fh.read(8 * ndim)
+    if len(raw) < 8 * ndim:
         raise TensorFileError(f"{path}: truncated dims")
-    dims = struct.unpack_from(f"<{ndim}Q", raw, 12)
+    dims = struct.unpack(f"<{ndim}Q", raw)
     if any(d < 1 for d in dims):
         raise TensorFileError(f"{path}: zero-sized dim in {dims}")
-    count = 1
-    for d in dims:
-        count *= d
-    expected = header_len + 8 * count
-    if len(raw) != expected:
-        raise TensorFileError(
-            f"{path}: payload is {len(raw) - header_len} bytes, dims {dims} need {8 * count}"
+    count = math.prod(dims)
+
+    def wrong_size(payload_bytes: int) -> TensorFileError:
+        return TensorFileError(
+            f"{path}: payload is {payload_bytes} bytes, dims {dims} need {8 * count}"
         )
-    payload = np.frombuffer(raw, dtype="<f8", count=count, offset=header_len).reshape(dims)
-    return payload.astype(np.float64, order="C")  # a fresh array that owns its buffer
+
+    if size is not None and size != header_len + 8 * count:
+        raise wrong_size(size - header_len)
+    out = np.empty(dims, dtype="<f8")
+    got = fh.readinto(out.data.cast("B"))
+    if got != 8 * count or fh.peek(1):
+        raise wrong_size(got + len(fh.read()))  # the file changed, or is not a regular one
+    return out.astype(np.float64, copy=False)  # a no-op on a little-endian host

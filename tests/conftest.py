@@ -11,6 +11,8 @@ import freqadapt
 from freqadapt import spectral
 from freqadapt.errors import SymmetryViolationError
 from freqadapt.spectral import _radius_grid, _rescale, _unit_phasors
+from freqadapt.adapter import AdapterWeights
+from freqadapt.rng import SplitMix64
 from freqadapt.synth import _gaussian_kernel_5x5, gen_features
 from freqadapt.tensor import FeatureMap, conv2d
 
@@ -119,6 +121,21 @@ def conv2d_reference(x, kernel):
             np.matmul(kern[:, :, dy, dx], flat[:, s:s + n], out=tap)
             out += tap
     return FeatureMap(out.reshape(-1, h, wp)[:, :, :w])
+
+
+def seeded_reference(channels, seed):
+    """``AdapterWeights.seeded`` as it ran through the copying constructor, kept verbatim as its bitwise reference."""
+    if channels < 1:
+        raise ValueError(f"channels must be >= 1, got {channels}")
+    sizes = (3, 5, 7, 1, 1)
+    ends = np.cumsum([channels * channels * k * k for k in sizes])
+    flat = SplitMix64(seed).normal_array(int(ends[-1]))
+    # times the reciprocal, as normal_array(n, scale) scales: dividing rounds differently
+    k3, k5, k7, agg, noise = (
+        (1.0 / (channels * k * k)) * part.reshape(channels, channels, k, k)
+        for k, part in zip(sizes, np.split(flat, ends[:-1])))
+    eye = np.eye(channels)[:, :, None, None]
+    return AdapterWeights(k3=k3, k5=k5, k7=k7, agg=agg, proj=eye + 0.1 * noise)
 
 
 def idft2_reference(z):

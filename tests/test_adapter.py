@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freqadapt.adapter
+from conftest import seeded_reference
 from freqadapt import (
     AdapterWeights,
     FeatureMap,
@@ -54,6 +55,26 @@ class TestSeededWeights:
         for name, a, b in zip(("k3", "k5", "k7", "agg", "proj"), got,
                               five_draw_weights(channels, seed)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 16])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_bitwise_equals_the_copying_constructor(self, channels, seed):
+        w, want = AdapterWeights.seeded(channels, seed), seeded_reference(channels, seed)
+        for name in ("k3", "k5", "k7", "agg", "proj"):
+            a, b = getattr(w, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_arrays_are_read_only(self):
+        # views of the one draw, which is read-only too, so no view can be made writeable
+        w = AdapterWeights.seeded(3, 11)
+        for name in ("k3", "k5", "k7", "agg", "proj"):
+            arr = getattr(w, name)
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[(0,) * 4] = 1.0
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
 
     def test_one_normal_draw_per_block(self, monkeypatch):
         calls = []

@@ -1,11 +1,12 @@
 import gc
 import threading
+import warnings
 import weakref
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,6 +33,7 @@ from freqadapt import (
     heatmap,
     spectral_normalize,
     spectral,
+    style_diversify,
     style_transform,
 )
 from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
@@ -543,6 +545,60 @@ class TestAmpMapProperty:
         assert np.abs(out.data - x.data).max() <= 1e-12 * np.abs(x.data).max()
 
 
+# the public calls that run amp_map on a caller's map, and what each may raise
+AMP_MAP_CALLS = {
+    "style_transform": lambda x: style_transform(x, 0.0, 1.0),
+    "style_diversify": lambda x: style_diversify(x, 1.0, 5),
+    "spectral_normalize channel": lambda x: spectral_normalize(x, "channel"),
+    "spectral_normalize tensor": lambda x: spectral_normalize(x, "tensor"),
+}
+TYPED_ERRORS = (NonFiniteResultError, SymmetryViolationError, DegenerateSpectrumError)
+
+
+def outcomes_with_warnings_as_errors(x):
+    """Each AMP_MAP_CALLS entry's result or typed error, run with every warning an error."""
+    got = {}
+    for name, call in AMP_MAP_CALLS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = call(x)
+            except TYPED_ERRORS as exc:
+                got[name] = type(exc)
+                continue
+        assert out.shape == x.shape and np.all(np.isfinite(out.data)), name
+        got[name] = "result"
+    return got
+
+
+class TestWarningFilters:
+    """amp_map's outcome does not depend on numpy's warning state or the warning filters."""
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (4, 9, 6), (2, 1, 7), (2, 7, 1), (1, 1, 1)])
+    def test_huge_maps_raise_no_warning(self, shape, scale):
+        x = FeatureMap(scale * np.random.default_rng(77).uniform(-1, 1, size=shape))
+        outcomes_with_warnings_as_errors(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 4), h=st.integers(1, 9), w=st.integers(1, 9),
+           exponent=st.floats(-300, 300), seed=st.integers(0, 2**32 - 1))
+    @example(c=3, h=1, w=8, exponent=300.0, seed=1)
+    @example(c=2, h=7, w=1, exponent=-300.0, seed=2)
+    @example(c=1, h=1, w=1, exponent=155.0, seed=3)
+    @example(c=4, h=9, w=6, exponent=200.0, seed=4)
+    def test_result_or_typed_error_at_any_scale(self, c, h, w, exponent, seed):
+        x = FeatureMap(10.0**exponent * np.random.default_rng(seed).uniform(-1, 1, size=(c, h, w)))
+        outcomes_with_warnings_as_errors(x)
+
+    def test_outcome_does_not_follow_the_errstate(self):
+        # the same result or error under numpy's default state and under one that ignores all
+        x = FeatureMap(1e155 * np.random.default_rng(78).uniform(-1, 1, size=(3, 8, 8)))
+        default = outcomes_with_warnings_as_errors(x)
+        with np.errstate(all="ignore"):
+            assert outcomes_with_warnings_as_errors(x) == default
+
+
 def run_counted(calls, x, per_channel=True, on_thread=lambda thread: None):
     """The (shape, channels) each ``fn`` call of amp_map(x, ...) sees, with ``calls`` reset first.
 
@@ -774,6 +830,29 @@ class TestCallers:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert got == {name: [bits] * 6 for name, bits in want.items()}
+
+    def test_thread_keeps_the_largest_spectrum_buffer(self):
+        # a call at the kept size or below reuses it, a larger map replaces it, and every
+        # result still has the reference bits
+        rng = np.random.default_rng(39)
+        small, large = rand_map(rng, 2, 6, 7), rand_map(rng, 3, 8, 9)
+        kept = []
+
+        def run(x):
+            assert outcome(amp_map, x, lambda a: 2.0 * a) == outcome(
+                amp_map_reference, x, lambda a: 2.0 * a)
+            kept.append(spectral._spectra.buf)
+
+        def in_thread():
+            for x in (small, small, large, small, large):
+                run(x)
+
+        thread = threading.Thread(target=in_thread)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [b.size for b in kept] == [2 * 6 * 4, 2 * 6 * 4] + [3 * 8 * 5] * 3
+        assert kept[0] is kept[1] and kept[2] is kept[3] is kept[4] and kept[1] is not kept[2]
 
     def test_amp_map_called_from_fn_gets_its_own_buffer(self):
         # each block's fn runs a multi-block map of its own while the outer block's

@@ -1,4 +1,6 @@
 import functools
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -252,6 +254,68 @@ class TestConv2d:
         x = FeatureMap(rng.uniform(-1, 1, size=(16, 32, 32)))
         kernel = rng.uniform(-1, 1, size=(16, 16, 7, 7))
         assert conv2d(x, kernel).data.tobytes() == conv2d_reference(x, kernel).data.tobytes()
+
+    def test_four_threads_match_reference_bits(self):
+        # each thread runs a shape all four share, on data of its own, and every fourth call
+        # a shape of its own, which replaces its buffers; the maps are large enough that
+        # numpy releases the GIL inside the taps
+        rng = np.random.default_rng(41)
+
+        def case(shape, c_out, k):
+            return (FeatureMap(rng.uniform(-1, 1, size=shape)),
+                    rng.uniform(-1, 1, size=(c_out, shape[0], k, k)))
+
+        shared = [case((8, 32, 32), 8, 7) for _ in range(4)]
+        distinct = [case(*spec) for spec in [((8, 24, 24), 8, 5), ((6, 20, 28), 4, 3),
+                                             ((4, 31, 9), 6, 7), ((2, 5, 7), 3, 1)]]
+        wants = {id(c): conv2d_reference(*c).data.tobytes() for c in shared + distinct}
+        mismatches = []
+        barrier = threading.Barrier(4)
+
+        def run(i):
+            barrier.wait()
+            for r in range(40):
+                c = distinct[i] if r % 4 == 0 else shared[i]
+                if conv2d(*c).data.tobytes() != wants[id(c)]:
+                    mismatches.append((i, r))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_result_is_its_own_array(self):
+        # a later call at the same shape reuses the work buffers, not the result
+        rng = np.random.default_rng(42)
+        kernel = rng.uniform(-1, 1, size=(3, 2, 5, 5))
+        x, y = (FeatureMap(rng.uniform(-1, 1, size=(2, 6, 7))) for _ in range(2))
+        first = conv2d(x, kernel).data
+        kept = first.tobytes()
+        second = conv2d(y, kernel).data
+        assert first.flags.owndata and second.flags.owndata
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept == conv2d_reference(x, kernel).data.tobytes()
+        assert second.tobytes() == conv2d_reference(y, kernel).data.tobytes()
+
+    def test_new_shape_after_old_matches_reference(self):
+        # one map shape with a new kernel size, then a new output count, then larger and
+        # smaller planes and channel counts, then the first again: a stale buffer, or a
+        # border written by a larger map, would show in the bits
+        rng = np.random.default_rng(43)
+        for shape, c_out, k in [((2, 6, 6), 2, 3), ((2, 6, 6), 2, 5), ((2, 6, 6), 3, 5),
+                                ((2, 9, 4), 3, 7), ((3, 3, 3), 1, 5), ((2, 9, 4), 2, 1),
+                                ((2, 6, 6), 2, 3)]:
+            x = FeatureMap(rng.uniform(-1, 1, size=shape))
+            kernel = rng.uniform(-1, 1, size=(c_out, shape[0], k, k))
+            assert conv2d(x, kernel).data.tobytes() == conv2d_reference(x, kernel).data.tobytes()
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
