@@ -31,8 +31,8 @@ from .adapter import STAGE_KINDS, PlacementConfig, AdapterWeights, adapter_forwa
 from .crossmodal import (
     NORM_SCOPES,
     AttentionParams,
+    _high_fraction,
     crossmodal_forward,
-    high_freq_shift,
 )
 from .errors import (DegenerateSpectrumError, NonFiniteResultError, ShapeMismatchError,
                      TensorFileError)
@@ -40,7 +40,7 @@ from .rng import mix_seed
 from .spectral import heatmap
 from .style import SCALE_MODES, style_diversify, style_transform
 from .synth import FEATURE_KINDS, gen_features, gen_text_tokens
-from .tensor import FeatureMap, Matrix
+from .tensor import FeatureMap, Matrix, _quiet
 from .tensorfile import read_tensor, write_tensor
 
 _TEXT_TAG = 11
@@ -287,24 +287,30 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_transform(transform: str, x: FeatureMap, cfg: dict,
-                     identity_hook: bool) -> FeatureMap:
+def _apply_transform(transform: str, cfg: dict, identity_hook: bool) -> tuple[FeatureMap, float]:
+    """The input map under ``transform``, and the input's high-band fraction at ``cut``.
+
+    The fraction is taken before the transform, so a stack holds the input
+    map only through stage 1.
+    """
+    x = _load(cfg["in"], FeatureMap)
+    before = _high_fraction(x, cfg["cut"])
     seed = cfg["seed"]
     if transform == "style":
         if identity_hook:
-            return style_transform(x, 0.0, 1.0)
+            return style_transform(x, 0.0, 1.0), before
         alpha = cfg["alpha"] if cfg["alpha"] is not None else np.ones(x.channels)
-        return style_diversify(x, alpha, seed, scale_mode=cfg["scale_mode"])
+        return style_diversify(x, alpha, seed, scale_mode=cfg["scale_mode"]), before
     if transform == "crossmodal":
         text = _load(cfg["text"], Matrix) if cfg["text"] else gen_text_tokens(
             8, 16, mix_seed(seed, _TEXT_TAG)
         )
         params = AttentionParams.seeded(x.channels, text.cols, cfg["dk"],
                                         mix_seed(seed, _ATTN_TAG))
-        return crossmodal_forward(x, text, params, scope=cfg["norm_scope"])
+        return crossmodal_forward(x, text, params, scope=cfg["norm_scope"]), before
     if transform == "plain":
         weights = AdapterWeights.seeded(x.channels, mix_seed(seed, 1))
-        return adapter_forward(x, weights)
+        return adapter_forward(x, weights), before
     # stack: fold the per-stage adapters over one map, in stage order
     num_stages = max([3] + list(cfg["stage"]))
     placement = PlacementConfig(
@@ -315,20 +321,20 @@ def _apply_transform(transform: str, x: FeatureMap, cfg: dict,
         seed=seed,
         num_stages=num_stages,
     )
-    out = x
-    for index in range(1, num_stages + 1):
+    out = apply_stage(x, placement, 1)
+    del x  # the input is freed once stage 1 is done
+    for index in range(2, num_stages + 1):
         out = apply_stage(out, placement, index)
-    return out
+    return out, before
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     _require(cfg, "in", "out")
-    x = _load(cfg["in"], FeatureMap)
-    out = _apply_transform(args.transform, x, cfg, args.identity_hook)
+    out, before = _apply_transform(args.transform, cfg, args.identity_hook)
     write_tensor(cfg["out"], out.data)
     c, h, w = out.shape
-    shift = high_freq_shift(x, out, cfg["cut"])
+    shift = _high_fraction(out, cfg["cut"]) - before  # high_freq_shift(input, out, cut)
     print(
         f"apply {args.transform} {c}x{h}x{w} min={out.data.min():.6g} "
         f"max={out.data.max():.6g} hf_shift@{cfg['cut']:g}={shift:+.6g} -> {cfg['out']}"
@@ -480,7 +486,7 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with _quiet():
             return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

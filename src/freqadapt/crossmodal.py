@@ -16,15 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ShapeMismatchError
 from .rng import SplitMix64
 from .spectral import AMP_EPS, _band_split, _rfft2, amp_map, mirror_weights
-from .tensor import FeatureMap, Matrix, _checked, softmax_rows
+from .tensor import FeatureMap, Matrix, _checked, _frozen, _quiet, softmax_rows
 
 NORM_SCOPES = ("channel", "tensor")
+
+# the projections of AttentionParams, in the order seeded draws them
+_PROJECTIONS = ("wq", "wk", "wv", "wo")
 
 _SIGMA_FLOOR = 1e-12
 
@@ -44,10 +48,14 @@ class AttentionParams:
     d_k: int
 
     def __post_init__(self):
+        self._check(_checked)
+
+    def _check(self, freeze: Callable[[np.ndarray, int, str], np.ndarray]) -> None:
+        """Pass each projection through ``freeze`` and check d_k and the shapes."""
         if self.d_k < 1:
             raise ValueError(f"d_k must be >= 1, got {self.d_k}")
-        for name in ("wq", "wk", "wv", "wo"):
-            object.__setattr__(self, name, _checked(getattr(self, name), 2, name))
+        for name in _PROJECTIONS:
+            object.__setattr__(self, name, freeze(getattr(self, name), 2, name))
         if any(w.shape[1] != self.d_k for w in (self.wq, self.wk, self.wv)):
             raise ShapeMismatchError("wq/wk/wv must project to d_k columns")
         if self.wk.shape[0] != self.wv.shape[0]:
@@ -67,21 +75,26 @@ class AttentionParams:
 
     @classmethod
     def seeded(cls, visual_dim: int, text_dim: int, d_k: int, seed: int) -> "AttentionParams":
-        """Gaussian projections scaled by 1/sqrt(fan_in), from one seeded stream."""
+        """Gaussian projections scaled by 1/sqrt(fan_in), from one seeded stream.
+
+        wq, wk, wv and wo are drawn in that order with one ``normal_array``
+        call; each part is scaled in place and frozen as the view of the
+        draw it is, as :meth:`~freqadapt.adapter.AdapterWeights.seeded` does.
+        """
         if min(visual_dim, text_dim, d_k) < 1:
             raise ValueError(f"dims must be >= 1, got {(visual_dim, text_dim, d_k)}")
-        rng = SplitMix64(seed)
-
-        def draw(rows, cols, fan):
-            return rng.normal_array(rows * cols, scale=1.0 / math.sqrt(fan)).reshape(rows, cols)
-
-        return cls(
-            wq=draw(visual_dim, d_k, visual_dim),
-            wk=draw(text_dim, d_k, text_dim),
-            wv=draw(text_dim, d_k, text_dim),
-            wo=draw(d_k, visual_dim, d_k),
-            d_k=d_k,
-        )
+        shapes = ((visual_dim, d_k), (text_dim, d_k), (text_dim, d_k), (d_k, visual_dim))
+        ends = np.cumsum([rows * cols for rows, cols in shapes])
+        flat = SplitMix64(seed).normal_array(int(ends[-1]))
+        obj = cls.__new__(cls)
+        for name, (rows, cols), part in zip(_PROJECTIONS, shapes, np.split(flat, ends[:-1])):
+            # times 1/sqrt(fan_in), as normal_array(n, scale) scales; the fan-in is the row count
+            part *= 1.0 / math.sqrt(rows)
+            object.__setattr__(obj, name, part.reshape(rows, cols))
+        object.__setattr__(obj, "d_k", d_k)
+        flat.flags.writeable = False  # so no view of the draw can be made writeable again
+        obj._check(_frozen)
+        return obj
 
 
 def flatten_tokens(x: FeatureMap) -> Matrix:
@@ -117,10 +130,15 @@ def cross_attention(xv: Matrix, xt: Matrix, p: AttentionParams) -> Matrix:
     Q comes from the visual tokens, K and V from the text tokens. The
     output has the visual token count and dim; any residual connection is
     the caller's concern. Each matrix chain runs in the order its shapes
-    make cheapest (``np.linalg.multi_dot``).
+    make cheapest (``np.linalg.multi_dot``). numpy's overflow, invalid and
+    divide warnings are off inside, so on huge tokens the result or a
+    :class:`~freqadapt.errors.NonFiniteResultError` comes out whatever
+    the warning filters are.
     """
-    _, v, attn = _attention_terms(xv, xt, p)
-    return Matrix._adopt(np.linalg.multi_dot([attn, v, p.wo]))
+    with _quiet():
+        _, v, attn = _attention_terms(xv, xt, p)
+        out = np.linalg.multi_dot([attn, v, p.wo])
+    return Matrix._adopt(out)
 
 
 def _attend(x: FeatureMap, xt: Matrix, p: AttentionParams) -> FeatureMap:

@@ -18,10 +18,15 @@ golden tests pin their exact output streams:
 
 The array samplers are numpy-vectorized and bitwise equal to the scalar
 streams: the same values, and the same state afterwards. They finalize
-their uint64 words in place and scale the results in place, so a draw
-allocates a few arrays, not one per arithmetic step. The Marsaglia-Tsang
-steps are written once, and read their draws in order from the scalar
-stream or from a window of words and polar normals drawn as arrays.
+their uint64 words in place, through one shift buffer and with no mask
+passes (numpy wraps uint64 arithmetic mod 2**64), and scale the results
+in place, so a draw allocates a few arrays, not one per arithmetic step.
+The normal sampler reads the word offsets of its polar pairs from two
+read-only step tables, ``_U_STEPS`` and ``_V_STEPS``, so the u and v of a
+chunk are two contiguous arrays; it maps their top 53 bits straight to
+2U - 1, which is exact. The Marsaglia-Tsang steps are written once, and
+read their draws in order from the scalar stream or from a window of
+words and polar normals drawn as arrays.
 """
 
 from __future__ import annotations
@@ -36,28 +41,61 @@ _PAIR_CHUNK = 8192  # polar pairs per vectorized draw; bounds normal_array's wor
 
 # gamma_array reads its words from a window from this many components on.
 # The window costs a fixed ~45 us, and each component then costs ~2.4 us
-# against ~8 us on the scalar stream. Median us per draw, alpha = 1, scalar
+# against ~7 us on the scalar stream. Median us per draw, alpha = 1, scalar
 # vs window, 1,500 interleaved draws per count on a 2-vCPU Xeon VM:
-# 1: 9.1 vs 51.9, 4: 32.4 vs 59.7, 8: 65.1 vs 71.2, 9: 72.5 vs 73.5,
-# 10: 79.9 vs 75.4, 12: 93.8 vs 78.5, 16: 126 vs 90, 32: 249 vs 127,
-# 64: 508 vs 205. The style checks of ``verify`` draw 1-3 components.
+# 1: 8.6 vs 44.7, 4: 29.1 vs 50.1, 8: 62.0 vs 67.1, 9: 67.2 vs 66.8,
+# 10: 76.3 vs 72.6, 11: 84.4 vs 76.8, 12: 95.5 vs 78.6, 16: 120 vs 83,
+# 32: 227 vs 119. The style checks of ``verify`` draw 1-3 components.
 _GAMMA_WINDOW = 10
 
 
-def _finalize(z: int | np.ndarray) -> int | np.ndarray:
-    """splitmix64 output mix of one word, or elementwise of a uint64 array.
-
-    A uint64 array is updated in place (numpy wraps mod 2**64, so its masks
-    change nothing) and returned; an int is immutable and comes back new.
-    """
+def _finalize(z: int) -> int:
+    """splitmix64 output mix of one word."""
     z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z &= _MASK64
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
     z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z &= _MASK64
+    z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z
+
+
+def _finalize_words(z: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """:func:`_finalize` of each word of a uint64 array, in place; returns ``z``.
+
+    ``shift`` is a uint64 work buffer of z's size that takes each shifted
+    copy. numpy wraps uint64 products mod 2**64, so no pass masks them.
+    """
+    z ^= np.right_shift(z, 30, out=shift)
+    z *= 0xBF58476D1CE4E5B9
+    z ^= np.right_shift(z, 27, out=shift)
+    z *= 0x94D049BB133111EB
+    z ^= np.right_shift(z, 31, out=shift)
+    return z
+
+
+def _unit_words(z: np.ndarray, shift: np.ndarray, scale: float) -> np.ndarray:
+    """The top 53 bits of each finalized word of ``z`` times ``scale``, as a new float64 array.
+
+    ``z`` is finalized and shifted in place (see :func:`_finalize_words`).
+    The shifted words are below 2**53, so they convert to float64 exactly,
+    and through int64, whose conversion is faster than uint64's; a power
+    of two ``scale`` scales them exactly too.
+    """
+    _finalize_words(z, shift)
+    z >>= 11
+    u = z.view(np.int64).astype(np.float64)
+    u *= scale
+    return u
+
+
+# Polar pair i of a normal_array chunk reads words 2i + 1 (u) and 2i + 2 (v)
+# past the chunk's start state: that state plus these steps, one 64 KB row
+# each of one read-only array. Finalizing both rows as one array read
+# normal_array(21760) 7-8% slower than one row at a time.
+_STEPS = np.arange(1, 2 * _PAIR_CHUNK + 1, dtype=np.uint64).reshape(_PAIR_CHUNK, 2).T.copy()
+_STEPS *= _GOLDEN
+_STEPS.flags.writeable = False
+_U_STEPS, _V_STEPS = _STEPS
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -112,12 +150,8 @@ class SplitMix64:
         words = np.arange(1, n + 1, dtype=np.uint64)
         words *= _GOLDEN
         words += self._state
-        words = _finalize(words)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        words >>= 11
-        u = words.astype(np.float64)
-        u *= 2.0 ** -53
-        return u
+        return _unit_words(words, np.empty_like(words), 2.0 ** -53)
 
     def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Bitwise equal to n calls of ``low + (high - low) * uniform()``."""
@@ -129,26 +163,32 @@ class SplitMix64:
     def normal_array(self, n: int, scale: float = 1.0) -> np.ndarray:
         """Bitwise equal to n calls of ``scale * normal()``, state included.
 
-        Polar pairs are drawn in bounded chunks; the accepted pairs are kept
-        in order and the state is rewound to just after the pair that gave
-        the n-th variate. Both paths take the log with ``np.log``, whose
-        scalar and array kernels agree bitwise.
+        Polar pairs are drawn in chunks of at most ``_PAIR_CHUNK``; the
+        accepted pairs are kept in order and the state is rewound to just
+        after the pair that gave the n-th variate. A chunk's u and v words
+        are its start state plus ``_U_STEPS`` and ``_V_STEPS``, so each side
+        is one contiguous array, mapped straight to 2U - 1: the top 53 bits
+        times 2**-52, minus 1, which is exactly ``2.0 * uniform() - 1.0``.
+        Both paths take the log with ``np.log``, whose scalar and array
+        kernels agree bitwise.
         """
         vals = np.empty(n, dtype=np.float64)
+        # acceptance is pi/4, so this usually finishes in one chunk, and no later chunk is longer
+        shift = np.empty(min(_PAIR_CHUNK, n + n // 3 + 8), dtype=np.uint64)
         done = 0
         while done < n:
             need = n - done
             start = self._state
-            # acceptance is pi/4, so this usually finishes in one chunk
-            uv = self._uniforms(2 * min(_PAIR_CHUNK, need + need // 3 + 8))
-            uv *= 2.0
-            uv -= 1.0
-            u, v = uv[0::2], uv[1::2]
+            m = min(_PAIR_CHUNK, need + need // 3 + 8)
+            u = _unit_words(_U_STEPS[:m] + start, shift[:m], 2.0 ** -52)
+            v = _unit_words(_V_STEPS[:m] + start, shift[:m], 2.0 ** -52)
+            u -= 1.0
+            v -= 1.0
             s = u * u
             s += v * v
             kept = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
-            if kept.size == need:
-                self._state = (start + 2 * (int(kept[-1]) + 1) * _GOLDEN) & _MASK64
+            pairs = int(kept[-1]) + 1 if kept.size == need else m
+            self._state = (start + 2 * pairs * _GOLDEN) & _MASK64
             s = s[kept]
             # scale * (u * sqrt(-2 log(s) / s)), the scalar path's order, written into vals
             r = vals[done:done + kept.size]

@@ -37,6 +37,7 @@ unambiguous:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import Callable
@@ -44,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SymmetryViolationError
-from .tensor import FeatureMap, Matrix
+from .tensor import FeatureMap, Matrix, _quiet
 
 AMP_EPS = 1e-24
 
@@ -266,7 +267,7 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     spectrum = buf[:size].reshape(step, h, w // 2 + 1)
     residue, scales = 0.0, []
     # an overflow or a NaN is decided by the typed checks below, not by the warning filters
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _quiet():
         for c0 in range(0, c, step):
             channels = slice(c0, min(c0 + step, c))
             z = _rescale(_rfft2(x.data[channels], spectrum[:channels.stop - c0]),
@@ -321,20 +322,30 @@ def _radius_grid(h: int, w: int) -> np.ndarray:
     return np.sqrt(dy[:, None] ** 2 + dx[None, :] ** 2) / math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=32)
+def _band_masks(h: int, w: int, radial_cut: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The half spectrum's low-band and high-band masks and its mirror weights, read-only."""
+    radius = np.fft.ifftshift(_radius_grid(h, w))[:, : w // 2 + 1]
+    low_mask = radius <= radial_cut
+    masks = low_mask, ~low_mask, mirror_weights(w)
+    for arr in masks:
+        arr.flags.writeable = False
+    return masks
+
+
 def _band_split(power: np.ndarray, width: int, radial_cut: float) -> tuple[float, float]:
     """(low, high) full-grid sums of a half-spectrum power array, averaged over channels.
 
     The radius is the same at (u, v) and (-u, -v), so each half-spectrum
-    bin stands for its mirror too and weighs :func:`mirror_weights`.
+    bin stands for its mirror too and weighs :func:`mirror_weights`. The
+    masks and weights of the last 32 (H, W, cut) are kept.
     """
     if not 0.0 < radial_cut < 1.0:
         raise ValueError(f"radial_cut must be in (0, 1), got {radial_cut}")
-    h = power.shape[1]
-    radius = np.fft.ifftshift(_radius_grid(h, width))[:, : width // 2 + 1]
-    low_mask = radius <= radial_cut
-    weighted = power * mirror_weights(width)
+    low_mask, high_mask, weights = _band_masks(power.shape[1], width, radial_cut)
+    weighted = power * weights
     low = float(weighted[:, low_mask].sum(axis=1).mean())
-    high = float(weighted[:, ~low_mask].sum(axis=1).mean())
+    high = float(weighted[:, high_mask].sum(axis=1).mean())
     return low, high
 
 
@@ -342,7 +353,11 @@ def heatmap(x: FeatureMap) -> Matrix:
     """Channel-averaged log(1 + |Z|) of the full-grid spectrum, DC in the middle.
 
     |Z| carries no epsilon and np.abs does not square, so the field stays
-    finite for huge maps and keeps its structure for tiny ones.
+    finite for huge maps and keeps its structure for tiny ones. numpy's
+    overflow, invalid and divide warnings are off inside: a transform that
+    overflows ends in :class:`~freqadapt.errors.NonFiniteResultError`
+    whatever the warning filters are.
     """
-    avg = np.log1p(np.abs(fft2(x))).mean(axis=0)
+    with _quiet():
+        avg = np.log1p(np.abs(fft2(x))).mean(axis=0)
     return Matrix._adopt(np.fft.fftshift(avg))

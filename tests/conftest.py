@@ -10,11 +10,12 @@ import numpy as np
 import freqadapt
 from freqadapt import spectral
 from freqadapt.errors import SymmetryViolationError
-from freqadapt.spectral import _radius_grid, _rescale, _unit_phasors
+from freqadapt.spectral import _radius_grid, _rescale, _unit_phasors, mirror_weights
 from freqadapt.adapter import AdapterWeights
+from freqadapt.crossmodal import AttentionParams
 from freqadapt.rng import SplitMix64
 from freqadapt.synth import _gaussian_kernel_5x5, gen_features
-from freqadapt.tensor import FeatureMap, conv2d
+from freqadapt.tensor import FeatureMap, Matrix, conv2d
 
 
 def attention_oracle_mp(xv, xt, p, dps=50):
@@ -136,6 +137,109 @@ def seeded_reference(channels, seed):
         for k, part in zip(sizes, np.split(flat, ends[:-1])))
     eye = np.eye(channels)[:, :, None, None]
     return AdapterWeights(k3=k3, k5=k5, k7=k7, agg=agg, proj=eye + 0.1 * noise)
+
+
+# The seeded draws, the band split and the softmax as they ran before the
+# step tables, the single attention draw, the kept band masks and the
+# column-wise row max, kept verbatim as their bitwise references.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_PAIR_CHUNK = 8192
+
+
+def _finalize_reference(z):
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK64
+    z ^= z >> 31
+    return z
+
+
+def uniforms_reference(rng, n):
+    """``SplitMix64._uniforms``: the next n uniforms of ``rng``, its state advanced past them."""
+    if n < 0:
+        raise ValueError(f"sample count must be >= 0, got {n}")
+    words = np.arange(1, n + 1, dtype=np.uint64)
+    words *= _GOLDEN
+    words += rng._state
+    words = _finalize_reference(words)
+    rng._state = (rng._state + n * _GOLDEN) & _MASK64
+    words >>= 11
+    u = words.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
+
+
+def normal_array_reference(rng, n, scale=1.0):
+    """``SplitMix64.normal_array``, drawing its polar pairs through :func:`uniforms_reference`."""
+    vals = np.empty(n, dtype=np.float64)
+    done = 0
+    while done < n:
+        need = n - done
+        start = rng._state
+        # acceptance is pi/4, so this usually finishes in one chunk
+        uv = uniforms_reference(rng, 2 * min(_PAIR_CHUNK, need + need // 3 + 8))
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv[0::2], uv[1::2]
+        s = u * u
+        s += v * v
+        kept = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
+        if kept.size == need:
+            rng._state = (start + 2 * (int(kept[-1]) + 1) * _GOLDEN) & _MASK64
+        s = s[kept]
+        # scale * (u * sqrt(-2 log(s) / s)), the scalar path's order, written into vals
+        r = vals[done:done + kept.size]
+        np.log(s, out=r)
+        r *= -2.0
+        r /= s
+        np.sqrt(r, out=r)
+        r *= u[kept]
+        r *= scale
+        done += kept.size
+    return vals
+
+
+def attention_seeded_reference(visual_dim, text_dim, d_k, seed):
+    """``AttentionParams.seeded``: one ``normal_array`` call per projection, through the constructor."""
+    if min(visual_dim, text_dim, d_k) < 1:
+        raise ValueError(f"dims must be >= 1, got {(visual_dim, text_dim, d_k)}")
+    rng = SplitMix64(seed)
+
+    def draw(rows, cols, fan):
+        return normal_array_reference(rng, rows * cols, scale=1.0 / math.sqrt(fan)).reshape(rows, cols)
+
+    return AttentionParams(
+        wq=draw(visual_dim, d_k, visual_dim),
+        wk=draw(text_dim, d_k, text_dim),
+        wv=draw(text_dim, d_k, text_dim),
+        wo=draw(d_k, visual_dim, d_k),
+        d_k=d_k,
+    )
+
+
+def half_band_split_reference(power, width, radial_cut):
+    """``spectral._band_split``, its masks and weights built on every call."""
+    if not 0.0 < radial_cut < 1.0:
+        raise ValueError(f"radial_cut must be in (0, 1), got {radial_cut}")
+    h = power.shape[1]
+    radius = np.fft.ifftshift(_radius_grid(h, width))[:, : width // 2 + 1]
+    low_mask = radius <= radial_cut
+    weighted = power * mirror_weights(width)
+    low = float(weighted[:, low_mask].sum(axis=1).mean())
+    high = float(weighted[:, ~low_mask].sum(axis=1).mean())
+    return low, high
+
+
+def softmax_rows_reference(m):
+    """``softmax_rows`` with its row max taken by ``max(axis=1)``."""
+    shifted = m.data - m.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return Matrix._adopt(e / e.sum(axis=1, keepdims=True))
 
 
 def idft2_reference(z):

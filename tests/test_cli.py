@@ -1,13 +1,15 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import count_fft_calls, run_python
 import freqadapt
-from freqadapt import FeatureMap, read_tensor, style_diversify, write_tensor
+from freqadapt import FeatureMap, cli, high_freq_shift, read_tensor, style_diversify, write_tensor
 from freqadapt.cli import _COMMAND_KEYS, _PARAMS, _flag, _merge_config, _param, build_parser, main
 from freqadapt.synth import gen_features
 
@@ -143,6 +145,34 @@ class TestApply:
         assert run("apply", "crossmodal", "--in", str(src), "--out", str(dst), "--seed", "11") == 0
         out = capsys.readouterr().out
         assert "hf_shift@0.25=+" in out
+
+    @pytest.mark.parametrize("transform", ["stack", "style", "crossmodal", "plain"])
+    def test_hf_shift_is_high_freq_shift_of_input_and_output(self, tmp_path, capsys, transform):
+        src, dst = self.setup_input(tmp_path, shape="3,9,8"), tmp_path / "out.ftns"
+        assert run("apply", transform, "--in", str(src), "--out", str(dst), "--cut", "0.3") == 0
+        shift = high_freq_shift(FeatureMap(read_tensor(src)), FeatureMap(read_tensor(dst)), 0.3)
+        assert f"hf_shift@0.3={shift:+.6g} -> " in capsys.readouterr().out
+
+    def test_stack_frees_the_input_after_stage_one(self, tmp_path, monkeypatch):
+        # the summary needs only the input's high-band fraction, taken before stage 1
+        src = self.setup_input(tmp_path)
+        inputs, alive = [], []
+        load, apply_stage = cli._load, cli.apply_stage
+
+        def loaded(path, kind):
+            fm = load(path, kind)
+            inputs.append(weakref.ref(fm.data))
+            return fm
+
+        def staged(x, cfg, index):
+            gc.collect()
+            alive.append(inputs[0]() is not None)
+            return apply_stage(x, cfg, index)
+
+        monkeypatch.setattr(cli, "_load", loaded)
+        monkeypatch.setattr(cli, "apply_stage", staged)
+        assert run("apply", "stack", "--in", str(src), "--out", str(tmp_path / "o.ftns")) == 0
+        assert alive == [True, False, False]
 
     def test_deterministic_output(self, tmp_path):
         src = self.setup_input(tmp_path)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     attention_oracle_mp,
+    attention_seeded_reference,
     band_split_reference,
     channel_blocks,
     compose_reference,
@@ -31,6 +32,7 @@ from freqadapt import (
 )
 from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _high_fraction, _standardize
 from freqadapt.spectral import _rfft2, _unit_phasors, mirror_weights
+from freqadapt.rng import SplitMix64
 from freqadapt.synth import gen_features, gen_text_tokens
 
 
@@ -143,6 +145,42 @@ class TestCrossAttention:
         for dims in [(0, 4, 2), (3, 0, 2), (3, 4, 0)]:
             with pytest.raises(ValueError):
                 AttentionParams.seeded(*dims, 0)
+
+
+class TestSeededParams:
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 5, 2), (16, 16, 64), (256, 16, 64)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_bitwise_equals_one_draw_per_projection(self, dims, seed):
+        p, want = AttentionParams.seeded(*dims, seed), attention_seeded_reference(*dims, seed)
+        assert p.d_k == want.d_k
+        for name in ("wq", "wk", "wv", "wo"):
+            a, b = getattr(p, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_arrays_are_read_only(self):
+        # views of the one draw, which is read-only too, so no view can be made writeable
+        p = AttentionParams.seeded(3, 5, 2, 11)
+        for name in ("wq", "wk", "wv", "wo"):
+            arr = getattr(p, name)
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_one_normal_draw(self, monkeypatch):
+        calls = []
+        real = SplitMix64.normal_array
+
+        def counted(self, n, scale=1.0):
+            calls.append(n)
+            return real(self, n, scale)
+
+        monkeypatch.setattr(SplitMix64, "normal_array", counted)
+        AttentionParams.seeded(16, 8, 64, 3)
+        assert calls == [16 * 64 + 2 * 8 * 64 + 64 * 16]
+
 
 def half_amplitude(x):
     """The half-spectrum amplitude that spectral_normalize standardizes."""

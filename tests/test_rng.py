@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma_reference
-from freqadapt.rng import _GAMMA_WINDOW, SplitMix64, _finalize
+from conftest import gamma_reference, normal_array_reference, uniforms_reference
+from freqadapt.rng import (_GAMMA_WINDOW, _GOLDEN, _PAIR_CHUNK, _U_STEPS, _V_STEPS, SplitMix64,
+                           _finalize, _finalize_words)
 from freqadapt.style import sample_dirichlet
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -167,6 +168,65 @@ class TestGammaArray:
         assert rng._state == 5
 
 
+# states from which the stream wraps mod 2**64 at once or within a few words:
+# from (-k * golden) mod 2**64, word k is the finalizer of 0
+WRAP_STATES = [0, 2**64 - 1, 2**64 - 2, -_GOLDEN % 2**64, -3 * _GOLDEN % 2**64,
+               -2 * _PAIR_CHUNK * _GOLDEN % 2**64]
+
+
+def chunk_ends(seed, chunks):
+    """Variates accepted by the first 1, 2, ... ``chunks`` full chunks of polar pairs from ``seed``."""
+    uv = uniforms_reference(SplitMix64(seed), 2 * _PAIR_CHUNK * chunks)
+    uv *= 2.0
+    uv -= 1.0
+    u, v = uv[0::2], uv[1::2]
+    s = u * u + v * v
+    return np.cumsum(((0.0 < s) & (s < 1.0)).reshape(chunks, -1).sum(axis=1))
+
+
+class TestAgainstTheUnpairedDraws:
+    """normal_array and _uniforms give the bits and the state of the draws the step tables replaced."""
+
+    @pytest.mark.parametrize("seed", WRAP_STATES)
+    def test_normal_array_on_both_sides_of_chunk_boundaries(self, seed):
+        # a draw of ends[k] variates takes k + 1 full chunks exactly; one more starts another.
+        # 6138 is the smallest count whose first chunk holds all _PAIR_CHUNK pairs
+        ends = chunk_ends(seed, 3)
+        assert ends[0] > 6138
+        for n in sorted({0, 1, 2, 6137, 6138, *(int(e) + d for e in ends for d in (-1, 0, 1))}):
+            vec, ref = SplitMix64(seed), SplitMix64(seed)
+            assert same_bits(vec.normal_array(n, 0.3), normal_array_reference(ref, n, 0.3)), n
+            assert vec._state == ref._state, n
+
+    @pytest.mark.parametrize("seed", WRAP_STATES)
+    def test_uniforms(self, seed):
+        for n in (0, 1, 2, 7, 2 * _PAIR_CHUNK, 2 * _PAIR_CHUNK + 1):
+            vec, ref = SplitMix64(seed), SplitMix64(seed)
+            assert same_bits(vec._uniforms(n), uniforms_reference(ref, n)), n
+            assert vec._state == ref._state, n
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 7.3])
+    @pytest.mark.parametrize("seed", WRAP_STATES)
+    def test_gamma_array_windows(self, monkeypatch, seed, shape):
+        # 300 components at shape 0.5 run past the first window and draw a second
+        shapes = np.full(300, shape)
+        ref = SplitMix64(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(SplitMix64, "_uniforms", uniforms_reference)
+            want = ref.gamma_array(shapes)
+        vec = SplitMix64(seed)
+        assert same_bits(vec.gamma_array(shapes), want)
+        assert vec._state == ref._state
+
+    def test_step_tables_hold_the_pair_offsets_read_only(self):
+        for table, first in ((_U_STEPS, 1), (_V_STEPS, 2)):
+            assert table.dtype == np.uint64 and table.size == _PAIR_CHUNK
+            for i in (0, 1, 4095, _PAIR_CHUNK - 1):
+                assert int(table[i]) == (first + 2 * i) * _GOLDEN % 2**64
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+
 class TestFinalize:
     @settings(max_examples=200, deadline=None)
     @given(word=seeds)
@@ -175,7 +235,7 @@ class TestFinalize:
     @example(word=2**64 - 1)
     def test_int_and_uint64_array_agree(self, word):
         arr = np.array([word], dtype=np.uint64)
-        mixed = _finalize(arr)
+        mixed = _finalize_words(arr, np.empty_like(arr))
         assert mixed is arr  # array words are finalized in place
         assert int(mixed[0]) == _finalize(word)
         assert 0 <= _finalize(word) < 2**64

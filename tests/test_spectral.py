@@ -16,21 +16,28 @@ from conftest import (
     channel_blocks,
     compose_reference,
     count_fft_calls,
+    half_band_split_reference,
     ifft2_reference,
     outcome,
     rfft2_reference,
     run_python,
 )
 from freqadapt import (
+    AttentionParams,
     DegenerateSpectrumError,
     FeatureMap,
+    Matrix,
     NonFiniteResultError,
     SymmetryViolationError,
     amp_map,
+    conv2d,
+    cross_attention,
     decompose,
     dft2_oracle,
     fft2,
     heatmap,
+    high_freq_shift,
+    softmax_rows,
     spectral_normalize,
     spectral,
     style_diversify,
@@ -39,6 +46,7 @@ from freqadapt import (
 from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
 from freqadapt.gradcheck import _normalize_jvp
 from freqadapt.spectral import (
+    _band_masks,
     _band_split,
     _rescale,
     _rfft2,
@@ -289,6 +297,26 @@ class TestBandEnergy:
     def test_rejects_bad_cut(self):
         with pytest.raises(ValueError):
             _band_split(np.ones((1, 4, 3)), 4, 1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (3, 7, 5), (2, 6, 9), (3, 9, 6), (1, 1, 6),
+                                       (2, 7, 1), (1, 1, 1), (16, 32, 32)])
+    @pytest.mark.parametrize("cut", [0.05, 0.25, 0.5, 0.7071, 0.99])
+    def test_bitwise_equals_masks_built_per_call(self, shape, cut):
+        c, h, w = shape
+        power = np.random.default_rng(h * 10 + w).uniform(0.0, 1.0, size=(c, h, w // 2 + 1))
+        want = half_band_split_reference(power, w, cut)
+        # the first call builds the masks, the second reads the kept ones
+        assert _band_split(power, w, cut) == want
+        assert _band_split(power, w, cut) == want
+
+    def test_kept_masks_are_read_only(self):
+        _band_split(np.ones((2, 6, 4)), 6, 0.25)
+        low, high, weights = _band_masks(6, 6, 0.25)
+        assert low.shape == high.shape == (6, 4) and weights.shape == (4,)
+        assert np.array_equal(high, ~low)
+        for arr in (low, high, weights):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
 
 
 class TestAmpMap:
@@ -572,7 +600,7 @@ def outcomes_with_warnings_as_errors(x):
 
 
 class TestWarningFilters:
-    """amp_map's outcome does not depend on numpy's warning state or the warning filters."""
+    """A call's outcome does not depend on numpy's warning state or the warning filters."""
 
     @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
     @pytest.mark.parametrize("shape", [(3, 8, 8), (4, 9, 6), (2, 1, 7), (2, 7, 1), (1, 1, 1)])
@@ -597,6 +625,35 @@ class TestWarningFilters:
         default = outcomes_with_warnings_as_errors(x)
         with np.errstate(all="ignore"):
             assert outcomes_with_warnings_as_errors(x) == default
+
+    # calls outside amp_map whose numpy operations overflow on these inputs
+    @pytest.mark.parametrize("call", [
+        lambda: conv2d(FeatureMap(np.full((2, 5, 5), 1e307)), np.full((2, 2, 3, 3), 10.0)),
+        lambda: heatmap(FeatureMap(np.full((2, 6, 6), 1.5e308))),
+        lambda: cross_attention(Matrix(np.full((5, 4), 1e200)), Matrix(np.full((3, 4), 1e200)),
+                                AttentionParams.seeded(4, 4, 3, 1)),
+    ], ids=["conv2d", "heatmap", "cross_attention"])
+    def test_an_overflow_ends_in_a_typed_error(self, call):
+        for state in ("warn", "ignore"):
+            with warnings.catch_warnings(), np.errstate(all=state):
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteResultError):
+                    call()
+
+    def test_softmax_of_a_row_whose_shift_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = softmax_rows(Matrix([[1e308, -1e308]]))
+        assert out.data.tolist() == [[1.0, 0.0]]
+
+    @pytest.mark.parametrize("scale", [1.5e308, 1.7e308, 1e-300])
+    def test_high_freq_shift_reads_clean(self, scale):
+        rng = np.random.default_rng(80)
+        before, after = (FeatureMap(scale * rng.uniform(-1, 1, size=(3, 8, 8))) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shift = high_freq_shift(before, after, 0.25)
+        assert np.isfinite(shift)
 
 
 def run_counted(calls, x, per_channel=True, on_thread=lambda thread: None):

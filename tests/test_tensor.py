@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import channel_blocks, conv2d_reference, outcome
+from conftest import channel_blocks, conv2d_reference, outcome, softmax_rows_reference
 from freqadapt import (
     AdapterWeights,
     AttentionParams,
@@ -392,6 +392,29 @@ class TestSigmoid:
 
 
 class TestSoftmaxRows:
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 2.0, 2.0, -1.0]],  # a tie at the max
+        [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, -1.0]],  # signed zeros at the max
+        [[3.5], [-2.0], [0.0]],  # one column
+        [[1e308, -1e308], [-1e308, 1e308]],  # the shift overflows to -inf
+    ])
+    def test_edge_rows_bitwise_equal_the_reference(self, rows):
+        m = np.array(rows)
+        # tall copies take the column-wise max, the rows themselves max(axis=1)
+        for data in (m, np.tile(m, (64, 1)), np.tile(m, (1, 20))):
+            with np.errstate(all="ignore"):
+                want = softmax_rows_reference(Matrix(data)).data
+            assert softmax_rows(Matrix(data)).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1024, 8), (196, 8), (16, 1), (15, 1), (256, 16), (255, 16),
+                                       (4096, 17), (8, 1024), (100, 100), (3, 5)])
+    def test_bitwise_equals_the_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        m = rng.uniform(-40.0, 40.0, size=shape)
+        m[:, -1] = m[:, 0]  # a tie in every row
+        assert (softmax_rows(Matrix(m)).data.tobytes()
+                == softmax_rows_reference(Matrix(m)).data.tobytes())
+
     def test_uniform_on_equal_values(self):
         out = softmax_rows(Matrix(np.full((2, 4), 3.7)))
         assert np.abs(out.data - 0.25).max() < 1e-15
