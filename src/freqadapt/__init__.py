@@ -38,6 +38,7 @@ from .crossmodal import (
     cross_attention,
     crossmodal_forward,
     flatten_tokens,
+    high_fraction,
     high_freq_shift,
     spectral_normalize,
     unflatten_tokens,

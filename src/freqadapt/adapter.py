@@ -83,19 +83,18 @@ class AdapterWeights:
         """Gaussian weights scaled by 1/(C * k^2) per branch, identity-plus-noise projection."""
         if channels < 1:
             raise ValueError(f"channels must be >= 1, got {channels}")
-        ends = np.cumsum([channels * channels * k * k for _, k in _KERNELS])
-        flat = SplitMix64(seed).normal_array(int(ends[-1]))
-        # each part is scaled in place and frozen as the view of the one draw it is:
-        # the draw is fresh, so the copy __init__ makes is not needed
+        # times the reciprocal, as normal_array(n, scale) scales: dividing rounds differently
+        parts = SplitMix64(seed).normal_parts([(channels, channels, k, k) for _, k in _KERNELS],
+                                              [1.0 / (channels * k * k) for _, k in _KERNELS])
+        # each part is frozen as the view of the one draw it is: the draw is fresh,
+        # so the copy __init__ makes is not needed
         obj = cls.__new__(cls)
-        for (name, k), part in zip(_KERNELS, np.split(flat, ends[:-1])):
-            # times the reciprocal, as normal_array(n, scale) scales: dividing rounds differently
-            part *= 1.0 / (channels * k * k)
-            object.__setattr__(obj, name, part.reshape(channels, channels, k, k))
+        for (name, _), part in zip(_KERNELS, parts):
+            object.__setattr__(obj, name, part)
         noise = obj.proj
         noise *= 0.1
         np.add(np.eye(channels)[:, :, None, None], noise, out=noise)  # eye + 0.1 * noise
-        flat.flags.writeable = False  # so no view of the draw can be made writeable again
+        parts[0].base.flags.writeable = False  # so no view of the draw can be made writeable again
         obj._check(_frozen)
         return obj
 

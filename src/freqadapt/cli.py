@@ -31,8 +31,8 @@ from .adapter import STAGE_KINDS, PlacementConfig, AdapterWeights, adapter_forwa
 from .crossmodal import (
     NORM_SCOPES,
     AttentionParams,
-    _high_fraction,
     crossmodal_forward,
+    high_fraction,
 )
 from .errors import (DegenerateSpectrumError, NonFiniteResultError, ShapeMismatchError,
                      TensorFileError)
@@ -294,7 +294,7 @@ def _apply_transform(transform: str, cfg: dict, identity_hook: bool) -> tuple[Fe
     map only through stage 1.
     """
     x = _load(cfg["in"], FeatureMap)
-    before = _high_fraction(x, cfg["cut"])
+    before = high_fraction(x, cfg["cut"])
     seed = cfg["seed"]
     if transform == "style":
         if identity_hook:
@@ -334,7 +334,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     out, before = _apply_transform(args.transform, cfg, args.identity_hook)
     write_tensor(cfg["out"], out.data)
     c, h, w = out.shape
-    shift = _high_fraction(out, cfg["cut"]) - before  # high_freq_shift(input, out, cut)
+    shift = high_fraction(out, cfg["cut"]) - before  # high_freq_shift(input, out, cut)
     print(
         f"apply {args.transform} {c}x{h}x{w} min={out.data.min():.6g} "
         f"max={out.data.max():.6g} hf_shift@{cfg['cut']:g}={shift:+.6g} -> {cfg['out']}"

@@ -77,22 +77,21 @@ class AttentionParams:
     def seeded(cls, visual_dim: int, text_dim: int, d_k: int, seed: int) -> "AttentionParams":
         """Gaussian projections scaled by 1/sqrt(fan_in), from one seeded stream.
 
-        wq, wk, wv and wo are drawn in that order with one ``normal_array``
-        call; each part is scaled in place and frozen as the view of the
-        draw it is, as :meth:`~freqadapt.adapter.AdapterWeights.seeded` does.
+        wq, wk, wv and wo are drawn in that order with one
+        :meth:`~freqadapt.rng.SplitMix64.normal_parts` call, as
+        :meth:`~freqadapt.adapter.AdapterWeights.seeded` draws its kernels;
+        each part is frozen as the view of the draw it is.
         """
         if min(visual_dim, text_dim, d_k) < 1:
             raise ValueError(f"dims must be >= 1, got {(visual_dim, text_dim, d_k)}")
         shapes = ((visual_dim, d_k), (text_dim, d_k), (text_dim, d_k), (d_k, visual_dim))
-        ends = np.cumsum([rows * cols for rows, cols in shapes])
-        flat = SplitMix64(seed).normal_array(int(ends[-1]))
+        # the fan-in of each projection is its row count
+        parts = SplitMix64(seed).normal_parts(shapes, [1.0 / math.sqrt(rows) for rows, _ in shapes])
         obj = cls.__new__(cls)
-        for name, (rows, cols), part in zip(_PROJECTIONS, shapes, np.split(flat, ends[:-1])):
-            # times 1/sqrt(fan_in), as normal_array(n, scale) scales; the fan-in is the row count
-            part *= 1.0 / math.sqrt(rows)
-            object.__setattr__(obj, name, part.reshape(rows, cols))
+        for name, part in zip(_PROJECTIONS, parts):
+            object.__setattr__(obj, name, part)
         object.__setattr__(obj, "d_k", d_k)
-        flat.flags.writeable = False  # so no view of the draw can be made writeable again
+        parts[0].base.flags.writeable = False  # so no view of the draw can be made writeable again
         obj._check(_frozen)
         return obj
 
@@ -218,7 +217,7 @@ def crossmodal_forward(
     return spectral_normalize(_attend(x, xt, p), scope=scope)
 
 
-def _high_fraction(x: FeatureMap, radial_cut: float) -> float:
+def high_fraction(x: FeatureMap, radial_cut: float) -> float:
     """High-band share of the power spectrum, on half-spectrum amplitudes scaled to peak 1.
 
     Scaling by the peak keeps the squares finite for huge maps and keeps
@@ -243,9 +242,9 @@ def _high_fraction(x: FeatureMap, radial_cut: float) -> float:
 
 
 def high_freq_shift(x_before: FeatureMap, x_after: FeatureMap, radial_cut: float) -> float:
-    """Change in high-band energy fraction: after minus before."""
+    """Change in high-band energy fraction: ``high_fraction`` after minus before."""
     if x_before.shape != x_after.shape:
         raise ShapeMismatchError(
             f"shapes disagree: {x_before.shape} vs {x_after.shape}"
         )
-    return _high_fraction(x_after, radial_cut) - _high_fraction(x_before, radial_cut)
+    return high_fraction(x_after, radial_cut) - high_fraction(x_before, radial_cut)

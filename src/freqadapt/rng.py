@@ -21,10 +21,9 @@ streams: the same values, and the same state afterwards. They finalize
 their uint64 words in place, through one shift buffer and with no mask
 passes (numpy wraps uint64 arithmetic mod 2**64), and scale the results
 in place, so a draw allocates a few arrays, not one per arithmetic step.
-The normal sampler reads the word offsets of its polar pairs from two
-read-only step tables, ``_U_STEPS`` and ``_V_STEPS``, so the u and v of a
-chunk are two contiguous arrays; it maps their top 53 bits straight to
-2U - 1, which is exact. The Marsaglia-Tsang steps are written once, and
+The normal sampler builds the u words and the v words of a chunk's polar
+pairs as the two rows of one array, each row contiguous, and maps their
+top 53 bits straight to 2U - 1, which is exact. The Marsaglia-Tsang steps are written once, and
 read their draws in order from the scalar stream or from a window of
 words and polar normals drawn as arrays.
 """
@@ -86,16 +85,6 @@ def _unit_words(z: np.ndarray, shift: np.ndarray, scale: float) -> np.ndarray:
     u = z.view(np.int64).astype(np.float64)
     u *= scale
     return u
-
-
-# Polar pair i of a normal_array chunk reads words 2i + 1 (u) and 2i + 2 (v)
-# past the chunk's start state: that state plus these steps, one 64 KB row
-# each of one read-only array. Finalizing both rows as one array read
-# normal_array(21760) 7-8% slower than one row at a time.
-_STEPS = np.arange(1, 2 * _PAIR_CHUNK + 1, dtype=np.uint64).reshape(_PAIR_CHUNK, 2).T.copy()
-_STEPS *= _GOLDEN
-_STEPS.flags.writeable = False
-_U_STEPS, _V_STEPS = _STEPS
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -165,25 +154,34 @@ class SplitMix64:
 
         Polar pairs are drawn in chunks of at most ``_PAIR_CHUNK``; the
         accepted pairs are kept in order and the state is rewound to just
-        after the pair that gave the n-th variate. A chunk's u and v words
-        are its start state plus ``_U_STEPS`` and ``_V_STEPS``, so each side
-        is one contiguous array, mapped straight to 2U - 1: the top 53 bits
-        times 2**-52, minus 1, which is exactly ``2.0 * uniform() - 1.0``.
+        after the pair that gave the n-th variate. Pair i of a chunk reads
+        words 2i + 1 (u) and 2i + 2 (v) past the chunk's start state, so
+        its u words are the start plus ``(2i + 1) * golden``, from a step
+        array built once per call, and its v words are the u words plus
+        golden. The two are the rows of one array, finalized together and
+        mapped straight to 2U - 1: the top 53 bits times 2**-52, minus 1,
+        which is exactly ``2.0 * uniform() - 1.0``.
         Both paths take the log with ``np.log``, whose scalar and array
         kernels agree bitwise.
         """
         vals = np.empty(n, dtype=np.float64)
         # acceptance is pi/4, so this usually finishes in one chunk, and no later chunk is longer
-        shift = np.empty(min(_PAIR_CHUNK, n + n // 3 + 8), dtype=np.uint64)
+        first = min(_PAIR_CHUNK, n + n // 3 + 8)
+        steps = np.arange(1, 2 * first, 2, dtype=np.uint64)
+        steps *= _GOLDEN
+        words = np.empty((2, first), dtype=np.uint64)
+        shift = np.empty_like(words)
         done = 0
         while done < n:
             need = n - done
             start = self._state
             m = min(_PAIR_CHUNK, need + need // 3 + 8)
-            u = _unit_words(_U_STEPS[:m] + start, shift[:m], 2.0 ** -52)
-            v = _unit_words(_V_STEPS[:m] + start, shift[:m], 2.0 ** -52)
-            u -= 1.0
-            v -= 1.0
+            uv = words[:, :m]
+            np.add(steps[:m], start, out=uv[0])
+            np.add(uv[0], _GOLDEN, out=uv[1])
+            uv = _unit_words(uv, shift[:, :m], 2.0 ** -52)
+            uv -= 1.0
+            u, v = uv
             s = u * u
             s += v * v
             kept = np.flatnonzero((0.0 < s) & (s < 1.0))[:need]
@@ -200,6 +198,26 @@ class SplitMix64:
             r *= scale
             done += kept.size
         return vals
+
+    def normal_parts(self, shapes, scales) -> list[np.ndarray]:
+        """One :meth:`normal_array` draw cut into arrays of ``shapes``, each scaled in place.
+
+        Part i is bitwise equal to ``normal_array(size_i, scales[i])``, the
+        calls made in order, and the state ends where they leave it: a draw
+        at scale 1 times one multiply rounds as the scaled draw does. The
+        parts are writeable views of one fresh array, their common
+        ``base``; a caller that freezes them marks that base read-only
+        too, so no view of the draw can be made writeable again.
+        """
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = self.normal_array(sum(sizes))
+        parts, at = [], 0
+        for shape, size, scale in zip(shapes, sizes, scales):
+            part = flat[at:at + size]
+            part *= scale
+            parts.append(part.reshape(shape))
+            at += size
+        return parts
 
     def _polar_window(self, n: int) -> tuple[list, list, list]:
         """The next n uniforms, and the polar candidate of each word offset, as lists.

@@ -226,33 +226,17 @@ def silu(x: FeatureMap) -> FeatureMap:
     return FeatureMap._adopt(s)
 
 
-# softmax_rows takes its row max one column at a time when a matrix has at most
-# this many columns and at least 16 rows per column. Chain vs max(axis=1), p10 us
-# on a 2-vCPU Xeon VM: 196x8 10 vs 16, 1024x8 17 vs 78, 4096x16 82 vs 324, but
-# 16x8 18 vs 3, 196x16 21 vs 18, 4096x64 885 vs 435.
-_CHAIN_COLS = 16
-
-
 def softmax_rows(m: Matrix) -> Matrix:
     """Row-wise softmax with per-row max subtraction for stability.
 
-    The row max is exact, so it has the same bits in any order. On a tall
-    matrix with few columns (see ``_CHAIN_COLS``) it is taken as one
-    ``np.maximum`` per column over all rows, since ``max(axis=1)`` pays a
-    fixed cost per row; any other matrix takes ``max(axis=1)``. numpy's
-    overflow, invalid and divide warnings are off inside, so a shift that
-    overflows, as in [[1e308, -1e308]], gives exp(-inf) = 0 whatever the
-    warning filters are.
+    The row max is exact, so it has the same bits however numpy orders
+    its comparisons. numpy's overflow, invalid and divide warnings are off
+    inside, so a shift that overflows, as in [[1e308, -1e308]], gives
+    exp(-inf) = 0 whatever the warning filters are.
     """
     d = m.data
     with _quiet():
-        if d.shape[1] <= _CHAIN_COLS and 16 * d.shape[1] <= d.shape[0]:
-            top = d[:, :1].copy()
-            for j in range(1, d.shape[1]):
-                np.maximum(top, d[:, j:j + 1], out=top)
-        else:
-            top = d.max(axis=1, keepdims=True)
-        e = d - top
+        e = d - d.max(axis=1, keepdims=True)
         np.exp(e, out=e)
         e /= e.sum(axis=1, keepdims=True)
     return Matrix._adopt(e)

@@ -30,7 +30,7 @@ from freqadapt import (
     spectral_normalize,
     unflatten_tokens,
 )
-from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _high_fraction, _standardize
+from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize, high_fraction
 from freqadapt.spectral import _rfft2, _unit_phasors, mirror_weights
 from freqadapt.rng import SplitMix64
 from freqadapt.synth import gen_features, gen_text_tokens
@@ -429,8 +429,8 @@ class TestHighFreqShift:
         smooth = gen_features("smooth", *shape, 67).data
         huge = [FeatureMap(m / np.abs(m).max() * 1.5e308) for m in (noise, smooth)]
         with np.errstate(over="raise", invalid="raise"):
-            got = [_high_fraction(m, 0.25) for m in huge]
-        assert got == [_high_fraction(FeatureMap(np.ldexp(m.data, -1024)), 0.25) for m in huge]
+            got = [high_fraction(m, 0.25) for m in huge]
+        assert got == [high_fraction(FeatureMap(np.ldexp(m.data, -1024)), 0.25) for m in huge]
         want = high_freq_shift(FeatureMap(smooth), FeatureMap(noise), 0.25)
         assert abs(high_freq_shift(huge[1], huge[0], 0.25) - want) <= 1e-12
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gamma_reference, normal_array_reference, uniforms_reference
-from freqadapt.rng import (_GAMMA_WINDOW, _GOLDEN, _PAIR_CHUNK, _U_STEPS, _V_STEPS, SplitMix64,
+from freqadapt.rng import (_GAMMA_WINDOW, _GOLDEN, _PAIR_CHUNK, SplitMix64,
                            _finalize, _finalize_words)
 from freqadapt.style import sample_dirichlet
 
@@ -185,7 +185,7 @@ def chunk_ends(seed, chunks):
 
 
 class TestAgainstTheUnpairedDraws:
-    """normal_array and _uniforms give the bits and the state of the draws the step tables replaced."""
+    """normal_array and _uniforms give the bits and the state of the interleaved draws they replaced."""
 
     @pytest.mark.parametrize("seed", WRAP_STATES)
     def test_normal_array_on_both_sides_of_chunk_boundaries(self, seed):
@@ -218,13 +218,26 @@ class TestAgainstTheUnpairedDraws:
         assert same_bits(vec.gamma_array(shapes), want)
         assert vec._state == ref._state
 
-    def test_step_tables_hold_the_pair_offsets_read_only(self):
-        for table, first in ((_U_STEPS, 1), (_V_STEPS, 2)):
-            assert table.dtype == np.uint64 and table.size == _PAIR_CHUNK
-            for i in (0, 1, 4095, _PAIR_CHUNK - 1):
-                assert int(table[i]) == (first + 2 * i) * _GOLDEN % 2**64
-            with pytest.raises(ValueError):
-                table[0] = 0
+
+class TestNormalParts:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_bitwise_equals_one_scaled_draw_per_part(self, seed):
+        shapes, scales = [(3, 4), (1,), (2, 2, 5, 5), (7, 1)], [0.5, 3.0, 1.0 / 75, 1.0 / 3.0]
+        vec, ref = SplitMix64(seed), SplitMix64(seed)
+        parts = vec.normal_parts(shapes, scales)
+        for part, shape, scale in zip(parts, shapes, scales):
+            want = ref.normal_array(int(np.prod(shape)), scale).reshape(shape)
+            assert part.shape == shape and same_bits(part, want)
+        assert vec._state == ref._state
+
+    def test_parts_are_writeable_views_of_one_draw(self):
+        parts = SplitMix64(4).normal_parts([(2, 3), (4,)], [1.0, 2.0])
+        base = parts[0].base
+        assert base is not None and all(part.base is base for part in parts)
+        assert all(part.flags.writeable and part.flags.c_contiguous for part in parts)
+        base.flags.writeable = False
+        with pytest.raises(ValueError):
+            parts[1].flags.writeable = True
 
 
 class TestFinalize:

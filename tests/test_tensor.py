@@ -400,7 +400,6 @@ class TestSoftmaxRows:
     ])
     def test_edge_rows_bitwise_equal_the_reference(self, rows):
         m = np.array(rows)
-        # tall copies take the column-wise max, the rows themselves max(axis=1)
         for data in (m, np.tile(m, (64, 1)), np.tile(m, (1, 20))):
             with np.errstate(all="ignore"):
                 want = softmax_rows_reference(Matrix(data)).data
