@@ -16,9 +16,10 @@ Jacobian-vector products checked against Ridders' extrapolation of
 central differences, and a CLI (``freqadapt``) for synthetic data,
 transforms, heatmaps and the verification suites.
 
-The verification names (:mod:`~freqadapt.verify` and
-:mod:`~freqadapt.gradcheck`) load on first use, so a process that only
-runs the transforms never imports those modules.
+The verification names (those of :mod:`~freqadapt.verify`, the
+full-grid references ``fft2``, ``dft2_oracle`` and ``decompose`` among
+them, and those of :mod:`~freqadapt.gradcheck`) load on first use, so a
+process that only runs the transforms never imports those modules.
 """
 
 import importlib
@@ -51,14 +52,7 @@ from .errors import (
     TensorFileError,
 )
 from .rng import SplitMix64, mix_seed
-from .spectral import (
-    AMP_EPS,
-    amp_map,
-    decompose,
-    dft2_oracle,
-    fft2,
-    heatmap,
-)
+from .spectral import AMP_EPS, amp_map, heatmap
 from .style import (
     SCALE_MODES,
     channel_stats,
@@ -77,7 +71,8 @@ _LAZY = {
     **dict.fromkeys(("GRADCHECK_OPS", "GradReport", "fd_directional", "jvp_cross_attention",
                      "jvp_crossmodal", "jvp_silu", "jvp_style_transform", "run_gradcheck"),
                     "gradcheck"),
-    **dict.fromkeys(("SUITE_NAMES", "CheckResult", "run_suite"), "verify"),
+    **dict.fromkeys(("SUITE_NAMES", "CheckResult", "decompose", "dft2_oracle", "fft2",
+                     "run_suite"), "verify"),
 }
 
 # the public names imported above, less the submodules and importlib, and the lazy ones

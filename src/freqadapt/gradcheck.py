@@ -1,8 +1,9 @@
 """Analytic directional derivatives checked against Ridders' extrapolation of central differences.
 
 Each transform gets a hand-derived Jacobian-vector product (JVP); the two
-amplitude-spectrum JVPs run on :func:`~freqadapt.spectral.amp_map_jvp`
-with the forwards' own amplitude maps. The verifier contracts each JVP
+amplitude-spectrum JVPs run on :func:`amp_map_jvp` with the forwards' own
+amplitude maps, through the block core of
+:func:`~freqadapt.spectral.amp_map`. The verifier contracts each JVP
 with a random cotangent and compares against Ridders' extrapolation of
 the central finite differences of the same scalar at steps
 1e-4/1e-5/1e-6. Probes whose spectra contain bins with
@@ -35,8 +36,9 @@ from .crossmodal import (
     flatten_tokens,
     unflatten_tokens,
 )
+from .errors import ShapeMismatchError
 from .rng import SplitMix64, mix_seed
-from .spectral import _rfft2, _unit_phasors, amp_map_jvp, mirror_weights
+from .spectral import _rewrite_blocks, _rfft2, _unit_phasors, mirror_weights
 from .style import _amp_affine, _as_channel_vec, _style_coefficients, style_transform
 from .synth import gen_text_tokens
 from .tensor import FeatureMap, Matrix, _sigmoid, silu
@@ -113,7 +115,47 @@ def _ridders(diffs: list[float], ratio: float) -> tuple[float, int]:
     return best, at
 
 
+def _check_direction(x, direction) -> None:
+    """Raise ShapeMismatchError unless ``direction`` has the shape of the point ``x``."""
+    if direction.shape != x.shape:
+        raise ShapeMismatchError(
+            f"direction shape {direction.shape} does not match the input's {x.shape}")
+
+
+def amp_map_jvp(
+    x: FeatureMap, direction: FeatureMap, fn: Callable[[np.ndarray], np.ndarray], dfn: Callable
+) -> FeatureMap:
+    """Derivative of amp_map(x, fn) along ``direction``, through amp_map's block core.
+
+    ``dfn(a, da)`` is the derivative of ``fn`` at ``a`` along ``da``. A bin
+    u * a with unit phasor u becomes u * fn(a), so along a bin derivative
+    with amplitude part da and phase part dp it moves by
+    u * (dfn(a, da) + i * fn(a) * dp). ``fn`` runs before ``dfn``, so the
+    forward's guards fire first. It runs once, in its whole-map form
+    fn(a), on the whole map as one block: the zero-bin check fires before
+    it. The residue guard and the finiteness check are amp_map's.
+    """
+    _check_direction(x, direction)
+
+    def rewrite(z, channels):
+        dz = _rfft2(direction.data[channels])
+        re, im = z.real, z.imag
+        r2 = re * re + im * im
+        if np.any(r2 == 0.0):
+            raise ValueError("phase derivative undefined at zero-magnitude bins")
+        da = re * dz.real + im * dz.imag
+        dp = (re * dz.imag - im * dz.real) / r2
+        a = _unit_phasors(z)
+        da /= a
+        new = fn(a)
+        z *= dfn(a, da) + 1j * new * dp
+        return z
+
+    return _rewrite_blocks(x, rewrite, False)
+
+
 def jvp_silu(x: FeatureMap, direction: FeatureMap) -> FeatureMap:
+    _check_direction(x, direction)
     s = _sigmoid(x.data)
     return FeatureMap._adopt((s + x.data * s * (1.0 - s)) * direction.data)
 
@@ -141,8 +183,7 @@ def _normalize_jvp(a, da, scope: str, weight=1.0):
 def _attention_and_jvp(xv: Matrix, direction: Matrix, xt: Matrix,
                        p: AttentionParams) -> tuple[Matrix, Matrix]:
     """cross_attention(xv, xt, p) and its derivative along ``direction``, from one attention pass."""
-    if direction.data.shape != xv.data.shape:
-        raise ValueError("direction must match the visual token matrix shape")
+    _check_direction(xv, direction)
     k, v, attn = _attention_terms(xv, xt, p)
     ds = np.linalg.multi_dot([direction.data, p.wq, k.T]) / math.sqrt(p.d_k)
     d_attn = attn * (ds - (attn * ds).sum(axis=1, keepdims=True))
@@ -165,6 +206,7 @@ def jvp_crossmodal(
     scope: str = "channel",
 ) -> FeatureMap:
     """Derivative of the full cross-modal pipeline along ``direction``."""
+    _check_direction(x, direction)  # the token matrices alone miss a transposed plane
     u, du = _attention_and_jvp(flatten_tokens(x), flatten_tokens(direction), xt, p)
     h, w = x.height, x.width
     weight = mirror_weights(w)

@@ -8,7 +8,9 @@ unambiguous:
   channel on its own). :func:`amp_map` with a per-channel ``fn`` runs
   over blocks of consecutive channels, in channel order on the calling
   thread, so the first failing block raises; every other transform is
-  one call over all channels;
+  one call over all channels. That block loop is one core,
+  :func:`_rewrite_blocks`, which the amplitude-map JVP in
+  :mod:`freqadapt.gradcheck` runs too;
 * the forward transform is unnormalized (DC bin = sum of spatial values),
   the inverse carries the 1/(H*W) factor;
 * the shipped code works on the half spectrum, plain (C, H, W//2+1)
@@ -25,8 +27,9 @@ unambiguous:
   into a prefix of one spectrum buffer, sized for :func:`amp_map`'s
   largest block, which each thread keeps between calls
   (``np.fft`` takes ``out=`` from numpy 2.0 on, the package's floor);
-* the full-grid :func:`fft2`, :func:`dft2_oracle` and :func:`decompose`
-  are references, on plain arrays;
+* the full-grid references (``fft2``, ``dft2_oracle``, ``decompose``,
+  ``conjugate_asymmetry``) live in :mod:`freqadapt.verify`, which checks
+  this module against them; :func:`heatmap` calls ``np.fft.fft2`` itself;
 * amplitude is sqrt(re^2 + im^2 + 1e-24); the epsilon keeps the gradient
   of amplitude defined at zero bins and perturbs any bin with magnitude
   above 1e-6 by less than 1e-12;
@@ -49,8 +52,6 @@ from .tensor import FeatureMap, Matrix, _quiet
 
 AMP_EPS = 1e-24
 
-ORACLE_MAX_PLANE = 4096  # H*W guard for the quadratic-time oracle
-
 # Half-spectrum bytes per block of a per-channel amp_map. With 2 MB of L2
 # per core, a block's spectrum and the rescale's temporaries stay in cache.
 _BLOCK_BYTES = 512 * 1024
@@ -59,52 +60,13 @@ _BLOCK_BYTES = 512 * 1024
 _spectra = threading.local()
 
 
-def fft2(x: FeatureMap) -> np.ndarray:
-    """Full-grid (C, H, W) spectrum of the unnormalized forward transform.
-
-    A reference: the shipped transforms run on :func:`_rfft2`'s half.
-    """
-    return np.fft.fft2(x.data, axes=(1, 2))
-
-
-def dft2_oracle(x: FeatureMap) -> np.ndarray:
-    """Direct double-sum 2D DFT, the quadratic-time correctness oracle.
-
-    Evaluates the defining sums via explicit transform matrices; no fast
-    factorization of any kind is involved.
-    """
-    c, h, w = x.shape
-    if h * w > ORACLE_MAX_PLANE:
-        raise ValueError(f"oracle plane {h}x{w} exceeds guard of {ORACLE_MAX_PLANE} bins")
-    eh = np.exp(-2j * np.pi * np.outer(np.arange(h), np.arange(h)) / h)
-    ew = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(w)) / w)
-    out = np.empty((c, h, w), dtype=np.complex128)
-    for ch in range(c):
-        out[ch] = eh @ x.data[ch].astype(np.complex128) @ ew.T
-    return out
-
-
-def conjugate_asymmetry(z: np.ndarray) -> float:
-    """Max |Z(u, v) - conj(Z(-u, -v))| over a full-grid spectrum; ~0 for real maps."""
-    mirrored = np.roll(z[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2))
-    return float(np.abs(z - np.conj(mirrored)).max())
-
-
-def decompose(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(amplitude, phase) of a spectrum's bins."""
-    amp = np.sqrt(z.real**2 + z.imag**2 + AMP_EPS)
-    phase = np.arctan2(z.imag, z.real)
-    phase = np.where(phase == -np.pi, np.pi, phase)  # keep phase in (-pi, pi]
-    return amp, phase
-
-
 def _unit_phasors(z: np.ndarray) -> np.ndarray:
     """Replace each bin of ``z`` by its phase as a unit phasor, in place.
 
-    Returns the amplitude :func:`decompose` gives the bins. A bin becomes
-    z / |z|; one with |z| == 0 becomes copysign(1, re), the phase 0 or pi
-    that :func:`decompose` gives it. Dividing by |z| before any rescale
-    keeps bins of subnormal magnitude finite.
+    Returns the amplitude :func:`freqadapt.verify.decompose` gives the
+    bins. A bin becomes z / |z|; one with |z| == 0 becomes copysign(1, re),
+    the phase 0 or pi that ``decompose`` gives it. Dividing by |z| before
+    any rescale keeps bins of subnormal magnitude finite.
     """
     re, im = z.real, z.imag
     amp = re**2
@@ -220,12 +182,12 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     """Rewrite a map's amplitude spectrum with ``fn`` and reconstruct it.
 
     ``fn`` maps the half-spectrum amplitude, shape (C, H, W//2+1) and
-    computed as :func:`decompose` computes it, to the new amplitude; the
-    mirrored bins follow by conjugate symmetry, so the result is real by
-    construction. Each bin keeps its phase as z/|z|, and for an ``fn``
-    that treats mirrored bins alike the result equals the full-grid
-    inverse transform of fn(amp) * exp(i * phase), with (amp, phase) =
-    decompose(fft2(x)), up to rounding. An
+    computed as :func:`freqadapt.verify.decompose` computes it, to the new
+    amplitude; the mirrored bins follow by conjugate symmetry, so the
+    result is real by construction. Each bin keeps its phase as z/|z|, and
+    for an ``fn`` that treats mirrored bins alike the result equals the
+    full-grid inverse transform of fn(amp) * exp(i * phase), with (amp,
+    phase) = decompose(fft2(x)), up to rounding. An
     ``fn`` that breaks the symmetry of a self-mirrored column (v = 0, and
     v = W/2 when W is even) by more than 1e-8 of the output magnitude,
     measured as :func:`_mirror_residue`, raises
@@ -257,6 +219,20 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     error, the output's :class:`~freqadapt.errors.NonFiniteResultError`
     or one ``fn`` raises, whatever the caller's warning filters are.
     """
+    return _rewrite_blocks(x, lambda z, channels: _rescale(
+        z, (lambda a: fn(a, channels)) if per_channel else fn), per_channel)
+
+
+def _rewrite_blocks(x: FeatureMap, rewrite: Callable[[np.ndarray, slice], np.ndarray],
+                    per_channel: bool) -> FeatureMap:
+    """The map whose half spectrum, block by block, is rewrite(z, channels); :func:`amp_map`'s core.
+
+    ``rewrite`` gets the half spectrum ``z`` of the channels ``channels``
+    of ``x``, in the kept buffer, and returns the spectrum to invert, which
+    it may write into ``z``. The blocks follow :func:`amp_map`'s plan when
+    ``per_channel`` is set, and are one block of all channels otherwise;
+    the residue guard and the finiteness check are :func:`amp_map`'s.
+    """
     c, h, w = x.shape
     out = np.empty(x.shape)
     step = c
@@ -270,8 +246,7 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
     with _quiet():
         for c0 in range(0, c, step):
             channels = slice(c0, min(c0 + step, c))
-            z = _rescale(_rfft2(x.data[channels], spectrum[:channels.stop - c0]),
-                         (lambda a: fn(a, channels)) if per_channel else fn)
+            z = rewrite(_rfft2(x.data[channels], spectrum[:channels.stop - c0]), channels)
             # max drops a NaN residue, which cannot change the outcome: it comes
             # from a non-finite self-mirrored bin, which the inverse spreads into
             # out, so scale is NaN or inf, no residue exceeds it, and _adopt raises
@@ -285,33 +260,6 @@ def amp_map(x: FeatureMap, fn: Callable[..., np.ndarray], per_channel: bool = Fa
             f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"
         )
     return FeatureMap._adopt(out, scale)  # a finite scale stands for the finiteness scan
-
-
-def amp_map_jvp(
-    x: FeatureMap, direction: FeatureMap, fn: Callable[[np.ndarray], np.ndarray], dfn: Callable
-) -> FeatureMap:
-    """Derivative of amp_map(x, fn) along ``direction``.
-
-    ``dfn(a, da)`` is the derivative of ``fn`` at ``a`` along ``da``. A bin
-    u * a with unit phasor u becomes u * fn(a), so along a bin derivative
-    with amplitude part da and phase part dp it moves by
-    u * (dfn(a, da) + i * fn(a) * dp). ``fn`` runs before ``dfn``, so the
-    forward's guards fire first. It runs once, in its whole-map form
-    fn(a), on the whole map: the zero-bin check fires before it.
-    """
-    out = np.empty(x.shape)
-    z = _rfft2(x.data)
-    dz = _rfft2(direction.data)
-    re, im = z.real, z.imag
-    r2 = re * re + im * im
-    if np.any(r2 == 0.0):
-        raise ValueError("phase derivative undefined at zero-magnitude bins")
-    da = re * dz.real + im * dz.imag
-    dp = (re * dz.imag - im * dz.real) / r2
-    a = _unit_phasors(z)
-    da /= a
-    new = fn(a)
-    return FeatureMap._adopt(_irfft2(z * (dfn(a, da) + 1j * new * dp), out))
 
 
 def _radius_grid(h: int, w: int) -> np.ndarray:
@@ -359,5 +307,5 @@ def heatmap(x: FeatureMap) -> Matrix:
     whatever the warning filters are.
     """
     with _quiet():
-        avg = np.log1p(np.abs(fft2(x))).mean(axis=0)
+        avg = np.log1p(np.abs(np.fft.fft2(x.data, axes=(1, 2)))).mean(axis=0)
     return Matrix._adopt(np.fft.fftshift(avg))

@@ -3,8 +3,11 @@
 Each check draws its own seeded corpus, measures the quantity its
 contract pins, and reports pass/fail with the measured value, so a run's
 output doubles as evidence. The independent references live here too:
-the direct-DFT oracle comparison, a scalar-loop attention recomputation,
-and the pinned golden values for the documented random streams.
+the full-grid transform :func:`fft2` with :func:`decompose` and
+:func:`conjugate_asymmetry`, the direct-DFT oracle :func:`dft2_oracle`,
+a scalar-loop attention recomputation, and the pinned golden values for
+the documented random streams, read from the ``golden.json`` of the
+package this module belongs to.
 """
 
 from __future__ import annotations
@@ -30,17 +33,7 @@ from .crossmodal import (
 from .errors import DegenerateSpectrumError
 from .gradcheck import GRAD_TOL, GRADCHECK_OPS, MIN_CONVERGED, run_gradcheck
 from .rng import mix_seed
-from .spectral import (
-    _irfft2,
-    _mirror_residue,
-    _rfft2,
-    _unit_phasors,
-    conjugate_asymmetry,
-    decompose,
-    dft2_oracle,
-    fft2,
-    mirror_weights,
-)
+from .spectral import AMP_EPS, _irfft2, _mirror_residue, _rfft2, _unit_phasors, mirror_weights
 from .style import sample_dirichlet, style_diversify, style_transform
 from .synth import gen_features, gen_text_tokens
 from .tensor import FeatureMap, Matrix
@@ -49,6 +42,48 @@ from .tensorfile import read_tensor, write_tensor
 # corpus used by the high-frequency emphasis checks: low-passed noise with a
 # constant channel lift, i.e. a smooth activation-like map whose DC dominates
 _HF_CORPUS = dict(channels=4, height=8, width=8, lift=4.0, tokens=8, text_dim=16, d_k=64)
+
+ORACLE_MAX_PLANE = 4096  # H*W guard for the quadratic-time oracle
+
+
+def fft2(x: FeatureMap) -> np.ndarray:
+    """Full-grid (C, H, W) spectrum of the unnormalized forward transform.
+
+    A reference: the shipped transforms run on the half spectrum of
+    :func:`freqadapt.spectral._rfft2`.
+    """
+    return np.fft.fft2(x.data, axes=(1, 2))
+
+
+def dft2_oracle(x: FeatureMap) -> np.ndarray:
+    """Direct double-sum 2D DFT, the quadratic-time correctness oracle.
+
+    Evaluates the defining sums via explicit transform matrices; no fast
+    factorization of any kind is involved.
+    """
+    c, h, w = x.shape
+    if h * w > ORACLE_MAX_PLANE:
+        raise ValueError(f"oracle plane {h}x{w} exceeds guard of {ORACLE_MAX_PLANE} bins")
+    eh = np.exp(-2j * np.pi * np.outer(np.arange(h), np.arange(h)) / h)
+    ew = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(w)) / w)
+    out = np.empty((c, h, w), dtype=np.complex128)
+    for ch in range(c):
+        out[ch] = eh @ x.data[ch].astype(np.complex128) @ ew.T
+    return out
+
+
+def conjugate_asymmetry(z: np.ndarray) -> float:
+    """Max |Z(u, v) - conj(Z(-u, -v))| over a full-grid spectrum; ~0 for real maps."""
+    mirrored = np.roll(z[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2))
+    return float(np.abs(z - np.conj(mirrored)).max())
+
+
+def decompose(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(amplitude, phase) of a spectrum's bins."""
+    amp = np.sqrt(z.real**2 + z.imag**2 + AMP_EPS)
+    phase = np.arctan2(z.imag, z.real)
+    phase = np.where(phase == -np.pi, np.pi, phase)  # keep phase in (-pi, pi]
+    return amp, phase
 
 
 @dataclass(frozen=True)
@@ -383,7 +418,7 @@ def check_io(seed: int = 0) -> list[CheckResult]:
         ok = ok and read_tensor(path).tobytes() == special.tobytes()
     results.append(CheckResult("tensorfile_roundtrip", ok, "bitwise, incl. signed zeros/denormals"))
 
-    golden = json.loads(resources.files("freqadapt").joinpath("golden.json").read_text())
+    golden = json.loads(resources.files(__package__).joinpath("golden.json").read_text())
 
     g = golden["dirichlet"]
     w = sample_dirichlet(g["alpha"], g["seed"])

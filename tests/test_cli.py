@@ -1,5 +1,7 @@
 import gc
+import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -542,6 +544,30 @@ class TestVerifyAndGradcheck:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("op_name")
         assert lines[1].startswith("silu")
+
+    def test_check_io_reads_the_golden_file_of_its_own_copy(self, tmp_path):
+        # a copy of the package loaded under another name, as an in-process A/B of two
+        # trees loads it, checks its own golden values, not those of the freqadapt on the path
+        copy = tmp_path / "fa_copy"
+        shutil.copytree(os.path.dirname(freqadapt.__file__), copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        golden = json.loads((copy / "golden.json").read_text())
+        golden["noise"]["values"][0] += 1.0
+        (copy / "golden.json").write_text(json.dumps(golden))
+        run_python(f"""
+import importlib.util
+import sys
+
+spec = importlib.util.spec_from_file_location(
+    "fa_copy", {str(copy / "__init__.py")!r}, submodule_search_locations=[{str(copy)!r}])
+sys.modules["fa_copy"] = package = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(package)
+from fa_copy.verify import check_io
+
+passed = {{check.name: check.passed for check in check_io(0)}}
+assert passed == {{"tensorfile_roundtrip": True, "golden_dirichlet": True,
+                   "golden_noise": False, "golden_checker": True}}, passed
+""")
 
     def test_module_entrypoint_subprocess(self, tmp_path):
         out = tmp_path / "x.ftns"

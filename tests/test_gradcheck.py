@@ -10,6 +10,7 @@ from freqadapt import (
     DegenerateSpectrumError,
     FeatureMap,
     Matrix,
+    ShapeMismatchError,
     fd_directional,
     jvp_cross_attention,
     jvp_crossmodal,
@@ -19,8 +20,8 @@ from freqadapt import (
     style_transform,
 )
 from freqadapt.crossmodal import _group_mean, _standardize
-from freqadapt.gradcheck import GRAD_TOL, GRADCHECK_OPS, _normalize_jvp, _ridders
-from freqadapt.spectral import _rfft2, _unit_phasors, amp_map_jvp, mirror_weights
+from freqadapt.gradcheck import GRAD_TOL, GRADCHECK_OPS, _normalize_jvp, _ridders, amp_map_jvp
+from freqadapt.spectral import _rfft2, _unit_phasors, mirror_weights
 from freqadapt.synth import gen_text_tokens
 
 SMALL_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9))
@@ -245,6 +246,40 @@ class TestJvps:
         point, tangent = _attention_and_jvp(xv, d, xt, p)
         assert np.array_equal(point.data, cross_attention(xv, xt, p).data)
         assert np.array_equal(tangent.data, jvp_cross_attention(xv, d, xt, p).data)
+
+
+# the map JVPs, each as jvp(x, d, xt, p); xt and p feed the cross-modal one
+MAP_JVPS = {
+    "amp_map_jvp": lambda x, d, xt, p: amp_map_jvp(x, d, lambda a: a, lambda a, da: da),
+    "jvp_style_transform": lambda x, d, xt, p: jvp_style_transform(x, d, 0.0, 1.0),
+    "jvp_silu": lambda x, d, xt, p: jvp_silu(x, d),
+    "jvp_crossmodal": lambda x, d, xt, p: jvp_crossmodal(x, d, xt, p),
+}
+
+
+class TestDirectionShape:
+    """A direction of another shape than the point raises; none is broadcast or truncated."""
+
+    @pytest.mark.parametrize("name", MAP_JVPS)
+    # the last pair, a transposed plane, flattens to token matrices of one shape
+    @pytest.mark.parametrize("shape, direction_shape", [
+        ((3, 8, 8), (1, 8, 8)), ((3, 8, 8), (3, 1, 8)), ((3, 8, 8), (4, 8, 8)),
+        ((3, 4, 8), (3, 8, 4))])
+    def test_map_jvps_reject_a_direction_of_another_shape(self, name, shape, direction_shape):
+        rng = np.random.default_rng(97)
+        x = FeatureMap(rng.uniform(-1, 1, size=shape))
+        d = FeatureMap(rng.uniform(-1, 1, size=direction_shape))
+        xt = Matrix(rng.uniform(-1, 1, size=(5, 4)))
+        with pytest.raises(ShapeMismatchError, match="direction shape"):
+            MAP_JVPS[name](x, d, xt, AttentionParams.seeded(3, 4, 8, 1))
+
+    def test_cross_attention_rejects_a_direction_of_another_shape(self):
+        rng = np.random.default_rng(99)
+        with pytest.raises(ShapeMismatchError, match="direction shape"):
+            jvp_cross_attention(Matrix(rng.uniform(-1, 1, size=(8, 4))),
+                                Matrix(rng.uniform(-1, 1, size=(4, 8))),
+                                Matrix(rng.uniform(-1, 1, size=(5, 3))),
+                                AttentionParams.seeded(4, 3, 4, 1))
 
 
 class TestRidders:

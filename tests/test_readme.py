@@ -1,8 +1,11 @@
 import importlib
 import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
+
+import numpy as np
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
@@ -43,6 +46,39 @@ def test_every_export_is_in_module_map():
     assert len(exported) >= 40
     missing = [name for name in exported if not any(matches(n, name) for n in listed)]
     assert missing == []
+
+
+def dotted_names():
+    """The backticked dotted names in README; `spectral.amp_map(x, fn)` gives `spectral.amp_map`."""
+    return re.findall(r"`(\w+(?:\.\w+)+)(?:\([^`]*\))?`", README.read_text())
+
+
+def resolves(dotted):
+    """Whether getattr finds ``dotted`` from its head.
+
+    The head is `np`, `freqadapt`, a freqadapt module, or a name one of them defines.
+    """
+    import freqadapt
+
+    modules = {"np": np, "freqadapt": freqadapt}
+    for info in pkgutil.iter_modules(freqadapt.__path__):
+        if not info.name.startswith("_"):  # importing __main__ would run the CLI
+            modules[info.name] = importlib.import_module(f"freqadapt.{info.name}")
+    head, *rest = dotted.split(".")
+    # a head that names no module is a name a module defines, as in `AdapterWeights.seeded`
+    objs = [modules[head]] if head in modules else [vars(m)[head] for m in modules.values()
+                                                      if head in vars(m)]
+    for part in rest:
+        objs = [getattr(obj, part) for obj in objs if hasattr(obj, part)]
+    return bool(objs)
+
+
+def test_dotted_names_resolve():
+    names = dotted_names()
+    assert {"gradcheck.amp_map_jvp", "freqadapt.cli.EXIT_CODES", "np.fft.fft2"} <= set(names)
+    assert [name for name in names if not resolves(name)] == []
+    # the check itself tells a stale name from a live one
+    assert not resolves("spectral.amp_map_jvp") and not resolves("freqadapt.cli.NO_SUCH_NAME")
 
 
 def test_config_keys_match_parsers():

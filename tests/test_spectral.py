@@ -43,19 +43,18 @@ from freqadapt import (
     style_diversify,
     style_transform,
 )
-from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize
-from freqadapt.gradcheck import _normalize_jvp
+from freqadapt.crossmodal import NORM_SCOPES, _group_mean, _standardize, flatten_tokens
+from freqadapt.gradcheck import _normalize_jvp, amp_map_jvp, jvp_style_transform
 from freqadapt.spectral import (
     _band_masks,
     _band_split,
     _rescale,
     _rfft2,
     _unit_phasors,
-    amp_map_jvp,
-    conjugate_asymmetry,
     mirror_weights,
 )
 from freqadapt.style import _amp_affine
+from freqadapt.verify import conjugate_asymmetry
 
 
 def idft2_reference(z):
@@ -626,19 +625,61 @@ class TestWarningFilters:
         with np.errstate(all="ignore"):
             assert outcomes_with_warnings_as_errors(x) == default
 
-    # calls outside amp_map whose numpy operations overflow on these inputs
+    # calls other than AMP_MAP_CALLS whose numpy operations overflow on these inputs; the
+    # JVP runs amp_map's block core
     @pytest.mark.parametrize("call", [
         lambda: conv2d(FeatureMap(np.full((2, 5, 5), 1e307)), np.full((2, 2, 3, 3), 10.0)),
         lambda: heatmap(FeatureMap(np.full((2, 6, 6), 1.5e308))),
         lambda: cross_attention(Matrix(np.full((5, 4), 1e200)), Matrix(np.full((3, 4), 1e200)),
                                 AttentionParams.seeded(4, 4, 3, 1)),
-    ], ids=["conv2d", "heatmap", "cross_attention"])
+        lambda: jvp_style_transform(
+            FeatureMap(1e155 * np.random.default_rng(77).uniform(-1, 1, size=(3, 8, 8))),
+            FeatureMap(np.random.default_rng(78).uniform(-1, 1, size=(3, 8, 8))), 0.0, 1.0),
+    ], ids=["conv2d", "heatmap", "cross_attention", "jvp_style_transform"])
     def test_an_overflow_ends_in_a_typed_error(self, call):
         for state in ("warn", "ignore"):
             with warnings.catch_warnings(), np.errstate(all=state):
                 warnings.simplefilter("error")
                 with pytest.raises(NonFiniteResultError):
                     call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.integers(1, 4), h=st.integers(1, 9), w=st.integers(1, 9),
+           scale=st.integers(-300, 300).map(lambda e: 10.0**e) | st.just(0.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(c=3, h=1, w=8, scale=1e300, seed=1)
+    @example(c=2, h=7, w=1, scale=1e-300, seed=2)
+    @example(c=3, h=8, w=8, scale=1e155, seed=3)
+    @example(c=4, h=9, w=6, scale=1e200, seed=4)
+    def test_python_api_result_or_typed_error_at_any_scale(self, c, h, w, scale, seed):
+        # test_cli_fuzz.py::test_payload_scales on the Python API: each call gives a finite
+        # result or a typed error, with every warning an error
+        rng = np.random.default_rng(seed)
+        x = FeatureMap(scale * rng.uniform(-1, 1, size=(c, h, w)))
+        kernel = rng.uniform(-1, 1, size=(c, c, 3, 3))
+        text = Matrix(rng.uniform(-1, 1, size=(5, 4)))
+        params = AttentionParams.seeded(c, 4, 8, seed)
+        direction = FeatureMap(rng.uniform(-1, 1, size=(c, h, w)))
+        for name, call in {
+            "conv2d": lambda: conv2d(x, kernel),
+            "cross_attention": lambda: cross_attention(flatten_tokens(x), text, params),
+            "softmax_rows": lambda: softmax_rows(Matrix(x.data.reshape(c, -1))),
+            "heatmap": lambda: heatmap(x),
+            "jvp_style_transform": lambda: jvp_style_transform(x, direction, 0.5, 2.0),
+        }.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out = call()
+                except TYPED_ERRORS:
+                    continue
+                except ValueError as exc:
+                    # the JVP's own guard, a plain ValueError: below about 1e-160 a bin's
+                    # re^2 + im^2 underflows to 0, and at scale 0 the bins are 0
+                    assert name == "jvp_style_transform" and scale < 1e-150, (name, exc)
+                    assert str(exc) == "phase derivative undefined at zero-magnitude bins"
+                    continue
+            assert np.all(np.isfinite(out.data)), name
 
     def test_softmax_of_a_row_whose_shift_overflows(self):
         with warnings.catch_warnings():
