@@ -10,9 +10,9 @@ defaults. Config files hold one ``key = value`` per line with ``#``
 comments; later keys override earlier ones and unknown keys are
 rejected.
 
-A command's arguments are set up the first time that command is parsed,
-and ``verify`` and ``gradcheck`` import their modules when they run, so
-``gen``, ``apply`` and ``heatmap`` never load the verification code.
+``verify`` and ``gradcheck`` import their modules when they run, and
+the ``--suite`` and ``--ops`` values import theirs when they are parsed,
+so ``gen``, ``apply`` and ``heatmap`` never load the verification code.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import argparse
 import functools
 import math
 import sys
-import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -109,6 +108,12 @@ def _parse_ops(text: str) -> tuple[str, ...]:
     return ops
 
 
+def _parse_suite(text: str) -> str:
+    from .verify import SUITE_NAMES
+
+    return _one_of("suite", SUITE_NAMES)(text)
+
+
 def _parse_seed(text: str) -> int:
     try:
         return int(text, 0) & ((1 << 64) - 1)
@@ -144,22 +149,8 @@ class _Param(NamedTuple):
     help: str
 
 
-def _suite_param() -> _Param:
-    from .verify import SUITE_NAMES
-
-    return _Param(_one_of("suite", SUITE_NAMES), "all", "|".join(SUITE_NAMES),
-                  "verification suite")
-
-
-def _ops_param() -> _Param:
-    from .gradcheck import GRADCHECK_OPS
-
-    return _Param(_parse_ops, GRADCHECK_OPS, "op1,op2,...", "gradcheck ops")
-
-
 # every command parameter, declared once: a config key, and the long flag
-# --key (underscores as dashes) on each command that lists it in _COMMAND_KEYS;
-# a function stands for a parameter built from the verification modules (_param)
+# --key (underscores as dashes) on each command that lists it in _COMMAND_KEYS
 _PARAMS = {
     "seed": _Param(_parse_seed, 0, "N", "64-bit seed"),
     "alpha": _Param(_parse_alpha, None, "A1,A2,...",
@@ -179,8 +170,8 @@ _PARAMS = {
     "csv": _Param(str, None, "FILE", "full-precision CSV output"),
     "probes": _Param(_number("probes", int, lambda v: v >= 1, ">= 1"), 50, "N",
                      "gradcheck probes"),
-    "ops": _ops_param,
-    "suite": _suite_param,
+    "ops": _Param(_parse_ops, None, "op1,op2,...", "gradcheck ops (default all)"),
+    "suite": _Param(_parse_suite, "all", "NAME", "verification suite"),
     "norm_scope": _Param(_one_of("norm_scope", NORM_SCOPES), "channel", "|".join(NORM_SCOPES),
                          "crossmodal amplitude standardization scope"),
     "scale_mode": _Param(_one_of("scale_mode", SCALE_MODES), "times_C", "|".join(SCALE_MODES),
@@ -196,11 +187,13 @@ _COMMAND_KEYS = {
     "gradcheck": ("seed", "ops", "probes", "csv"),
 }
 
-
-def _param(key: str) -> _Param:
-    """The parameter ``key`` of ``_PARAMS``, built there and then if it is a verification one."""
-    param = _PARAMS[key]
-    return param() if callable(param) else param
+# the keys each apply transform reads besides seed, in, out and cut
+_TRANSFORM_KEYS = {
+    "style": ("alpha", "scale_mode"),
+    "crossmodal": ("dk", "text", "norm_scope"),
+    "plain": (),
+    "stack": ("alpha", "dk", "stage", "text"),
+}
 
 
 def _flag(key: str) -> str:
@@ -210,8 +203,8 @@ def _flag(key: str) -> str:
 def _show(value) -> str:
     """A default as it would be typed on the command line."""
     if isinstance(value, dict):
-        value = [f"{i}={kind}" for i, kind in value.items()]
-    return ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+        return ",".join(f"{i}={kind}" for i, kind in value.items())
+    return str(value)
 
 
 def _flag_type(parse: Callable[[str], object]) -> Callable[[str], object]:
@@ -241,7 +234,7 @@ def _read_config_file(path: str) -> dict:
         if key not in _PARAMS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _param(key).parse(value.strip())  # later keys override earlier ones
+            values[key] = _PARAMS[key].parse(value.strip())  # later keys override earlier ones
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
@@ -249,7 +242,7 @@ def _read_config_file(path: str) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Parameter values: the command's defaults, then the config file, then the flags given."""
-    cfg = {key: _param(key).default for key in _COMMAND_KEYS[args.command]}
+    cfg = {key: _PARAMS[key].default for key in _COMMAND_KEYS[args.command]}
     if args.config:
         cfg.update(_read_config_file(args.config))
     cfg.update((key, value) for key, value in vars(args).items() if key in _PARAMS)
@@ -329,6 +322,14 @@ def _apply_transform(transform: str, cfg: dict, identity_hook: bool) -> tuple[Fe
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
+    # a given flag the transform does not read is an error; only given flags are in the
+    # namespace, so the same key in a config file stays allowed
+    reads = ("seed", "in", "out", "cut", *_TRANSFORM_KEYS[args.transform])
+    unread = [_flag(key) for key in vars(args) if key in _PARAMS and key not in reads]
+    if args.identity_hook and args.transform != "style":
+        unread.append("--identity-hook")
+    if unread:
+        raise ValueError(f"apply {args.transform} does not read {', '.join(unread)}")
     cfg = _merge_config(args)
     _require(cfg, "in", "out")
     out, before = _apply_transform(args.transform, cfg, args.identity_hook)
@@ -387,10 +388,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     import csv
 
-    from .gradcheck import GRAD_TOL, run_gradcheck
+    from .gradcheck import GRAD_TOL, GRADCHECK_OPS, run_gradcheck
 
     cfg = _merge_config(args)
-    reports = run_gradcheck(cfg["ops"], seed=cfg["seed"], probes=cfg["probes"])
+    reports = run_gradcheck(cfg["ops"] or GRADCHECK_OPS, seed=cfg["seed"], probes=cfg["probes"])
     print(f"{'op':<18} {'probes':>6} {'max_rel_err':>12} {'best_step':>10} {'converged':>10}")
     for r in reports:
         print(
@@ -410,52 +411,18 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, which adds the command's arguments the first time it parses."""
-
-    def __init__(self, *, command: str, **kwargs):
-        super().__init__(**kwargs)
-        self._command = command  # None once the arguments are in
-        self._adding = threading.Lock()
-
-    def parse_known_args(self, args=None, namespace=None):
-        with self._adding:
-            if self._command is not None:
-                self._add_arguments(self._command)
-                self._command = None
-        return super().parse_known_args(args, namespace)
-
-    def _add_arguments(self, command: str) -> None:
-        if command == "apply":
-            self.add_argument("transform", choices=("style", "crossmodal", "plain", "stack"))
-            self.add_argument("--identity-hook", action="store_true",
-                              help="style only: force the identity affine map (verification hook)")
-        self.add_argument("--config", metavar="FILE", help="key = value config file")
-        for key in _COMMAND_KEYS[command]:
-            param = _param(key)
-            help_text = param.help
-            if param.default is not None:
-                help_text += f" (default {_show(param.default)})"
-            # unset flags stay out of the namespace, so only given flags override the file
-            self.add_argument(_flag(key), dest=key, type=_flag_type(param.parse),
-                              default=argparse.SUPPRESS, metavar=param.metavar, help=help_text)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after it.
+    """The command-line parser, built whole on the first call and shared after it.
 
-    Each command's arguments are added the first time that command is
-    parsed (:class:`_CommandParser`), so a process sets up only the
-    commands it runs. Parsing keeps no other state in the parser: each
-    call fills a fresh namespace, so one parser serves every ``main``
-    call in a process.
+    Parsing keeps no state in the parser: each call fills a fresh
+    namespace, so one parser serves every ``main`` call in a process.
     """
     parser = argparse.ArgumentParser(
         prog="freqadapt",
         description="Frequency-domain feature adapters on synthetic feature maps",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     commands = (
         ("gen", cmd_gen, "generate a synthetic feature map"),
         ("apply", cmd_apply, "apply a transform to a tensor file"),
@@ -463,8 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, "run a verification suite"),
         ("gradcheck", cmd_gradcheck, "finite-difference gradient report"),
     )
-    for name, func, help_text in commands:
-        sub.add_parser(name, help=help_text, command=name).set_defaults(func=func)
+    for name, func, summary in commands:
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(func=func)
+        if name == "apply":
+            command.add_argument("transform", choices=tuple(_TRANSFORM_KEYS))
+            command.add_argument("--identity-hook", action="store_true",
+                                 help="style only: force the identity affine map "
+                                      "(verification hook)")
+        command.add_argument("--config", metavar="FILE", help="key = value config file")
+        for key in _COMMAND_KEYS[name]:
+            param = _PARAMS[key]
+            help_text = param.help
+            if param.default is not None:
+                help_text += f" (default {_show(param.default)})"
+            # unset flags stay out of the namespace, so only given flags override the file
+            command.add_argument(_flag(key), dest=key, type=_flag_type(param.parse),
+                                 default=argparse.SUPPRESS, metavar=param.metavar,
+                                 help=help_text)
     return parser
 
 
@@ -478,7 +461,7 @@ def main(argv=None) -> int:
     fails the finiteness check it is adopted through
     (:class:`NonFiniteResultError`).
 
-    The parser is built once per process and binds each subcommand's
+    The parser is built whole once per process and binds each subcommand's
     ``cmd_*`` function when it is built, so patching a ``cmd_*`` name later
     does not change what ``main`` runs. Tests that monkeypatch a ``cmd_*``
     function bypass the shared parser: they call the function themselves

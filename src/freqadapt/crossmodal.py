@@ -225,8 +225,11 @@ def high_fraction(x: FeatureMap, radial_cut: float) -> float:
     transform that overflows (max|x| near the largest float) is redone on
     x * 2**-e, e the exponent of max|x|: a power of two scales exactly, so
     the share is the one the transform would have given without overflow.
+    ``radial_cut`` is checked before any transform.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone below
+    if not 0.0 < radial_cut < 1.0:
+        raise ValueError(f"radial_cut must be in (0, 1), got {radial_cut}")
+    with _quiet():  # an overflow is redone below
         m = np.abs(_rfft2(x.data))
     peak = m.max()
     if not np.isfinite(peak):

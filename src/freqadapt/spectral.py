@@ -286,10 +286,9 @@ def _band_split(power: np.ndarray, width: int, radial_cut: float) -> tuple[float
 
     The radius is the same at (u, v) and (-u, -v), so each half-spectrum
     bin stands for its mirror too and weighs :func:`mirror_weights`. The
-    masks and weights of the last 32 (H, W, cut) are kept.
+    masks and weights of the last 32 (H, W, cut) are kept. The caller,
+    :func:`~freqadapt.crossmodal.high_fraction`, checks ``radial_cut``.
     """
-    if not 0.0 < radial_cut < 1.0:
-        raise ValueError(f"radial_cut must be in (0, 1), got {radial_cut}")
     low_mask, high_mask, weights = _band_masks(power.shape[1], width, radial_cut)
     weighted = power * weights
     low = float(weighted[:, low_mask].sum(axis=1).mean())

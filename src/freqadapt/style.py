@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .rng import SplitMix64
 from .spectral import amp_map
-from .tensor import FeatureMap
+from .tensor import FeatureMap, _quiet
 
 SCALE_MODES = ("times_C", "raw")
 
@@ -59,7 +59,7 @@ def sample_dirichlet(alpha, seed: int) -> np.ndarray:
     if not ((avec > 0.0).all() and (avec < np.inf).all()):  # NaN fails both
         raise ValueError("all Dirichlet concentrations must be finite and > 0")
     draws = SplitMix64(seed).gamma_array(avec)
-    with np.errstate(over="ignore"):
+    with _quiet():
         total = draws.sum()
     if not total < np.inf:
         raise ValueError(

@@ -12,7 +12,8 @@ import pytest
 from conftest import count_fft_calls, run_python
 import freqadapt
 from freqadapt import FeatureMap, cli, high_freq_shift, read_tensor, style_diversify, write_tensor
-from freqadapt.cli import _COMMAND_KEYS, _PARAMS, _flag, _merge_config, _param, build_parser, main
+from freqadapt.cli import (_COMMAND_KEYS, _PARAMS, _TRANSFORM_KEYS, _flag, _merge_config,
+                           build_parser, main)
 from freqadapt.synth import gen_features
 
 
@@ -284,6 +285,37 @@ class TestApply:
         assert run("apply", "crossmodal", "--in", str(src), "--out", str(dst),
                    "--text", str(text)) == 0
 
+    @pytest.mark.parametrize("transform, flags, named", [
+        ("style", ["--dk", "9"], "--dk"),
+        ("crossmodal", ["--alpha", "2"], "--alpha"),
+        ("plain", ["--norm-scope", "tensor"], "--norm-scope"),
+        ("stack", ["--scale-mode", "raw"], "--scale-mode"),
+        ("crossmodal", ["--identity-hook"], "--identity-hook"),
+        ("plain", ["--identity-hook", "--scale-mode", "raw", "--seed", "2", "--stage", "1=none"],
+         "--scale-mode, --stage, --identity-hook"),
+    ])
+    def test_flag_the_transform_does_not_read_exit_2(self, tmp_path, capsys, transform, flags,
+                                                       named):
+        # rejected before the input is read: a missing input would exit 3
+        dst = tmp_path / "o.ftns"
+        assert run("apply", transform, "--in", str(tmp_path / "nope.ftns"), "--out", str(dst),
+                   *flags) == 2
+        assert capsys.readouterr().err == f"error: apply {transform} does not read {named}\n"
+        assert not dst.exists()
+
+    def test_every_apply_key_is_read_by_some_transform(self):
+        assert set().union(*_TRANSFORM_KEYS.values()) == \
+            set(_COMMAND_KEYS["apply"]) - {"seed", "in", "out", "cut"}
+
+    def test_unread_config_keys_stay_allowed(self, tmp_path):
+        src = self.setup_input(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scale_mode = raw\nnorm_scope = tensor\n")
+        d1, d2 = tmp_path / "a.ftns", tmp_path / "b.ftns"
+        assert run("apply", "stack", "--in", str(src), "--out", str(d1), "--config", str(cfg)) == 0
+        assert run("apply", "stack", "--in", str(src), "--out", str(d2)) == 0
+        assert d1.read_bytes() == d2.read_bytes()
+
     def test_shared_parser_keeps_no_state_between_calls(self, tmp_path):
         # the reference is a first call: a fresh process builds its own parser
         src = self.setup_input(tmp_path)
@@ -411,16 +443,26 @@ class TestParameterTable:
         from_flag = _merge_config(parse_with(key, _flag(key), GOOD[key]))
         from_file = _merge_config(parse_with(key, "--config", str(cfg)))
         assert from_flag == from_file
-        assert from_flag[key] != _param(key).default
+        assert from_flag[key] != _PARAMS[key].default
 
     @pytest.mark.parametrize("key", sorted(BAD))
     def test_rejected_flag_shows_the_reason(self, capsys, key):
         with pytest.raises(ValueError) as reason:
-            _param(key).parse(BAD[key])
+            _PARAMS[key].parse(BAD[key])
         with pytest.raises(SystemExit) as exc:
             parse_with(key, _flag(key), BAD[key])
         assert exc.value.code == 2
         assert f"argument {_flag(key)}: {reason.value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_KEYS))
+def test_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in _COMMAND_KEYS[command]:
+        assert f"{_flag(key)} " in out, key
 
 
 class TestHeatmap:
@@ -609,4 +651,28 @@ for name in freqadapt.__all__:
                    for module in (freqadapt.verify, freqadapt.gradcheck)), name
 assert loaded() == {{"freqadapt.verify", "freqadapt.gradcheck"}}
 assert not hasattr(freqadapt, "no_such_export")
+""")
+
+    def test_parsing_never_imports_the_verification_modules(self):
+        # a --suite or --ops value imports its module to be checked; no default or help text does
+        run_python("""
+import contextlib
+import io
+import sys
+
+from freqadapt.cli import _COMMAND_KEYS, build_parser
+
+def loaded():
+    return {"freqadapt.verify", "freqadapt.gradcheck"} & set(sys.modules)
+
+parser = build_parser()
+for argv in (["verify"], ["gradcheck", "--probes", "2"]):
+    parser.parse_args(argv)
+    assert not loaded(), (argv, loaded())
+for command in _COMMAND_KEYS:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        parser.parse_args([command, "--help"])
+    assert not loaded(), (command, "--help", loaded())
+parser.parse_args(["verify", "--suite", "grad"])
+assert "freqadapt.verify" in loaded(), loaded()
 """)

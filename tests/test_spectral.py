@@ -293,9 +293,14 @@ class TestBandEnergy:
         assert abs(low - low_ref) <= 1e-12 * low_ref
         assert abs(high - high_ref) <= 1e-12 * high_ref
 
-    def test_rejects_bad_cut(self):
-        with pytest.raises(ValueError):
-            _band_split(np.ones((1, 4, 3)), 4, 1.0)
+    def test_rejects_bad_cut(self, monkeypatch):
+        # high_fraction checks the cut before it transforms anything
+        x = FeatureMap(np.random.default_rng(23).uniform(-1.0, 1.0, size=(64, 56, 56)))
+        calls = count_fft_calls(monkeypatch)
+        for cut in (0.0, 1.0, 1.5, -0.25, float("nan")):
+            with pytest.raises(ValueError, match="radial_cut must be in"):
+                high_freq_shift(x, x, cut)
+        assert sum(calls.values()) == 0
 
     @pytest.mark.parametrize("shape", [(2, 8, 8), (3, 7, 5), (2, 6, 9), (3, 9, 6), (1, 1, 6),
                                        (2, 7, 1), (1, 1, 1), (16, 32, 32)])
