@@ -31,7 +31,6 @@ from .adapter import (
     adapter_forward,
     apply_stage,
     run_stack,
-    stage_seed,
 )
 from .crossmodal import (
     NORM_SCOPES,

@@ -25,7 +25,7 @@ from .errors import ShapeMismatchError
 from .rng import SplitMix64, mix_seed
 from .style import style_diversify
 from .synth import gen_text_tokens
-from .tensor import FeatureMap, Matrix, _checked, _frozen, conv2d, silu
+from .tensor import FeatureMap, Matrix, _Weights, conv2d, silu
 
 STAGE_KINDS = ("none", "plain", "style", "crossmodal")
 
@@ -39,28 +39,21 @@ _TAG_ATTENTION = 4
 _KERNELS = (("k3", 3), ("k5", 5), ("k7", 7), ("agg", 1), ("proj", 1))
 
 
-@dataclass(frozen=True)
-class AdapterWeights:
-    """Convolution weights of one adapter block: 3/5/7 branches, 1x1 agg and proj."""
+class AdapterWeights(_Weights):
+    """Convolution weights of one adapter block: 3/5/7 branches, 1x1 agg and proj.
 
-    k3: np.ndarray
-    k5: np.ndarray
-    k7: np.ndarray
-    agg: np.ndarray
-    proj: np.ndarray
+    Each array is [C, C, k, k], k its kernel size, and all share C.
+    """
 
-    def __post_init__(self):
-        self._check(_checked)
+    __slots__ = _fields = tuple(name for name, _ in _KERNELS)
+    _rank = 4
 
-    def _check(self, freeze: Callable[[np.ndarray, int, str], np.ndarray]) -> None:
-        """Pass each array through ``freeze`` and check the [C, C, k, k] shapes."""
-        c = None
+    def _check_shapes(self) -> None:
+        c = self.channels
         for name, k in _KERNELS:
-            arr = freeze(getattr(self, name), 4, name)
-            c = arr.shape[0] if c is None else c
+            arr = getattr(self, name)
             if arr.shape != (c, c, k, k):
                 raise ShapeMismatchError(f"{name} must be {(c, c, k, k)}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
 
     @property
     def channels(self) -> int:
@@ -80,23 +73,21 @@ class AdapterWeights:
 
     @classmethod
     def seeded(cls, channels: int, seed: int) -> "AdapterWeights":
-        """Gaussian weights scaled by 1/(C * k^2) per branch, identity-plus-noise projection."""
+        """Gaussian weights scaled by 1/(C * k^2) per branch, identity-plus-noise projection.
+
+        The five kernels are the parts of one
+        :meth:`~freqadapt.rng.SplitMix64.normal_parts` draw, in
+        ``_KERNELS`` order, adopted without a copy.
+        """
         if channels < 1:
             raise ValueError(f"channels must be >= 1, got {channels}")
         # times the reciprocal, as normal_array(n, scale) scales: dividing rounds differently
         parts = SplitMix64(seed).normal_parts([(channels, channels, k, k) for _, k in _KERNELS],
                                               [1.0 / (channels * k * k) for _, k in _KERNELS])
-        # each part is frozen as the view of the one draw it is: the draw is fresh,
-        # so the copy __init__ makes is not needed
-        obj = cls.__new__(cls)
-        for (name, _), part in zip(_KERNELS, parts):
-            object.__setattr__(obj, name, part)
-        noise = obj.proj
+        noise = parts[-1]
         noise *= 0.1
         np.add(np.eye(channels)[:, :, None, None], noise, out=noise)  # eye + 0.1 * noise
-        parts[0].base.flags.writeable = False  # so no view of the draw can be made writeable again
-        obj._check(_frozen)
-        return obj
+        return cls._adopt_parts(parts)
 
 
 def _fused_kernel(w: AdapterWeights) -> np.ndarray:
@@ -183,11 +174,6 @@ class PlacementConfig:
             raise ValueError("d_k must be >= 1")
 
 
-def stage_seed(cfg: PlacementConfig, index: int) -> int:
-    """Independent 64-bit seed for one stage, order-free by construction."""
-    return mix_seed(cfg.seed, index)
-
-
 def apply_stage(x: FeatureMap, cfg: PlacementConfig, index: int) -> FeatureMap:
     """Run stage ``index``'s configured adapter on one feature map.
 
@@ -199,7 +185,7 @@ def apply_stage(x: FeatureMap, cfg: PlacementConfig, index: int) -> FeatureMap:
     kind = cfg.stage_assignments.get(index, "none")
     if kind == "none":
         return x
-    sseed = stage_seed(cfg, index)
+    sseed = mix_seed(cfg.seed, index)
     weights = AdapterWeights.seeded(x.channels, mix_seed(sseed, _TAG_WEIGHTS))
     if kind == "plain":
         augment = None

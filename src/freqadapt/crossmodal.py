@@ -15,55 +15,43 @@ token.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ShapeMismatchError
 from .rng import SplitMix64
 from .spectral import AMP_EPS, _band_split, _rfft2, amp_map, mirror_weights
-from .tensor import FeatureMap, Matrix, _checked, _frozen, _quiet, softmax_rows
+from .tensor import FeatureMap, Matrix, _quiet, _Weights, softmax_rows
 
 NORM_SCOPES = ("channel", "tensor")
-
-# the projections of AttentionParams, in the order seeded draws them
-_PROJECTIONS = ("wq", "wk", "wv", "wo")
 
 _SIGMA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class AttentionParams:
+class AttentionParams(_Weights):
     """Projection weights for single-head cross-attention.
 
     wq: visual_dim x d_k, wk/wv: text_dim x d_k, wo: d_k x visual_dim, all
-    checked at construction, so a call only checks the token dims.
+    checked at construction, so a call only checks the token dims. d_k is
+    read from wq, not passed.
     """
 
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    d_k: int
+    __slots__ = _fields = ("wq", "wk", "wv", "wo")
+    _rank = 2
 
-    def __post_init__(self):
-        self._check(_checked)
-
-    def _check(self, freeze: Callable[[np.ndarray, int, str], np.ndarray]) -> None:
-        """Pass each projection through ``freeze`` and check d_k and the shapes."""
-        if self.d_k < 1:
-            raise ValueError(f"d_k must be >= 1, got {self.d_k}")
-        for name in _PROJECTIONS:
-            object.__setattr__(self, name, freeze(getattr(self, name), 2, name))
-        if any(w.shape[1] != self.d_k for w in (self.wq, self.wk, self.wv)):
-            raise ShapeMismatchError("wq/wk/wv must project to d_k columns")
+    def _check_shapes(self) -> None:
+        if self.wk.shape[1] != self.d_k or self.wv.shape[1] != self.d_k:
+            raise ShapeMismatchError(f"wk/wv must project to wq's d_k = {self.d_k} columns")
         if self.wk.shape[0] != self.wv.shape[0]:
             raise ShapeMismatchError("wk and wv must share the text dimension")
         if self.wo.shape != (self.d_k, self.visual_dim):
             raise ShapeMismatchError(
                 f"wo must be (d_k, visual_dim) = {(self.d_k, self.visual_dim)}, got {self.wo.shape}"
             )
+
+    @property
+    def d_k(self) -> int:
+        return self.wq.shape[1]
 
     @property
     def visual_dim(self) -> int:
@@ -77,23 +65,17 @@ class AttentionParams:
     def seeded(cls, visual_dim: int, text_dim: int, d_k: int, seed: int) -> "AttentionParams":
         """Gaussian projections scaled by 1/sqrt(fan_in), from one seeded stream.
 
-        wq, wk, wv and wo are drawn in that order with one
-        :meth:`~freqadapt.rng.SplitMix64.normal_parts` call, as
-        :meth:`~freqadapt.adapter.AdapterWeights.seeded` draws its kernels;
-        each part is frozen as the view of the draw it is.
+        wq, wk, wv and wo are the parts of one
+        :meth:`~freqadapt.rng.SplitMix64.normal_parts` draw, in that order,
+        adopted without a copy, as
+        :meth:`~freqadapt.adapter.AdapterWeights.seeded` adopts its kernels.
         """
         if min(visual_dim, text_dim, d_k) < 1:
             raise ValueError(f"dims must be >= 1, got {(visual_dim, text_dim, d_k)}")
         shapes = ((visual_dim, d_k), (text_dim, d_k), (text_dim, d_k), (d_k, visual_dim))
         # the fan-in of each projection is its row count
-        parts = SplitMix64(seed).normal_parts(shapes, [1.0 / math.sqrt(rows) for rows, _ in shapes])
-        obj = cls.__new__(cls)
-        for name, part in zip(_PROJECTIONS, parts):
-            object.__setattr__(obj, name, part)
-        object.__setattr__(obj, "d_k", d_k)
-        parts[0].base.flags.writeable = False  # so no view of the draw can be made writeable again
-        obj._check(_frozen)
-        return obj
+        return cls._adopt_parts(SplitMix64(seed).normal_parts(
+            shapes, [1.0 / math.sqrt(rows) for rows, _ in shapes]))
 
 
 def flatten_tokens(x: FeatureMap) -> Matrix:
@@ -175,7 +157,6 @@ def _standardize(a: np.ndarray, scope: str, weight=1.0, first: int = 0) -> np.nd
     index of a's first group in the whole map, so that an error names a
     group of a channel block by its index in the map.
     """
-    _check_scope(scope)
     out = a - _group_mean(a, scope, weight)
     squares = out * out
     sd = np.sqrt(_group_mean(squares, scope, weight, out=squares))

@@ -29,6 +29,7 @@ from .crossmodal import (
     AttentionParams,
     _attend,
     _attention_terms,
+    _check_scope,
     _group_mean,
     _standardize,
     cross_attention,
@@ -205,7 +206,8 @@ def jvp_crossmodal(
     p: AttentionParams,
     scope: str = "channel",
 ) -> FeatureMap:
-    """Derivative of the full cross-modal pipeline along ``direction``."""
+    """Derivative of the full cross-modal pipeline along ``direction``; the scope is checked first."""
+    _check_scope(scope)
     _check_direction(x, direction)  # the token matrices alone miss a transposed plane
     u, du = _attention_and_jvp(flatten_tokens(x), flatten_tokens(direction), xt, p)
     h, w = x.height, x.width

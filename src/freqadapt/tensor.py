@@ -1,14 +1,18 @@
-"""Dense float64 tensor containers and the basic neural ops built on them.
+"""Dense float64 tensor containers, the weight-set base, and the basic neural ops.
 
-Everything is double precision and immutable after construction: every
-array the library stores, in these containers and in the adapter and
-attention weights, is checked once by :func:`_frozen` and marked
-read-only, so values are safe to share across threads. The public
-constructors copy their input in first (:func:`_checked`), so mutating
-the source afterwards changes nothing, and a non-finite input raises
-ValueError. Every array the library computes reaches a container through
+Everything is double precision and immutable after construction. Every
+array the library stores is checked once by :func:`_frozen` and marked
+read-only, so values are safe to share across threads. Two bases hold
+them: :class:`_Checked`, the one array of :class:`FeatureMap` and
+:class:`Matrix`, and :class:`_Weights`, the named arrays of
+:class:`~freqadapt.adapter.AdapterWeights` and
+:class:`~freqadapt.crossmodal.AttentionParams`. The public constructors
+copy their input in first (:func:`_checked`), so mutating the source
+afterwards changes nothing, and a non-finite input raises ValueError.
+Every array the library computes reaches a container through
 :meth:`_Checked._adopt`, after the same checks, and a non-finite result
-raises :class:`~freqadapt.errors.NonFiniteResultError`.
+raises :class:`~freqadapt.errors.NonFiniteResultError`; a seeded weight
+set adopts the parts of its one draw through :meth:`_Weights._adopt_parts`.
 """
 
 from __future__ import annotations
@@ -51,6 +55,55 @@ def _checked(data, rank: int, name: str) -> np.ndarray:
     return _frozen(np.array(data, dtype=np.float64, order="C", copy=True), rank, name)
 
 
+class _Weights:
+    """A fixed set of named finite float64 arrays of rank ``_rank``, read-only.
+
+    A subclass names its arrays in ``_fields``, which are also its
+    ``__slots__``, and checks their shapes against each other in
+    ``_check_shapes``. The constructor takes the arrays by keyword or in
+    ``_fields`` order and copies each in through :func:`_checked`; a
+    missing or unknown name raises TypeError. Assigning or deleting an
+    attribute raises AttributeError, so a copy or an unpickled set is
+    built through the constructor (:meth:`__reduce__`).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _rank: int
+
+    def __init__(self, *arrays, **named):
+        given = dict(zip(self._fields, arrays), **named)
+        if len(arrays) + len(named) != len(given) or given.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the arrays {', '.join(self._fields)}, "
+                            f"each once, by keyword or in that order")
+        for name in self._fields:
+            object.__setattr__(self, name, _checked(given[name], self._rank, name))
+        self._check_shapes()
+
+    @classmethod
+    def _adopt_parts(cls, parts: list[np.ndarray]):
+        """The weight set of ``parts``, the views of one fresh ``normal_parts`` draw, uncopied.
+
+        Each part is frozen after the constructor's checks, and the draw
+        they view is marked read-only too, so no view of it can be made
+        writeable again.
+        """
+        obj = cls.__new__(cls)
+        for name, part in zip(cls._fields, parts):
+            object.__setattr__(obj, name, _frozen(part, cls._rank, name))
+        parts[0].base.flags.writeable = False
+        obj._check_shapes()
+        return obj
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
 def _quiet() -> np.errstate:
     """A local ``np.errstate`` with numpy's overflow, invalid and divide warnings off.
 
@@ -86,6 +139,10 @@ class _Checked:
         obj = cls.__new__(cls)
         obj.data = _frozen(arr, cls._rank, cls.__name__, scale, NonFiniteResultError)
         return obj
+
+    def __reduce__(self):
+        # a copy or an unpickled container is built through the constructor, so its array is frozen too
+        return type(self), (self.data,)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -218,7 +218,6 @@ def attention_seeded_reference(visual_dim, text_dim, d_k, seed):
         wk=draw(text_dim, d_k, text_dim),
         wv=draw(text_dim, d_k, text_dim),
         wo=draw(d_k, visual_dim, d_k),
-        d_k=d_k,
     )
 
 

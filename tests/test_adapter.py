@@ -13,7 +13,6 @@ from freqadapt import (
     conv2d,
     run_stack,
     silu,
-    stage_seed,
     style_transform,
 )
 from freqadapt.rng import SplitMix64, mix_seed
@@ -172,12 +171,6 @@ class TestPlacement:
         b = run_stack(stages, cfg)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.data, fb.data)
-
-    def test_order_independent_stage_seeds(self):
-        cfg = PlacementConfig(seed=9)
-        seeds = [stage_seed(cfg, i) for i in (1, 2, 3)]
-        assert len(set(seeds)) == 3
-        assert seeds == [stage_seed(cfg, i) for i in (1, 2, 3)]
 
     def test_apply_stage_in_any_order(self):
         rng = np.random.default_rng(78)

@@ -27,6 +27,7 @@ from freqadapt import (
     fft2,
     flatten_tokens,
     high_freq_shift,
+    jvp_crossmodal,
     spectral_normalize,
     unflatten_tokens,
 )
@@ -121,7 +122,6 @@ class TestCrossAttention:
             wk=rng.normal(size=(2, 2)),
             wv=np.ones((2, 2)) * 0.0,
             wo=np.eye(2, 3),
-            d_k=2,
         )
         out = cross_attention(xv, xt, p)
         assert np.abs(out.data).max() < 1e-15  # zero V rows stay zero under convex weights
@@ -138,7 +138,7 @@ class TestCrossAttention:
         # wo must be (d_k, visual_dim) = (2, 3)
         with pytest.raises(ShapeMismatchError):
             AttentionParams(wq=np.ones((3, 2)), wk=np.ones((4, 2)), wv=np.ones((4, 2)),
-                            wo=np.ones(wo_shape), d_k=2)
+                            wo=np.ones(wo_shape))
 
     def test_zero_dim_params_rejected(self):
         # no valid map or token matrix has a zero dim to meet these weights
@@ -362,7 +362,8 @@ class TestUnknownScope:
     @pytest.mark.parametrize("shape", [(3, 8, 8), (256, 14, 14)])
     def test_unknown_scope_is_rejected(self, monkeypatch, shape):
         # in blocks of 64 channels the 256x14x14 map runs as four blocks; the scope is
-        # rejected before any block's forward transform
+        # rejected before any block's forward transform, and the derivative's before its
+        # attention pass
         x = FeatureMap(np.random.default_rng(65).uniform(-1, 1, size=shape))
         text = gen_text_tokens(3, 5, 22)
         p = AttentionParams.seeded(shape[0], 5, 8, 23)
@@ -370,7 +371,8 @@ class TestUnknownScope:
         calls = count_fft_calls(monkeypatch)
         with channel_blocks(64, shape):
             for call in (lambda: spectral_normalize(x, "global"),
-                         lambda: crossmodal_forward(x, text, p, scope="global")):
+                         lambda: crossmodal_forward(x, text, p, scope="global"),
+                         lambda: jvp_crossmodal(x, x, text, p, scope="global")):
                 with pytest.raises(ValueError) as caught:
                     call()
                 assert str(caught.value) == want

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import gamma_reference, normal_array_reference, uniforms_reference
 from freqadapt.rng import (_GAMMA_WINDOW, _GOLDEN, _PAIR_CHUNK, SplitMix64,
-                           _finalize, _finalize_words)
+                           _finalize, _finalize_words, mix_seed)
 from freqadapt.style import sample_dirichlet
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -264,3 +264,10 @@ def test_uniform_array_is_fresh_and_writable():
     rng.normal()
     assert first.tobytes() == kept.tobytes()
     assert not any(np.shares_memory(first, arr) for arr in later)
+
+
+def test_mix_seed_is_distinct_per_index_and_repeatable():
+    # apply_stage's per-stage seeds: one base seed, stage indices 1..3, in any order
+    seeds = [mix_seed(9, i) for i in (1, 2, 3)]
+    assert len(set(seeds)) == 3
+    assert seeds == [mix_seed(9, i) for i in (3, 2, 1)][::-1]

@@ -1,4 +1,5 @@
-import functools
+import copy
+import pickle
 import sys
 import threading
 import warnings
@@ -50,11 +51,19 @@ def conv2d_naive(x, kernel, padding):
 GUARDED = {
     "FeatureMap": (FeatureMap, {"data": (2, 3, 4)}),
     "Matrix": (Matrix, {"data": (3, 4)}),
-    "AttentionParams": (functools.partial(AttentionParams, d_k=2),
-                        {"wq": (3, 2), "wk": (4, 2), "wv": (4, 2), "wo": (2, 3)}),
+    "AttentionParams": (AttentionParams, {"wq": (3, 2), "wk": (4, 2), "wv": (4, 2), "wo": (2, 3)}),
     "AdapterWeights": (AdapterWeights, {"k3": (2, 2, 3, 3), "k5": (2, 2, 5, 5),
                                         "k7": (2, 2, 7, 7), "agg": (2, 2, 1, 1),
                                         "proj": (2, 2, 1, 1)}),
+}
+
+# each weight set's cross-array shape checks: one array of GUARDED's replaced by one
+# of this shape, and a name the error message must contain
+MISMATCHED = {
+    "AttentionParams": [("wk", (4, 3), "wk"), ("wv", (4, 1), "wv"), ("wv", (5, 2), "wv"),
+                        ("wk", (3, 2), "wk")],
+    "AdapterWeights": [("k5", (3, 3, 5, 5), "k5"), ("k7", (2, 2, 5, 5), "k7"),
+                       ("agg", (2, 3, 1, 1), "agg"), ("k3", (3, 3, 3, 3), "k5")],
 }
 
 
@@ -90,6 +99,22 @@ class TestArrayGuard:
             with pytest.raises(ValueError):
                 stored.flat[0] = 1.0
 
+    def test_accepts_arrays_in_order(self, kind):
+        build, _ = GUARDED[kind]
+        fields = self.fields(kind)
+        obj = build(*fields.values())
+        for name, arr in fields.items():
+            assert getattr(obj, name).tobytes() == arr.tobytes(), name
+
+    def test_copies_and_pickles(self, kind):
+        build, _ = GUARDED[kind]
+        obj = build(**self.fields(kind))
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj)
+            for name in GUARDED[kind][1]:
+                assert getattr(twin, name).tobytes() == getattr(obj, name).tobytes(), name
+                assert not getattr(twin, name).flags.writeable, name
+
     def test_accepts_lists(self, kind):
         build, _ = GUARDED[kind]
         fields = self.fields(kind)
@@ -121,6 +146,47 @@ class TestArrayGuard:
         for fields in self.each_bad_field(kind, lambda a: a[:0]):
             with pytest.raises(ValueError, match="axes must be >= 1"):
                 build(**fields)
+
+
+def weight_set(kind, **replaced):
+    """The GUARDED weight set ``kind`` built from ones, with the ``replaced`` arrays."""
+    build, shapes = GUARDED[kind]
+    return build(**{**{name: np.ones(shape) for name, shape in shapes.items()}, **replaced})
+
+
+@pytest.mark.parametrize("kind", MISMATCHED)
+def test_weight_set_rejects_mismatched_shapes(kind):
+    for name, shape, named in MISMATCHED[kind]:
+        with pytest.raises(ShapeMismatchError, match=named):
+            weight_set(kind, **{name: np.ones(shape)})
+
+
+@pytest.mark.parametrize("kind", MISMATCHED)
+def test_weight_set_is_read_only(kind):
+    obj = weight_set(kind)
+    for name in GUARDED[kind][1]:
+        with pytest.raises(AttributeError, match=f"{kind}.{name} is read-only"):
+            setattr(obj, name, np.zeros(getattr(obj, name).shape))
+        with pytest.raises(AttributeError, match=f"{kind}.{name} is read-only"):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+@pytest.mark.parametrize("kind", MISMATCHED)
+def test_weight_set_takes_each_named_array_once(kind):
+    build, shapes = GUARDED[kind]
+    arrays = {name: np.ones(shape) for name, shape in shapes.items()}
+    first, *rest = arrays
+    calls = [
+        lambda: build(**{name: arrays[name] for name in rest}),  # one missing
+        lambda: build(**arrays, extra=np.ones(1)),  # one unknown
+        lambda: build(arrays[first], **arrays),  # the first twice
+        lambda: build(*arrays.values(), np.ones(1)),  # one too many in order
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"{kind} takes the arrays"):
+            call()
 
 
 class TestAdoption:
