@@ -25,7 +25,7 @@ from .errors import ShapeMismatchError
 from .rng import SplitMix64, mix_seed
 from .style import style_diversify
 from .synth import gen_text_tokens
-from .tensor import FeatureMap, Matrix, _Weights, conv2d, silu
+from .tensor import FeatureMap, Matrix, _Frozen, conv2d, silu
 
 STAGE_KINDS = ("none", "plain", "style", "crossmodal")
 
@@ -39,7 +39,7 @@ _TAG_ATTENTION = 4
 _KERNELS = (("k3", 3), ("k5", 5), ("k7", 7), ("agg", 1), ("proj", 1))
 
 
-class AdapterWeights(_Weights):
+class AdapterWeights(_Frozen):
     """Convolution weights of one adapter block: 3/5/7 branches, 1x1 agg and proj.
 
     Each array is [C, C, k, k], k its kernel size, and all share C.
@@ -87,7 +87,7 @@ class AdapterWeights(_Weights):
         noise = parts[-1]
         noise *= 0.1
         np.add(np.eye(channels)[:, :, None, None], noise, out=noise)  # eye + 0.1 * noise
-        return cls._adopt_parts(parts)
+        return cls._adopt(*parts)
 
 
 def _fused_kernel(w: AdapterWeights) -> np.ndarray:

@@ -21,14 +21,14 @@ import numpy as np
 from .errors import DegenerateSpectrumError, ShapeMismatchError
 from .rng import SplitMix64
 from .spectral import AMP_EPS, _band_split, _rfft2, amp_map, mirror_weights
-from .tensor import FeatureMap, Matrix, _quiet, _Weights, softmax_rows
+from .tensor import FeatureMap, Matrix, _Frozen, _quiet, softmax_rows
 
 NORM_SCOPES = ("channel", "tensor")
 
 _SIGMA_FLOOR = 1e-12
 
 
-class AttentionParams(_Weights):
+class AttentionParams(_Frozen):
     """Projection weights for single-head cross-attention.
 
     wq: visual_dim x d_k, wk/wv: text_dim x d_k, wo: d_k x visual_dim, all
@@ -74,7 +74,7 @@ class AttentionParams(_Weights):
             raise ValueError(f"dims must be >= 1, got {(visual_dim, text_dim, d_k)}")
         shapes = ((visual_dim, d_k), (text_dim, d_k), (text_dim, d_k), (d_k, visual_dim))
         # the fan-in of each projection is its row count
-        return cls._adopt_parts(SplitMix64(seed).normal_parts(
+        return cls._adopt(*SplitMix64(seed).normal_parts(
             shapes, [1.0 / math.sqrt(rows) for rows, _ in shapes]))
 
 

@@ -31,6 +31,6 @@ class NonFiniteResultError(ValueError):
     """A computed array holds a NaN or an infinity: the result cannot be represented in float64.
 
     Raised when the library adopts an array it has computed
-    (:meth:`freqadapt.tensor._Checked._adopt`), e.g. a transform of a
+    (:meth:`freqadapt.tensor._Frozen._adopt`), e.g. a transform of a
     finite but huge map that overflows.
     """

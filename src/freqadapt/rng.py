@@ -206,8 +206,10 @@ class SplitMix64:
         calls made in order, and the state ends where they leave it: a draw
         at scale 1 times one multiply rounds as the scaled draw does. The
         parts are writeable views of one fresh array, their common
-        ``base``; a caller that freezes them marks that base read-only
-        too, so no view of the draw can be made writeable again.
+        ``base``, which is marked read-only: a caller can still write
+        through a part, but once it is frozen no view of the draw can be
+        made writeable again, so a container adopts the parts uncopied
+        (:meth:`~freqadapt.tensor._Frozen._adopt`).
         """
         sizes = [math.prod(shape) for shape in shapes]
         flat = self.normal_array(sum(sizes))
@@ -217,6 +219,7 @@ class SplitMix64:
             part *= scale
             parts.append(part.reshape(shape))
             at += size
+        flat.flags.writeable = False
         return parts
 
     def _polar_window(self, n: int) -> tuple[list, list, list]:

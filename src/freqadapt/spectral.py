@@ -259,7 +259,7 @@ def _rewrite_blocks(x: FeatureMap, rewrite: Callable[[np.ndarray, slice], np.nda
         raise SymmetryViolationError(
             f"amplitude map residue {residue:.3e} exceeds 1e-8 * {scale:.3e}"
         )
-    return FeatureMap._adopt(out, scale)  # a finite scale stands for the finiteness scan
+    return FeatureMap._adopt(out, scale=scale)  # a finite scale stands for the finiteness scan
 
 
 def _radius_grid(h: int, w: int) -> np.ndarray:

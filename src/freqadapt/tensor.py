@@ -1,18 +1,16 @@
-"""Dense float64 tensor containers, the weight-set base, and the basic neural ops.
+"""Dense float64 tensor containers on the one read-only base, and the basic neural ops.
 
 Everything is double precision and immutable after construction. Every
-array the library stores is checked once by :func:`_frozen` and marked
-read-only, so values are safe to share across threads. Two bases hold
-them: :class:`_Checked`, the one array of :class:`FeatureMap` and
-:class:`Matrix`, and :class:`_Weights`, the named arrays of
+array the library stores is a field of a :class:`_Frozen`: the one
+``data`` of :class:`FeatureMap` and :class:`Matrix`, or a named array of
 :class:`~freqadapt.adapter.AdapterWeights` and
-:class:`~freqadapt.crossmodal.AttentionParams`. The public constructors
-copy their input in first (:func:`_checked`), so mutating the source
-afterwards changes nothing, and a non-finite input raises ValueError.
-Every array the library computes reaches a container through
-:meth:`_Checked._adopt`, after the same checks, and a non-finite result
-raises :class:`~freqadapt.errors.NonFiniteResultError`; a seeded weight
-set adopts the parts of its one draw through :meth:`_Weights._adopt_parts`.
+:class:`~freqadapt.crossmodal.AttentionParams`. Each is checked once,
+marked read-only and never reassigned, so values are safe to share
+across threads. The public constructors copy their input in first, so
+mutating the source afterwards changes nothing, and a non-finite input
+raises ValueError. Every array the library computes reaches a container
+through :meth:`_Frozen._adopt`, after the same checks, and a non-finite
+result raises :class:`~freqadapt.errors.NonFiniteResultError`.
 """
 
 from __future__ import annotations
@@ -25,46 +23,16 @@ import numpy as np
 from .errors import NonFiniteResultError, ShapeMismatchError
 
 
-def _frozen(arr: np.ndarray, rank: int, name: str, scale: float | None = None,
-            non_finite: type[ValueError] = ValueError) -> np.ndarray:
-    """``arr`` marked read-only after the checks for rank, size and finiteness.
-
-    Raises ShapeMismatchError on a rank other than ``rank``, ValueError on
-    an empty axis and ``non_finite`` on a non-finite value. A caller that
-    has already taken ``scale`` = max|arr| passes it, and the finiteness
-    check reads it instead of scanning ``arr``: a NaN carries into the max
-    and an infinity makes it infinite, so the scale is finite only if
-    ``arr`` is.
-    """
-    if arr.ndim != rank:
-        raise ShapeMismatchError(f"{name} needs {rank} axes, got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"{name} axes must be >= 1, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr)) if scale is None else math.isfinite(scale)):
-        raise non_finite(f"{name} values must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
-def _checked(data, rank: int, name: str) -> np.ndarray:
-    """``data`` as a read-only float64 C-order copy, checked by :func:`_frozen`.
-
-    The guard of every public constructor: the copy is the only one made,
-    so mutating the source afterwards changes nothing.
-    """
-    return _frozen(np.array(data, dtype=np.float64, order="C", copy=True), rank, name)
-
-
-class _Weights:
-    """A fixed set of named finite float64 arrays of rank ``_rank``, read-only.
+class _Frozen:
+    """A fixed set of named finite float64 arrays of rank ``_rank``, each read-only.
 
     A subclass names its arrays in ``_fields``, which are also its
     ``__slots__``, and checks their shapes against each other in
     ``_check_shapes``. The constructor takes the arrays by keyword or in
-    ``_fields`` order and copies each in through :func:`_checked`; a
-    missing or unknown name raises TypeError. Assigning or deleting an
-    attribute raises AttributeError, so a copy or an unpickled set is
-    built through the constructor (:meth:`__reduce__`).
+    ``_fields`` order and copies each in; a missing or unknown name raises
+    TypeError. Assigning or deleting an attribute raises AttributeError,
+    so a copy or an unpickled object is built through the constructor
+    (:meth:`__reduce__`).
     """
 
     __slots__ = ()
@@ -76,24 +44,61 @@ class _Weights:
         if len(arrays) + len(named) != len(given) or given.keys() != set(self._fields):
             raise TypeError(f"{type(self).__name__} takes the arrays {', '.join(self._fields)}, "
                             f"each once, by keyword or in that order")
-        for name in self._fields:
-            object.__setattr__(self, name, _checked(given[name], self._rank, name))
-        self._check_shapes()
+        # the copy is the only one made, so mutating the source afterwards changes nothing
+        self._freeze([np.array(given[name], dtype=np.float64, order="C", copy=True)
+                      for name in self._fields], ValueError)
 
     @classmethod
-    def _adopt_parts(cls, parts: list[np.ndarray]):
-        """The weight set of ``parts``, the views of one fresh ``normal_parts`` draw, uncopied.
+    def _adopt(cls, *arrays: np.ndarray, scale: float | None = None):
+        """The object of ``arrays``, in ``_fields`` order, which the library has just computed.
 
-        Each part is frozen after the constructor's checks, and the draw
-        they view is marked read-only too, so no view of it can be made
-        writeable again.
+        A C-ordered float64 array is frozen in place, without a copy, if it
+        owns its buffer or is a view of a read-only array that does, as
+        the parts of one :meth:`~freqadapt.rng.SplitMix64.normal_parts`
+        draw are; so the caller must hold no other reference it writes
+        through. Any other array is copied first, as the constructor
+        copies. ``scale``, if given, is max|data| of a one-field container
+        (see :meth:`_freeze`). A non-finite value raises
+        :class:`~freqadapt.errors.NonFiniteResultError`.
         """
+        owned = []
+        for arr in arrays:
+            base = arr.base
+            if arr.dtype != np.float64 or not arr.flags.c_contiguous or not (
+                    arr.flags.owndata or isinstance(base, np.ndarray) and base.flags.owndata
+                    and not base.flags.writeable):
+                arr = np.array(arr, dtype=np.float64, order="C")
+            owned.append(arr)
         obj = cls.__new__(cls)
-        for name, part in zip(cls._fields, parts):
-            object.__setattr__(obj, name, _frozen(part, cls._rank, name))
-        parts[0].base.flags.writeable = False
-        obj._check_shapes()
+        obj._freeze(owned, NonFiniteResultError, scale)
         return obj
+
+    def _freeze(self, arrays: list[np.ndarray], non_finite: type[ValueError],
+                scale: float | None = None) -> None:
+        """Store ``arrays`` as the fields, each marked read-only after the one guard.
+
+        Raises ShapeMismatchError on a rank other than ``_rank``, ValueError
+        on an empty axis and ``non_finite`` on a non-finite value; the
+        message names the array, or the class for a one-field container.
+        A caller that has already taken ``scale`` = max|data| passes it, and
+        the finiteness check reads it instead of scanning the array: a NaN
+        carries into the max and an infinity makes it infinite, so the
+        scale is finite only if the array is.
+        """
+        for name, arr in zip(self._fields, arrays):
+            label = type(self).__name__ if name == "data" else name
+            if arr.ndim != self._rank:
+                raise ShapeMismatchError(f"{label} needs {self._rank} axes, got shape {arr.shape}")
+            if min(arr.shape) < 1:
+                raise ValueError(f"{label} axes must be >= 1, got shape {arr.shape}")
+            if not (np.all(np.isfinite(arr)) if scale is None else math.isfinite(scale)):
+                raise non_finite(f"{label} values must be finite")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        self._check_shapes()
+
+    def _check_shapes(self) -> None:
+        """Nothing to check across the arrays of a one-field container."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -103,60 +108,30 @@ class _Weights:
 
     __delattr__ = __setattr__
 
+    def __repr__(self):
+        shapes = ("x".join(map(str, getattr(self, name).shape)) for name in self._fields)
+        return f"{type(self).__name__}({', '.join(shapes)})"
+
 
 def _quiet() -> np.errstate:
     """A local ``np.errstate`` with numpy's overflow, invalid and divide warnings off.
 
-    For a computation whose result :meth:`_Checked._adopt` or a typed
+    For a computation whose result :meth:`_Frozen._adopt` or a typed
     check of the caller decides: an overflow then ends in a typed error,
     whatever the warning filters are.
     """
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-class _Checked:
-    """A finite float64 array of rank ``_rank``, non-empty on every axis."""
-
-    __slots__ = ("data",)
-    _rank: int
-
-    def __init__(self, data):
-        self.data = _checked(data, self._rank, type(self).__name__)
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray, scale: float | None = None):
-        """Wrap an array the library has just computed, without copying it.
-
-        ``arr`` is frozen in place after the checks the constructor runs,
-        so the caller must hold no other reference it writes through;
-        ``scale``, if given, is max|arr| (see :func:`_frozen`). A view, an
-        array that does not own its buffer, or one that is not C-ordered
-        float64 is copied first, as the constructor copies. A non-finite
-        value raises :class:`~freqadapt.errors.NonFiniteResultError`.
-        """
-        if arr.dtype != np.float64 or not (arr.flags.owndata and arr.flags.c_contiguous):
-            arr = np.array(arr, dtype=np.float64, order="C")
-        obj = cls.__new__(cls)
-        obj.data = _frozen(arr, cls._rank, cls.__name__, scale, NonFiniteResultError)
-        return obj
-
-    def __reduce__(self):
-        # a copy or an unpickled container is built through the constructor, so its array is frozen too
-        return type(self), (self.data,)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __repr__(self):
-        return f"{type(self).__name__}({'x'.join(map(str, self.shape))})"
-
-
-class FeatureMap(_Checked):
+class FeatureMap(_Frozen):
     """A channels x height x width activation tensor, row-major (c, h, w)."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("data",)
     _rank = 3
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.data.shape
 
     @property
     def channels(self) -> int:
@@ -171,11 +146,15 @@ class FeatureMap(_Checked):
         return self.data.shape[2]
 
 
-class Matrix(_Checked):
+class Matrix(_Frozen):
     """A rows x cols real matrix, row-major, double precision."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("data",)
     _rank = 2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.data.shape
 
     @property
     def rows(self) -> int:

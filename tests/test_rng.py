@@ -235,7 +235,8 @@ class TestNormalParts:
         base = parts[0].base
         assert base is not None and all(part.base is base for part in parts)
         assert all(part.flags.writeable and part.flags.c_contiguous for part in parts)
-        base.flags.writeable = False
+        assert not base.flags.writeable
+        parts[1].flags.writeable = False
         with pytest.raises(ValueError):
             parts[1].flags.writeable = True
 

@@ -67,6 +67,13 @@ MISMATCHED = {
 }
 
 
+# the weight sets built by their seeded draws, at GUARDED's field names
+SEEDED = {
+    "AttentionParams": (lambda: AttentionParams.seeded(3, 3, 2, 7),),
+    "AdapterWeights": (lambda: AdapterWeights.seeded(2, 7),),
+}
+
+
 @pytest.mark.parametrize("kind", GUARDED)
 class TestArrayGuard:
     """The one array guard, as every container and weight set applies it."""
@@ -107,13 +114,16 @@ class TestArrayGuard:
             assert getattr(obj, name).tobytes() == arr.tobytes(), name
 
     def test_copies_and_pickles(self, kind):
+        # made by the constructor, adopted, and, for a weight set, seeded
         build, _ = GUARDED[kind]
-        obj = build(**self.fields(kind))
-        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-            assert type(twin) is type(obj)
-            for name in GUARDED[kind][1]:
-                assert getattr(twin, name).tobytes() == getattr(obj, name).tobytes(), name
-                assert not getattr(twin, name).flags.writeable, name
+        made = [build(**self.fields(kind)), build._adopt(*self.fields(kind).values())]
+        made += [seed() for seed in SEEDED.get(kind, ())]
+        for obj in made:
+            for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert type(twin) is type(obj)
+                for name in GUARDED[kind][1]:
+                    assert getattr(twin, name).tobytes() == getattr(obj, name).tobytes(), name
+                    assert not getattr(twin, name).flags.writeable, name
 
     def test_accepts_lists(self, kind):
         build, _ = GUARDED[kind]
@@ -161,16 +171,23 @@ def test_weight_set_rejects_mismatched_shapes(kind):
             weight_set(kind, **{name: np.ones(shape)})
 
 
-@pytest.mark.parametrize("kind", MISMATCHED)
+@pytest.mark.parametrize("kind", GUARDED)
 def test_weight_set_is_read_only(kind):
-    obj = weight_set(kind)
-    for name in GUARDED[kind][1]:
-        with pytest.raises(AttributeError, match=f"{kind}.{name} is read-only"):
-            setattr(obj, name, np.zeros(getattr(obj, name).shape))
-        with pytest.raises(AttributeError, match=f"{kind}.{name} is read-only"):
-            delattr(obj, name)
-    with pytest.raises(AttributeError):
-        obj.extra = 1
+    # constructed, adopted and unpickled: no field of any of them can be replaced or removed
+    build, shapes = GUARDED[kind]
+    made = weight_set(kind)
+    adopted = build._adopt(*(np.ones(shape) for shape in shapes.values()))
+    for obj in (made, adopted, pickle.loads(pickle.dumps(made))):
+        for name, shape in shapes.items():
+            kept = getattr(obj, name)
+            with pytest.raises(AttributeError, match=f"{kind}.{name} is read-only"):
+                setattr(obj, name, np.full(shape, np.nan))
+            with pytest.raises(AttributeError, match=f"{kind}.{name} is read-only"):
+                delattr(obj, name)
+            assert getattr(obj, name) is kept and not kept.flags.writeable
+            assert np.array_equal(kept, np.ones(shape))
+        with pytest.raises(AttributeError):
+            obj.extra = 1
 
 
 @pytest.mark.parametrize("kind", MISMATCHED)
